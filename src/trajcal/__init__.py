@@ -11,6 +11,7 @@ from .errors import (
     InsufficientOverlap,
     InvalidFeature,
     NoCandidateMatches,
+    NoViableHypothesis,
     TooFewPairs,
 )
 from .estimator import (

@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import evaluation, io, pipeline, simulator
-from .errors import CalibrationError, NoCandidateMatches
+from .errors import CalibrationError, NoCandidateMatches, NoViableHypothesis
 from .features import extract_features
 from .matching import apply_semantic_filters, motion_match
 
@@ -157,7 +157,7 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
 
     try:
         session = pipeline.calibrate(db_p, db_q, cfg, prior=prior)
-    except NoCandidateMatches as exc:
+    except (NoCandidateMatches, NoViableHypothesis) as exc:
         click.echo(
             f"calibration failed: {exc} "
             f"(raw={exc.raw_count}, filtered={exc.filtered_count})",

@@ -45,5 +45,24 @@ class NoCandidateMatches(CalibrationError):
         )
 
 
+class NoViableHypothesis(CalibrationError):
+    """Enough matches survived filtering, but no initial transform led to a
+    calibration: every hypothesis collapsed in the iterative loop, or none
+    could be formed at all (the fallback solve was degenerate)."""
+
+    def __init__(self, raw_count: int, filtered_count: int, hypotheses_tried: int):
+        self.raw_count = raw_count
+        self.filtered_count = filtered_count
+        self.hypotheses_tried = hypotheses_tried
+        if hypotheses_tried:
+            cause = f"all {hypotheses_tried} initial hypotheses collapsed in the calibration loop"
+        else:
+            cause = "no initial hypothesis could be formed (the fallback solve is degenerate)"
+        super().__init__(
+            f"{cause}; {filtered_count} matches survived filtering "
+            f"({raw_count} raw candidates)"
+        )
+
+
 class BothZeroScore(CalibrationError):
     """Continuous update called with two zero-score sessions."""

@@ -5,6 +5,11 @@ The spatial part is the classic cross-covariance/SVD least-squares fit
 decoupled: a robust coarse estimate (median of pairwise timestamp gaps)
 followed by a 1D search that slides the transformed source trajectories in
 time against linear interpolation until the spatial mismatch bottoms out.
+
+Every "interpolate Q at P's instants inside the overlap" step goes through
+one structure, ``PairedTracks``: all matched pairs stacked pair-major once,
+so an evaluation at any offset is a fixed number of numpy calls however many
+pairs there are.
 """
 
 from __future__ import annotations
@@ -16,10 +21,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometry, InsufficientOverlap, TooFewPairs
-from .matching import PositionMatch
-from .model import Trajectory, TrajectoryDatabase, Transform4D
+from .model import Trajectory, Transform4D
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# resolution of the golden-section offset search, and the polish stop: polish
+# rounds shrink the offset's move geometrically (5-30x a round) down to a
+# floor of about one search resolution, where later rounds only re-sample
+# the search's rounding
+_OFFSET_TOL = 1e-9
+_POLISH_STOP = 10.0 * _OFFSET_TOL
 
 # rank test: second singular value of the centered cross-covariance relative
 # to the largest; traffic scenes are near-planar, so only true collinearity
@@ -60,26 +71,27 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return len(self.p_times)
 
-    @classmethod
-    def from_matches(
-        cls,
-        matches: Sequence[PositionMatch],
-        db_p: TrajectoryDatabase,
-        db_q: TrajectoryDatabase,
-        weights: np.ndarray | None = None,
-    ) -> "CorrespondenceSet":
-        p_xyz = np.array([db_p.trajectories[ti].xyz[pi] for ti, pi in (m.ref for m in matches)])
-        q_xyz = np.array([db_q.trajectories[ti].xyz[pi] for ti, pi in (m.cand for m in matches)])
-        p_t = np.array([db_p.trajectories[ti].times[pi] for ti, pi in (m.ref for m in matches)])
-        q_t = np.array([db_q.trajectories[ti].times[pi] for ti, pi in (m.cand for m in matches)])
-        return cls(p_xyz, q_xyz, p_t, q_t, weights)
-
 
 @dataclass(frozen=True, eq=False)
 class SpatialSolution:
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,)
     rms_residual: float
+
+
+def _rigid_fit(cov: np.ndarray, p_bar: np.ndarray, q_bar: np.ndarray):
+    """Rotation and translation from the weighted cross-covariance
+    ``sum w q0 p0^T`` and the centroids, for one fit or a stack of them
+    (leading axes). ``ok`` is False where the correspondences are collinear."""
+    u, s, vt = np.linalg.svd(cov)
+    ok = (s[..., 0] > 0) & (s[..., 1] >= _COLLINEAR_RTOL * s[..., 0])
+    v = np.swapaxes(vt, -1, -2)
+    ut = np.swapaxes(u, -1, -2)
+    d = np.sign(np.linalg.det(v @ ut))
+    one = np.ones_like(d)
+    rot = (v * np.stack([one, one, d], axis=-1)[..., None, :]) @ ut
+    trans = p_bar - (rot @ q_bar[..., None])[..., 0]
+    return rot, trans, ok
 
 
 def solve_spatial(c: CorrespondenceSet) -> SpatialSolution:
@@ -95,15 +107,11 @@ def solve_spatial(c: CorrespondenceSet) -> SpatialSolution:
     q_bar = w @ c.q_xyz
     p0 = c.p_xyz - p_bar
     q0 = c.q_xyz - q_bar
-    cov = (q0 * w[:, None]).T @ p0  # sum w * q0 p0^T
-    u, s, vt = np.linalg.svd(cov)
-    if s[0] <= 0 or s[1] < _COLLINEAR_RTOL * s[0]:
+    rot, trans, ok = _rigid_fit((q0 * w[:, None]).T @ p0, p_bar, q_bar)
+    if not ok:
         raise DegenerateGeometry(
             "correspondences are collinear; rotation about the line is unobservable"
         )
-    d = float(np.sign(np.linalg.det(vt.T @ u.T)))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    trans = p_bar - rot @ q_bar
     res = c.p_xyz - (c.q_xyz @ rot.T + trans)
     rms = float(np.sqrt(w @ np.sum(res * res, axis=1)))
     return SpatialSolution(rot, trans, rms)
@@ -122,7 +130,9 @@ def estimate_time_offset_coarse(c: CorrespondenceSet) -> float:
     return float(gaps[order[min(k, len(gaps) - 1)]])
 
 
-def golden_section(f: Callable[[float], float], a: float, b: float, tol: float = 1e-9) -> float:
+def golden_section(
+    f: Callable[[float], float], a: float, b: float, tol: float = _OFFSET_TOL
+) -> float:
     """Minimize a unimodal function on [a, b]."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -139,45 +149,86 @@ def golden_section(f: Callable[[float], float], a: float, b: float, tol: float =
     return 0.5 * (a + b)
 
 
-def _pair_arrays(
-    matched_trajectories: Sequence[TrajectoryPair], rotation: np.ndarray, translation: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    out = []
-    for traj_p, traj_q in matched_trajectories:
-        q_mapped = traj_q.xyz @ np.asarray(rotation).T + np.asarray(translation)
-        out.append((traj_p.times, traj_p.xyz, traj_q.times, q_mapped))
-    return out
+class PairedTracks:
+    """Matched trajectory pairs stacked once, pair-major: every pair's P
+    samples and Q track concatenated, with pair ids and segment starts.
+
+    Interpolating each Q track at its partner's P instants is then a fixed
+    number of numpy calls whatever the pair count: one overlap mask, one
+    ``searchsorted`` through a pair-major key (pair id, time) that orders
+    exactly like a per-pair search, and one linear blend. Pair ``k`` is the
+    k-th entry of ``matched_trajectories``; a pair whose Q track has fewer
+    than 2 samples cannot interpolate and never yields a sample. With
+    ``rotation``/``translation`` the Q track is mapped into P's frame once,
+    here, instead of once per evaluation."""
+
+    def __init__(
+        self,
+        matched_trajectories: Sequence[TrajectoryPair],
+        rotation: np.ndarray | None = None,
+        translation: np.ndarray | None = None,
+    ):
+        tp = [p for p, _ in matched_trajectories]
+        tq = [q for _, q in matched_trajectories]
+        self.n_pairs = len(tp)
+        p_counts = np.array([len(t) for t in tp], dtype=np.int64)
+        q_counts = np.array([len(t) for t in tq], dtype=np.int64)
+        self.p_times = np.concatenate([t.times for t in tp] or [np.empty(0)])
+        self.p_xyz = np.vstack([t.xyz for t in tp] or [np.empty((0, 3))])
+        self.p_pair = np.repeat(np.arange(self.n_pairs), p_counts)
+        self.q_times = np.concatenate([t.times for t in tq] or [np.empty(0)])
+        self.q_xyz = np.vstack([t.xyz for t in tq] or [np.empty((0, 3))])
+        if rotation is not None:
+            self.q_xyz = self.q_xyz @ np.asarray(rotation).T
+            self.q_xyz += np.asarray(translation)
+        self.q_stop = np.cumsum(q_counts)
+        self.q_start = self.q_stop - q_counts
+        # complex numbers order lexicographically (real, then imaginary)
+        self._q_key = np.repeat(np.arange(self.n_pairs), q_counts) + 1j * self.q_times
+        usable = q_counts >= 2
+        self._q_first = np.full(self.n_pairs, math.inf)
+        self._q_last = np.full(self.n_pairs, -math.inf)
+        self._q_first[usable] = self.q_times[self.q_start[usable]]
+        self._q_last[usable] = self.q_times[self.q_stop[usable] - 1]
+        self.n_usable = int(usable.sum())
+
+    def q_steps(self) -> np.ndarray:
+        """Sampling intervals inside every Q track."""
+        steps = np.diff(self.q_times)
+        return np.delete(steps, self.q_stop[:-1] - 1)
+
+    def interpolate(self, offset: float):
+        """Q interpolated at the P instants that fall inside their own pair's
+        Q time span once shifted to Q's clock (``t_p - offset``).
+
+        Returns ``(idx, s, q, var_factor)``: indices of those P samples
+        (pair-major, time-ordered), their shifted times, the interpolated Q
+        positions, and the residual's noise-variance factor
+        ``1 + (1-u)^2 + u^2`` for interpolation fraction ``u``. Comparing a
+        noisy point against a blend of two noisy points is least noisy
+        mid-gap, which would bias a raw squared objective toward half-frame
+        alignment."""
+        s = self.p_times - offset
+        pair = self.p_pair
+        idx = np.flatnonzero((s >= self._q_first[pair]) & (s <= self._q_last[pair]))
+        s, pair = s[idx], pair[idx]
+        j = np.searchsorted(self._q_key, pair + 1j * s, side="right") - 1
+        j = np.minimum(j, self.q_stop[pair] - 2)
+        t0 = self.q_times[j]
+        u = (s - t0) / (self.q_times[j + 1] - t0)
+        q = self.q_xyz[j] * (1.0 - u)[:, None]
+        q += self.q_xyz[j + 1] * u[:, None]
+        return idx, s, q, 1.0 + (1.0 - u) ** 2 + u**2
 
 
-def _interp_with_variance(sm: np.ndarray, q_t: np.ndarray, q_xyz: np.ndarray):
-    """Linear interpolation plus the per-sample noise-variance factor of the
-    residual: 1 + (1-u)^2 + u^2 for interpolation fraction u. Comparing a
-    noisy point against a blend of two noisy points is least noisy mid-gap,
-    which would bias a raw squared objective toward half-frame alignment."""
-    j = np.clip(np.searchsorted(q_t, sm, side="right") - 1, 0, len(q_t) - 2)
-    u = (sm - q_t[j]) / (q_t[j + 1] - q_t[j])
-    interp = q_xyz[j] * (1.0 - u)[:, None] + q_xyz[j + 1] * u[:, None]
-    var_factor = 1.0 + (1.0 - u) ** 2 + u**2
-    return interp, var_factor
-
-
-def _offset_objective(pairs, d: float) -> tuple[float, int]:
-    """Mean variance-normalized squared distance between P samples and the Q
-    track interpolated at t_p - d, over samples inside the Q time span."""
-    total = 0.0
-    count = 0
-    for p_t, p_xyz, q_t, q_xyz in pairs:
-        s = p_t - d
-        mask = (s >= q_t[0]) & (s <= q_t[-1])
-        if not mask.any():
-            continue
-        interp, var_factor = _interp_with_variance(s[mask], q_t, q_xyz)
-        diff = p_xyz[mask] - interp
-        total += float(np.sum(np.sum(diff * diff, axis=1) / var_factor))
-        count += int(mask.sum())
-    if count == 0:
+def _offset_objective(tracks: PairedTracks, d: float) -> tuple[float, int]:
+    """Mean variance-normalized squared distance between P samples and the
+    (mapped) Q track interpolated at t_p - d, over samples inside the Q span."""
+    idx, _, q, var_factor = tracks.interpolate(d)
+    if len(idx) == 0:
         return math.inf, 0
-    return total / count, count
+    diff = tracks.p_xyz[idx] - q
+    return float(np.sum(np.sum(diff * diff, axis=1) / var_factor)) / len(idx), len(idx)
 
 
 def refine_time_offset(
@@ -188,31 +239,26 @@ def refine_time_offset(
     search_halfwidth: float,
     *,
     grid_step: float | None = None,
-    tol: float = 1e-9,
+    tol: float = _OFFSET_TOL,
 ) -> float:
     """Sub-frame time offset: grid scan over [coarse - hw, coarse + hw]
     followed by golden-section around the best cell."""
     if not matched_trajectories:
         raise InsufficientOverlap("no matched trajectories to refine against")
-    pairs = [
-        (pt, pxyz, qt, qxyz)
-        for (pt, pxyz, qt, qxyz) in _pair_arrays(matched_trajectories, rotation, translation)
-        if len(qt) >= 2
-    ]
-    if not pairs:
+    tracks = PairedTracks(matched_trajectories, rotation, translation)
+    if tracks.n_usable == 0:
         raise InsufficientOverlap("matched trajectories are too short to interpolate")
     if grid_step is None:
-        dts = np.concatenate([np.diff(qt) for _, _, qt, _ in pairs])
-        grid_step = 0.5 * float(np.median(dts))
+        grid_step = 0.5 * float(np.median(tracks.q_steps()))
     grid_step = min(grid_step, max(search_halfwidth, 1e-12))
     grid = np.arange(coarse - search_halfwidth, coarse + search_halfwidth + 0.5 * grid_step, grid_step)
-    values = [_offset_objective(pairs, float(d))[0] for d in grid]
+    values = [_offset_objective(tracks, float(d))[0] for d in grid]
     if all(math.isinf(v) for v in values):
         raise InsufficientOverlap("no temporal overlap anywhere in the search window")
     best = int(np.argmin(values))
     lo = grid[max(0, best - 1)]
     hi = grid[min(len(grid) - 1, best + 1)]
-    refined = golden_section(lambda d: _offset_objective(pairs, d)[0], float(lo), float(hi), tol)
+    refined = golden_section(lambda d: _offset_objective(tracks, d)[0], float(lo), float(hi), tol)
     return float(np.clip(refined, coarse - search_halfwidth, coarse + search_halfwidth))
 
 
@@ -226,42 +272,20 @@ def interpolated_correspondences(
 ) -> CorrespondenceSet:
     """Pair each P sample with the Q track linearly interpolated at its
     instant (raw Q coordinates, so the result feeds a fresh spatial solve)."""
-    rot = np.asarray(rotation)
-    trans = np.asarray(translation)
-    p_list, q_list, pt_list, qt_list, w_list = [], [], [], [], []
-    for traj_p, traj_q in matched_trajectories:
-        if len(traj_q) < 2:
-            continue
-        q_t = traj_q.times
-        s = traj_p.times - time_offset
-        mask = (s >= q_t[0]) & (s <= q_t[-1])
-        if not mask.any():
-            continue
-        sm = s[mask]
-        q_raw, var_factor = _interp_with_variance(sm, q_t, traj_q.xyz)
-        p_sel = traj_p.xyz[mask]
-        if residual_gate is not None:
-            res = np.linalg.norm(p_sel - (q_raw @ rot.T + trans), axis=1)
-            keep = res <= residual_gate
-            p_sel, q_raw, sm, var_factor = p_sel[keep], q_raw[keep], sm[keep], var_factor[keep]
-        if len(sm) == 0:
-            continue
-        p_list.append(p_sel)
-        q_list.append(q_raw)
-        pt_list.append(sm + time_offset)
-        qt_list.append(sm)
-        w_list.append(1.0 / var_factor)
-    if not p_list:
+    tracks = PairedTracks(matched_trajectories)
+    idx, s, q_raw, var_factor = tracks.interpolate(time_offset)
+    p_sel = tracks.p_xyz[idx]
+    if residual_gate is not None:
+        res = np.linalg.norm(
+            p_sel - (q_raw @ np.asarray(rotation).T + np.asarray(translation)), axis=1
+        )
+        keep = res <= residual_gate
+        p_sel, q_raw, s, var_factor = p_sel[keep], q_raw[keep], s[keep], var_factor[keep]
+    if len(s) == 0:
         return CorrespondenceSet(
             np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0)
         )
-    return CorrespondenceSet(
-        np.vstack(p_list),
-        np.vstack(q_list),
-        np.concatenate(pt_list),
-        np.concatenate(qt_list),
-        weights=np.concatenate(w_list),
-    )
+    return CorrespondenceSet(p_sel, q_raw, s + time_offset, s, weights=1.0 / var_factor)
 
 
 def solve(
@@ -272,7 +296,14 @@ def solve(
     polish_rounds: int = 12,
 ) -> Transform4D:
     """Full 4D solve: spatial fit, coarse offset, then alternate sub-frame
-    offset refinement with interpolated re-solves until they agree."""
+    offset refinement with interpolated re-solves until they agree.
+
+    Each polish round refines the offset under the current spatial fit
+    (``refine_time_offset``, golden section to ``_OFFSET_TOL``), then re-solves
+    space from Q interpolated at that offset. Polish stops once a round moves
+    the offset by no more than ``_POLISH_STOP`` (ten search resolutions:
+    rounds past that only re-sample the search's rounding), or after
+    ``polish_rounds`` rounds."""
     sol = solve_spatial(c)
     dt = estimate_time_offset_coarse(c)
     if matched_trajectories:
@@ -296,6 +327,6 @@ def solve(
                 dt = dt_new
                 if len(corr) >= 3:
                     sol = solve_spatial(corr)
-                if moved < 1e-11:
+                if moved <= _POLISH_STOP:
                     break
     return Transform4D.from_matrix(sol.rotation, sol.translation, dt)

@@ -48,14 +48,6 @@ class TrajectoryFeatures:
     def __len__(self) -> int:
         return len(self.valid)
 
-    def feature_at(self, i: int) -> MotionFeature:
-        return MotionFeature(
-            curvature=float(self.curvature[i]),
-            velocity_mean=float(self.velocity_mean[i]),
-            velocity_variance=float(self.velocity_variance[i]),
-            valid=bool(self.valid[i]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureDatabase:

@@ -30,6 +30,7 @@ from .errors import (
     DegenerateGeometry,
     InsufficientOverlap,
     NoCandidateMatches,
+    NoViableHypothesis,
     TooFewPairs,
 )
 from .features import extract_features
@@ -159,55 +160,64 @@ def _matched_objects(db_p, db_q, traj_pairs):
     return [(db_p.trajectories[ti], db_q.trajectories[tj]) for ti, tj in traj_pairs]
 
 
-def _pair_interp_arrays(matched, dt: float):
-    """Per matched trajectory pair: P samples inside the overlap at offset
-    ``dt`` and the interpolated raw-Q counterparts, with variance weights."""
-    out = []
-    for traj_p, traj_q in matched:
-        if len(traj_q) < 2:
-            continue
-        q_t = traj_q.times
-        s = traj_p.times - dt
-        mask = (s >= q_t[0]) & (s <= q_t[-1])
-        if mask.sum() < 2:
-            continue
-        q_raw, var_factor = estimator._interp_with_variance(s[mask], q_t, traj_q.xyz)
-        out.append((traj_p.xyz[mask], q_raw, 1.0 / var_factor))
-    return out
-
-
 _INLIER_GATE = 1.5  # meters of mean per-pair residual for consensus voting
 _MAX_PROPOSALS = 8  # solo-fit proposers per candidate offset
 
 
 class _OffsetGeometry:
-    """Concatenated per-pair interpolation arrays at one candidate offset,
-    with segment bookkeeping so per-pair residual means vectorize."""
+    """The scan's view of the paired tracks at one candidate offset: pairs
+    with at least 2 P samples inside the overlap, those samples and the
+    interpolated raw-Q counterparts, in contiguous per-pair segments so
+    per-pair residual means are one ``reduceat``."""
 
-    def __init__(self, arrays):
-        self.n_pairs = len(arrays)
-        self.p = np.vstack([a[0] for a in arrays])
-        self.q = np.vstack([a[1] for a in arrays])
-        counts = np.array([len(a[0]) for a in arrays])
-        self.counts = counts
-        self.starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    def __init__(self, tracks: estimator.PairedTracks, dt: float):
+        idx, _, q, var_factor = tracks.interpolate(dt)
+        pair = tracks.p_pair[idx]
+        counts = np.bincount(pair, minlength=tracks.n_pairs)
+        rows = counts[pair] >= 2
+        self.counts = counts[counts >= 2]
+        self.n_pairs = len(self.counts)
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.p = tracks.p_xyz[idx[rows]]
+        self.q = q[rows]
         # equal total weight per trajectory pair: long wrong tracks cannot swamp
-        self.weights = np.concatenate([a[2] / len(a[2]) for a in arrays])
-        self.slices = [slice(s, s + c) for s, c in zip(self.starts, counts)]
+        self.weights = (1.0 / var_factor[rows]) / np.repeat(self.counts, self.counts)
 
-    def pair_means(self, sol) -> np.ndarray:
-        res = np.linalg.norm(self.p - (self.q @ sol.rotation.T + sol.translation), axis=1)
-        return np.add.reduceat(res, self.starts) / self.counts
+    def pair_means(self, rotation, translation) -> np.ndarray:
+        d = self.p - (self.q @ rotation.T + translation)
+        return np.add.reduceat(np.sqrt(np.einsum("ij,ij->i", d, d)), self.starts) / self.counts
 
-    def subset(self, active) -> estimator.CorrespondenceSet:
-        idx = np.concatenate([np.arange(s.start, s.stop) for s in (self.slices[i] for i in active)])
-        zeros = np.zeros(len(idx))
+    def solo_fits(self, pairs: np.ndarray):
+        """Each listed pair's own weighted rigid fit, as stacks
+        (rotations, translations, ok); ``ok`` is False for a pair with fewer
+        than 3 samples or collinear ones."""
+        chosen = np.zeros(self.n_pairs, dtype=bool)
+        chosen[pairs] = True
+        counts = self.counts[chosen]
+        rows = np.repeat(chosen, self.counts)
+        starts = np.cumsum(counts) - counts
+        p, q, w = self.p[rows], self.q[rows], self.weights[rows]
+        w = w / np.repeat(np.add.reduceat(w, starts), counts)
+        p_bar = np.add.reduceat(p * w[:, None], starts)
+        q_bar = np.add.reduceat(q * w[:, None], starts)
+        p0 = p - np.repeat(p_bar, counts, axis=0)
+        q0 = (q - np.repeat(q_bar, counts, axis=0)) * w[:, None]
+        cov = np.add.reduceat(q0[:, :, None] * p0[:, None, :], starts)
+        rot, trans, ok = estimator._rigid_fit(cov, p_bar, q_bar)
+        # back to the order of ``pairs``
+        at = np.cumsum(chosen)[pairs] - 1
+        return rot[at], trans[at], ok[at] & (counts[at] >= 3)
+
+    def subset(self, active: np.ndarray) -> estimator.CorrespondenceSet:
+        """Correspondences of the pairs flagged in the boolean ``active``."""
+        rows = np.repeat(active, self.counts)
+        zeros = np.zeros(int(rows.sum()))
         return estimator.CorrespondenceSet(
-            self.p[idx], self.q[idx], zeros, zeros, self.weights[idx]
+            self.p[rows], self.q[rows], zeros, zeros, self.weights[rows]
         )
 
 
-def _solve_at_offset(matched, dt: float, gate: float = _INLIER_GATE):
+def _solve_at_offset(tracks: estimator.PairedTracks, dt: float, gate: float = _INLIER_GATE):
     """Consensus spatial solve against Q interpolated at the candidate
     offset. Each shape-rich trajectory pair proposes a transform on its own;
     the proposal most other pairs agree with (mean residual within ``gate``)
@@ -218,61 +228,44 @@ def _solve_at_offset(matched, dt: float, gate: float = _INLIER_GATE):
     Returns (solution, inlier count, mean inlier residual) or None; ranking
     candidate offsets lexicographically by (-inliers, residual) rewards the
     offset at which the most trajectory pairs genuinely lie on each other."""
-    arrays = _pair_interp_arrays(matched, dt)
-    if len(arrays) < 2:
+    geo = _OffsetGeometry(tracks, dt)
+    if geo.n_pairs < 2:
         return None
-    geo = _OffsetGeometry(arrays)
 
+    best = None  # ((inlier count, -mean), inlier mask)
     proposers = np.argsort(-geo.counts)[:_MAX_PROPOSALS]
-    best = None  # ((inlier count, -mean), inlier list)
-    for k in proposers:
-        try:
-            solo = estimator.solve_spatial(geo.subset([int(k)]))
-        except (DegenerateGeometry, TooFewPairs):
+    for rot, trans, ok in zip(*geo.solo_fits(proposers)):
+        if not ok:
             continue  # straight snippet: cannot propose, can still support
-        means = geo.pair_means(solo)
-        inliers = [i for i in range(geo.n_pairs) if means[i] <= gate]
-        if len(inliers) < 2:
+        means = geo.pair_means(rot, trans)
+        inliers = means <= gate
+        n_in = int(inliers.sum())
+        if n_in < 2:
             continue
-        key = (len(inliers), -float(np.mean(means[inliers])))
+        key = (n_in, -float(np.mean(means[inliers])))
         if best is None or key > best[0]:
             best = (key, inliers)
-    if best is None:
-        # no curved pair to propose from (shape-poor scene): jointly trimmed fit
-        inliers = list(range(geo.n_pairs))
-        sol = None
-        for _ in range(3):
-            try:
-                sol = estimator.solve_spatial(geo.subset(inliers))
-            except (DegenerateGeometry, TooFewPairs):
-                return None
-            means = geo.pair_means(sol)
-            trim_gate = 3.0 * float(np.median(means[inliers])) + 1e-9
-            new_inliers = [i for i in range(geo.n_pairs) if means[i] <= trim_gate]
-            if len(new_inliers) < 2 or new_inliers == inliers:
-                break
-            inliers = new_inliers
-    else:
-        inliers = best[1]
-        sol = None
-        for _ in range(3):
-            try:
-                sol = estimator.solve_spatial(geo.subset(inliers))
-            except (DegenerateGeometry, TooFewPairs):
-                return None
-            means = geo.pair_means(sol)
-            new_inliers = [i for i in range(geo.n_pairs) if means[i] <= gate]
-            if len(new_inliers) < 2 or new_inliers == inliers:
-                break
-            inliers = new_inliers
-    means = geo.pair_means(sol)
+    # refit on the winner's supporters; with no curved pair to propose from
+    # (shape-poor scene), a jointly trimmed fit over every pair instead
+    inliers = np.ones(geo.n_pairs, dtype=bool) if best is None else best[1]
+    for _ in range(3):
+        try:
+            sol = estimator.solve_spatial(geo.subset(inliers))
+        except (DegenerateGeometry, TooFewPairs):
+            return None
+        means = geo.pair_means(sol.rotation, sol.translation)
+        refit_gate = gate if best is not None else 3.0 * float(np.median(means[inliers])) + 1e-9
+        new_inliers = means <= refit_gate
+        if new_inliers.sum() < 2 or np.array_equal(new_inliers, inliers):
+            break
+        inliers = new_inliers
     supporters = means <= gate
     if not supporters.any():
         return None
     return sol, int(supporters.sum()), float(np.mean(means[supporters]))
 
 
-def _offset_hypotheses(matched, raw_gaps: np.ndarray, halfwidth: float,
+def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, halfwidth: float,
                        frame_period: float, max_n: int):
     """Candidate clock offsets from a two-stage consensus scan (spatial refit
     + inlier count at every grid offset). The coarse range comes from the
@@ -288,7 +281,7 @@ def _offset_hypotheses(matched, raw_gaps: np.ndarray, halfwidth: float,
     coarse = np.arange(lo, hi + 0.5 * coarse_step, coarse_step)
     keys = []
     for i, d in enumerate(coarse):
-        solved = _solve_at_offset(matched, float(d), gate=coarse_gate)
+        solved = _solve_at_offset(tracks, float(d), gate=coarse_gate)
         if solved is not None:
             keys.append(((-solved[1], solved[2]), float(d)))
     keys.sort()
@@ -301,7 +294,7 @@ def _offset_hypotheses(matched, raw_gaps: np.ndarray, halfwidth: float,
         seen.append(center)
         best = None
         for d in np.arange(center - coarse_step, center + coarse_step + 0.5 * fine_step, fine_step):
-            solved = _solve_at_offset(matched, float(d))
+            solved = _solve_at_offset(tracks, float(d))
             if solved is None:
                 continue
             key = (-solved[1], solved[2])
@@ -321,27 +314,18 @@ def _offset_hypotheses(matched, raw_gaps: np.ndarray, halfwidth: float,
 
 def _alignment_stats(db_p, db_q, traj_pairs, tf: Transform4D):
     """Per matched-trajectory-pair mean point-to-interpolated-point distance
-    under the candidate transform, plus the pooled mean."""
-    pair_means = []
-    total, count = 0.0, 0
-    for ti, tj in traj_pairs:
-        traj_p = db_p.trajectories[ti]
-        traj_q = db_q.trajectories[tj]
-        if len(traj_q) < 2:
-            pair_means.append(math.inf)
-            continue
-        tq = traj_q.times + tf.time_offset
-        q_xyz = tf.apply_points(traj_q.xyz)
-        mask = (traj_p.times >= tq[0]) & (traj_p.times <= tq[-1])
-        if not mask.any():
-            pair_means.append(math.inf)
-            continue
-        interp, _ = estimator._interp_with_variance(traj_p.times[mask], tq, q_xyz)
-        dists = np.linalg.norm(traj_p.xyz[mask] - interp, axis=1)
-        pair_means.append(float(dists.mean()))
-        total += float(dists.sum())
-        count += int(mask.sum())
-    pooled = total / count if count else math.inf
+    under the candidate transform (inf without overlap), plus the pooled
+    mean."""
+    tracks = estimator.PairedTracks(
+        _matched_objects(db_p, db_q, traj_pairs), tf.matrix, tf.translation
+    )
+    idx, _, q, _ = tracks.interpolate(tf.time_offset)
+    dists = np.linalg.norm(tracks.p_xyz[idx] - q, axis=1)
+    pair = tracks.p_pair[idx]
+    counts = np.bincount(pair, minlength=tracks.n_pairs)
+    sums = np.bincount(pair, weights=dists, minlength=tracks.n_pairs)
+    pair_means = [s / c if c else math.inf for s, c in zip(sums.tolist(), counts.tolist())]
+    pooled = float(dists.mean()) if len(dists) else math.inf
     return pair_means, pooled
 
 
@@ -508,7 +492,9 @@ def calibrate(
     scratch, and a bad prior costs nothing because every hypothesis is
     score-checked.
 
-    Raises NoCandidateMatches when fewer than 3 pairs survive the filters.
+    Raises NoCandidateMatches when fewer than 3 pairs survive the filters,
+    and NoViableHypothesis when enough do but every initial hypothesis
+    collapses (or none can be formed).
     Non-convergence is not an error: the session comes back with
     ``converged=False`` and its honest score.
     """
@@ -576,11 +562,11 @@ def calibrate(
     if prior is not None:
         hypotheses.append(prior.transform if isinstance(prior, CalibrationSession) else prior)
     if candidates:
-        matched0 = _matched_objects(db_p, db_q, candidates)
+        tracks0 = estimator.PairedTracks(_matched_objects(db_p, db_q, candidates))
         for dt_h in _offset_hypotheses(
-            matched0, raw_gaps, cfg.initial_scan_halfwidth, frame_period, cfg.max_hypotheses
+            tracks0, raw_gaps, cfg.initial_scan_halfwidth, frame_period, cfg.max_hypotheses
         ):
-            solved = _solve_at_offset(matched0, dt_h)
+            solved = _solve_at_offset(tracks0, dt_h)
             if solved is not None:
                 hypotheses.append(
                     Transform4D.from_matrix(solved[0].rotation, solved[0].translation, dt_h)
@@ -591,7 +577,7 @@ def calibrate(
             sol, _ = _trimmed_solve(_pairs_to_correspondences(pairs, db_p, db_q))
             hypotheses.append(Transform4D.from_matrix(sol.rotation, sol.translation, dt_center))
         except (DegenerateGeometry, TooFewPairs) as exc:
-            raise NoCandidateMatches(len(raw), len(kept)) from exc
+            raise NoViableHypothesis(len(raw), len(kept), 0) from exc
 
     best_session = None
     for tf0 in hypotheses:
@@ -615,7 +601,7 @@ def calibrate(
         if session.score >= cfg.retry_score_threshold:
             break
     if best_session is None:
-        raise NoCandidateMatches(len(raw), len(kept))
+        raise NoViableHypothesis(len(raw), len(kept), len(hypotheses))
     return best_session
 
 
@@ -643,6 +629,9 @@ def derive_position_pairs(
             np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0)
         )
     return _pairs_to_correspondences(pairs, db_p, db_q)
+
+
+_SCORE_BLOCK = 512  # P positions per block of score_session's window pairs
 
 
 def score_session(
@@ -692,13 +681,20 @@ def score_session(
         qt_sorted = q_t_in_p[order]
         qx_sorted = q_in_p[order]
         half_frame = 0.5 * db_p.frame_period + 1e-9
-        for i in np.nonzero(p_overlap)[0]:
-            lo = np.searchsorted(qt_sorted, p_t[i] - half_frame, side="left")
-            hi = np.searchsorted(qt_sorted, p_t[i] + half_frame, side="right")
-            if hi > lo and np.any(
-                np.linalg.norm(qx_sorted[lo:hi] - p_xyz[i], axis=1) <= match_radius
-            ):
-                n_pp += 1
+        idx = np.nonzero(p_overlap)[0]
+        lo = np.searchsorted(qt_sorted, p_t[idx] - half_frame, side="left")
+        hi = np.searchsorted(qt_sorted, p_t[idx] + half_frame, side="right")
+        # every (P position, Q position in its +-half-frame window) pair,
+        # flat, for a block of P positions at a time so the working memory
+        # stays a block's worth of windows whatever the recording's length
+        for b in range(0, len(idx), _SCORE_BLOCK):
+            block = slice(b, b + _SCORE_BLOCK)
+            width = hi[block] - lo[block]
+            owner = np.repeat(np.arange(len(width)), width)
+            shift = np.cumsum(width) - width - lo[block]  # flat position - Q index, per window
+            d = qx_sorted[np.arange(len(owner)) - np.repeat(shift, width)]
+            d -= p_xyz[idx[block]][owner]
+            n_pp += len(np.unique(owner[np.linalg.norm(d, axis=1) <= match_radius]))
     score = min(1.0, 2.0 * n_pp / n_po) if n_po > 0 else 0.0
     return score, n_pp, n_po
 

@@ -1,0 +1,549 @@
+"""The concatenated hot path against the per-pair loops it replaced.
+
+The oracles below are the earlier per-pair implementations of the polish
+objective, the interpolated correspondences, the consensus solve at one
+candidate offset, the 12-round polish loop and the session score's window
+loop, kept here verbatim in behaviour. Every vectorized path must reproduce
+them: same sample counts and inlier sets, the same arrays, values equal to
+rounding."""
+
+import math
+
+import numpy as np
+import pytest
+
+from trajcal import estimator
+from trajcal import pipeline as pl
+from trajcal.errors import (
+    CalibrationError,
+    DegenerateGeometry,
+    NoCandidateMatches,
+    NoViableHypothesis,
+    TooFewPairs,
+)
+from trajcal.estimator import (
+    PairedTracks,
+    estimate_time_offset_coarse,
+    interpolated_correspondences,
+    solve_spatial,
+)
+from trajcal.model import Transform4D
+from trajcal.simulator import default_scenario, make_pair
+
+from conftest import make_database, make_trajectory
+
+# ---------------------------------------------------------------------------
+# oracles: the per-pair loops
+
+
+def oracle_interp_with_variance(sm, q_t, q_xyz):
+    j = np.clip(np.searchsorted(q_t, sm, side="right") - 1, 0, len(q_t) - 2)
+    u = (sm - q_t[j]) / (q_t[j + 1] - q_t[j])
+    interp = q_xyz[j] * (1.0 - u)[:, None] + q_xyz[j + 1] * u[:, None]
+    return interp, 1.0 + (1.0 - u) ** 2 + u**2
+
+
+def oracle_pairs(matched, rotation, translation):
+    return [
+        (tp.times, tp.xyz, tq.times, tq.xyz @ np.asarray(rotation).T + np.asarray(translation))
+        for tp, tq in matched
+        if len(tq) >= 2
+    ]
+
+
+def oracle_offset_objective(pairs, d):
+    total, count = 0.0, 0
+    for p_t, p_xyz, q_t, q_xyz in pairs:
+        s = p_t - d
+        mask = (s >= q_t[0]) & (s <= q_t[-1])
+        if not mask.any():
+            continue
+        interp, var_factor = oracle_interp_with_variance(s[mask], q_t, q_xyz)
+        diff = p_xyz[mask] - interp
+        total += float(np.sum(np.sum(diff * diff, axis=1) / var_factor))
+        count += int(mask.sum())
+    if count == 0:
+        return math.inf, 0
+    return total / count, count
+
+
+def oracle_interpolated_correspondences(matched, rotation, translation, time_offset,
+                                        residual_gate=None):
+    rot, trans = np.asarray(rotation), np.asarray(translation)
+    p_list, q_list, pt_list, qt_list, w_list = [], [], [], [], []
+    for traj_p, traj_q in matched:
+        if len(traj_q) < 2:
+            continue
+        q_t = traj_q.times
+        s = traj_p.times - time_offset
+        mask = (s >= q_t[0]) & (s <= q_t[-1])
+        if not mask.any():
+            continue
+        sm = s[mask]
+        q_raw, var_factor = oracle_interp_with_variance(sm, q_t, traj_q.xyz)
+        p_sel = traj_p.xyz[mask]
+        if residual_gate is not None:
+            res = np.linalg.norm(p_sel - (q_raw @ rot.T + trans), axis=1)
+            keep = res <= residual_gate
+            p_sel, q_raw, sm, var_factor = p_sel[keep], q_raw[keep], sm[keep], var_factor[keep]
+        if len(sm) == 0:
+            continue
+        p_list.append(p_sel)
+        q_list.append(q_raw)
+        pt_list.append(sm + time_offset)
+        qt_list.append(sm)
+        w_list.append(1.0 / var_factor)
+    if not p_list:
+        return None
+    return (np.vstack(p_list), np.vstack(q_list), np.concatenate(pt_list),
+            np.concatenate(qt_list), np.concatenate(w_list))
+
+
+def oracle_pair_interp_arrays(matched, dt):
+    out = []
+    for traj_p, traj_q in matched:
+        if len(traj_q) < 2:
+            continue
+        q_t = traj_q.times
+        s = traj_p.times - dt
+        mask = (s >= q_t[0]) & (s <= q_t[-1])
+        if mask.sum() < 2:
+            continue
+        q_raw, var_factor = oracle_interp_with_variance(s[mask], q_t, traj_q.xyz)
+        out.append((traj_p.xyz[mask], q_raw, 1.0 / var_factor))
+    return out
+
+
+class OracleGeometry:
+    def __init__(self, arrays):
+        self.n_pairs = len(arrays)
+        self.p = np.vstack([a[0] for a in arrays])
+        self.q = np.vstack([a[1] for a in arrays])
+        self.counts = np.array([len(a[0]) for a in arrays])
+        self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
+        self.weights = np.concatenate([a[2] / len(a[2]) for a in arrays])
+        self.slices = [slice(s, s + c) for s, c in zip(self.starts, self.counts)]
+
+    def pair_means(self, sol):
+        res = np.linalg.norm(self.p - (self.q @ sol.rotation.T + sol.translation), axis=1)
+        return np.add.reduceat(res, self.starts) / self.counts
+
+    def subset(self, active):
+        idx = np.concatenate([np.arange(s.start, s.stop) for s in (self.slices[i] for i in active)])
+        zeros = np.zeros(len(idx))
+        return estimator.CorrespondenceSet(self.p[idx], self.q[idx], zeros, zeros, self.weights[idx])
+
+
+def oracle_solve_at_offset(matched, dt, gate=pl._INLIER_GATE):
+    """Returns (solution, inlier count, mean inlier residual, geometry) or None."""
+    arrays = oracle_pair_interp_arrays(matched, dt)
+    if len(arrays) < 2:
+        return None
+    geo = OracleGeometry(arrays)
+    best = None
+    for k in np.argsort(-geo.counts)[: pl._MAX_PROPOSALS]:
+        try:
+            solo = solve_spatial(geo.subset([int(k)]))
+        except (DegenerateGeometry, TooFewPairs):
+            continue
+        means = geo.pair_means(solo)
+        inliers = [i for i in range(geo.n_pairs) if means[i] <= gate]
+        if len(inliers) < 2:
+            continue
+        key = (len(inliers), -float(np.mean(means[inliers])))
+        if best is None or key > best[0]:
+            best = (key, inliers)
+    inliers = list(range(geo.n_pairs)) if best is None else best[1]
+    sol = None
+    for _ in range(3):
+        try:
+            sol = solve_spatial(geo.subset(inliers))
+        except (DegenerateGeometry, TooFewPairs):
+            return None
+        means = geo.pair_means(sol)
+        refit_gate = gate if best is not None else 3.0 * float(np.median(means[inliers])) + 1e-9
+        new_inliers = [i for i in range(geo.n_pairs) if means[i] <= refit_gate]
+        if len(new_inliers) < 2 or new_inliers == inliers:
+            break
+        inliers = new_inliers
+    means = geo.pair_means(sol)
+    supporters = means <= gate
+    if not supporters.any():
+        return None
+    return sol, int(supporters.sum()), float(np.mean(means[supporters])), geo
+
+
+def oracle_polish(c, matched, search_halfwidth, polish_rounds=12):
+    """The polish loop with its earlier stop: an offset move under 1e-11 s,
+    below the search's 1e-9 s resolution, so it rarely fires before the cap."""
+    sol = solve_spatial(c)
+    dt = estimate_time_offset_coarse(c)
+    for _ in range(polish_rounds):
+        dt_new = estimator.refine_time_offset(
+            matched, sol.rotation, sol.translation, dt, search_halfwidth
+        )
+        corr = estimator.interpolated_correspondences(
+            matched, sol.rotation, sol.translation, dt_new,
+            residual_gate=max(3.0 * sol.rms_residual, 1e-9),
+        )
+        moved = abs(dt_new - dt)
+        dt = dt_new
+        if len(corr) >= 3:
+            sol = solve_spatial(corr)
+        if moved < 1e-11:
+            break
+    return Transform4D.from_matrix(sol.rotation, sol.translation, dt)
+
+
+def oracle_alignment_stats(db_p, db_q, traj_pairs, tf):
+    """Per-pair mean distance to the mapped Q track, interpolated on P's clock."""
+    pair_means, total, count = [], 0.0, 0
+    for ti, tj in traj_pairs:
+        traj_p, traj_q = db_p.trajectories[ti], db_q.trajectories[tj]
+        if len(traj_q) < 2:
+            pair_means.append(math.inf)
+            continue
+        tq = traj_q.times + tf.time_offset
+        q_xyz = tf.apply_points(traj_q.xyz)
+        mask = (traj_p.times >= tq[0]) & (traj_p.times <= tq[-1])
+        if not mask.any():
+            pair_means.append(math.inf)
+            continue
+        interp, _ = oracle_interp_with_variance(traj_p.times[mask], tq, q_xyz)
+        dists = np.linalg.norm(traj_p.xyz[mask] - interp, axis=1)
+        pair_means.append(float(dists.mean()))
+        total += float(dists.sum())
+        count += int(mask.sum())
+    return pair_means, (total / count if count else math.inf)
+
+
+def oracle_score_session(transform, db_p, db_q, match_radius=1.0):
+    r_p, r_q = db_p.sensing_range, db_q.sensing_range
+
+    def _stack(db):
+        if db.n_positions == 0:
+            return np.empty((0, 3)), np.empty(0)
+        return np.vstack([t.xyz for t in db]), np.concatenate([t.times for t in db])
+
+    p_xyz, p_t = _stack(db_p)
+    q_xyz, q_t = _stack(db_q)
+    q_in_p = transform.apply_points(q_xyz) if len(q_xyz) else q_xyz
+    q_t_in_p = q_t + transform.time_offset
+    n_po = 0
+    p_overlap = np.zeros(len(p_xyz), dtype=bool)
+    if len(p_xyz):
+        p_overlap = (np.linalg.norm(p_xyz, axis=1) <= r_p) & (
+            np.linalg.norm(p_xyz - transform.translation, axis=1) <= r_q
+        )
+        n_po += int(p_overlap.sum())
+    if len(q_xyz):
+        n_po += int(((np.linalg.norm(q_xyz, axis=1) <= r_q)
+                     & (np.linalg.norm(q_in_p, axis=1) <= r_p)).sum())
+    n_pp = 0
+    if len(p_xyz) and len(q_xyz):
+        order = np.argsort(q_t_in_p)
+        qt_sorted, qx_sorted = q_t_in_p[order], q_in_p[order]
+        half_frame = 0.5 * db_p.frame_period + 1e-9
+        for i in np.nonzero(p_overlap)[0]:
+            lo = np.searchsorted(qt_sorted, p_t[i] - half_frame, side="left")
+            hi = np.searchsorted(qt_sorted, p_t[i] + half_frame, side="right")
+            if hi > lo and np.any(
+                np.linalg.norm(qx_sorted[lo:hi] - p_xyz[i], axis=1) <= match_radius
+            ):
+                n_pp += 1
+    score = min(1.0, 2.0 * n_pp / n_po) if n_po > 0 else 0.0
+    return score, n_pp, n_po
+
+
+# ---------------------------------------------------------------------------
+# a seeded reference-like scene, with the scan's and the polish's inputs
+
+
+@pytest.fixture(scope="module")
+def scene():
+    cfg = default_scenario(n_vehicles=25, duration=45.0, noise_sigma=0.2,
+                           time_offset=0.537, seed=7)
+    db_p, db_q, truth = make_pair(cfg)
+    votes, solves = [], []
+    vote, solve = pl._vote_trajectory_pairs, estimator.solve
+
+    def spy_vote(*a, **k):
+        out = vote(*a, **k)
+        if k.get("top_k") == 2:
+            votes.append(out)
+        return out
+
+    def spy_solve(c, matched, **k):
+        solves.append((c, matched, k["search_halfwidth"]))
+        return solve(c, matched, **k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl, "_vote_trajectory_pairs", spy_vote)
+        mp.setattr(estimator, "solve", spy_solve)
+        pl.calibrate(db_p, db_q)
+    return {
+        "db_p": db_p,
+        "db_q": db_q,
+        "truth": truth,
+        "candidates": pl._matched_objects(db_p, db_q, votes[0]),
+        "polish": solves[0],
+    }
+
+
+def linear(n, t0, speed=8.0, y=0.0, track="a"):
+    t = np.arange(n) * 0.1
+    pts = np.column_stack([speed * t + 0.3 * np.sin(t), np.full(n, y) + 0.2 * t * t, np.ones(n)])
+    return make_trajectory(pts, track=track, t0=t0)
+
+
+def assert_same_correspondences(new, old):
+    if old is None:
+        assert len(new) == 0 and new.weights is None
+        return
+    for got, want in zip((new.p_xyz, new.q_xyz, new.p_times, new.q_times, new.weights), old):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestObjectiveParity:
+    def test_objective_over_offset_grid(self, scene):
+        truth, matched = scene["truth"], scene["polish"][1]
+        tracks = PairedTracks(matched, truth.matrix, truth.translation)
+        pairs = oracle_pairs(matched, truth.matrix, truth.translation)
+        grid = np.concatenate([np.linspace(-0.3, 0.3, 61) + truth.time_offset,
+                               [truth.time_offset, 50.0]])
+        for d in grid:
+            got, n_got = estimator._offset_objective(tracks, float(d))
+            want, n_want = oracle_offset_objective(pairs, float(d))
+            assert n_got == n_want
+            if math.isinf(want):
+                assert math.isinf(got)
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_scan_candidates_objective(self, scene):
+        truth, matched = scene["truth"], scene["candidates"]
+        tracks = PairedTracks(matched, truth.matrix, truth.translation)
+        pairs = oracle_pairs(matched, truth.matrix, truth.translation)
+        for d in np.linspace(-2.0, 3.0, 26):
+            got, n_got = estimator._offset_objective(tracks, float(d))
+            want, n_want = oracle_offset_objective(pairs, float(d))
+            assert n_got == n_want
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestCorrespondenceParity:
+    @pytest.mark.parametrize("gate", [None, 0.5])
+    def test_identical_arrays(self, scene, gate):
+        truth, matched = scene["truth"], scene["polish"][1]
+        for d in (truth.time_offset, truth.time_offset + 0.033, 0.0):
+            new = interpolated_correspondences(
+                matched, truth.matrix, truth.translation, d, residual_gate=gate
+            )
+            old = oracle_interpolated_correspondences(
+                matched, truth.matrix, truth.translation, d, residual_gate=gate
+            )
+            assert_same_correspondences(new, old)
+
+
+class TestScanParity:
+    def test_inlier_sets_and_solutions(self, scene):
+        truth, matched = scene["truth"], scene["candidates"]
+        tracks = PairedTracks(matched)
+        coarse_gate = pl._INLIER_GATE + 12.0 * 0.25
+        offsets = np.concatenate([np.arange(-2.0, 3.01, 0.25),
+                                  np.arange(-0.1, 0.11, 0.05) + truth.time_offset])
+        solved_any = 0
+        for gate in (pl._INLIER_GATE, coarse_gate):
+            for d in offsets:
+                new = pl._solve_at_offset(tracks, float(d), gate=gate)
+                old = oracle_solve_at_offset(matched, float(d), gate=gate)
+                assert (new is None) == (old is None), d
+                if old is None:
+                    continue
+                solved_any += 1
+                sol, n_in, mean = new
+                old_sol, old_n, old_mean, geo = old
+                assert n_in == old_n
+                np.testing.assert_array_equal(geo.pair_means(sol) <= gate,
+                                              geo.pair_means(old_sol) <= gate)
+                np.testing.assert_allclose(sol.rotation, old_sol.rotation, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(sol.translation, old_sol.translation, rtol=0, atol=1e-9)
+                assert mean == pytest.approx(old_mean, abs=1e-9)
+        assert solved_any > len(offsets)
+
+    def test_geometry_matches_per_pair_arrays(self, scene):
+        matched = scene["candidates"]
+        tracks = PairedTracks(matched)
+        for d in (0.0, 0.537, 1.9):
+            geo = pl._OffsetGeometry(tracks, d)
+            old = OracleGeometry(oracle_pair_interp_arrays(matched, d))
+            np.testing.assert_array_equal(geo.counts, old.counts)
+            np.testing.assert_array_equal(geo.p, old.p)
+            np.testing.assert_array_equal(geo.q, old.q)
+            np.testing.assert_array_equal(geo.weights, old.weights)
+
+
+class TestEdgeCases:
+    def edge_pairs(self):
+        return [
+            (linear(40, 0.537, track="p0"), linear(40, 0.0, track="q0")),
+            # Q track too short to interpolate
+            (linear(30, 0.2, y=5.0, track="p1"), linear(1, 0.0, y=5.0, track="q1")),
+            # no overlap at all
+            (linear(20, 100.0, y=9.0, track="p2"), linear(20, 0.0, y=9.0, track="q2")),
+            # P samples exactly at Q's first and last timestamps
+            (linear(25, 0.0, y=-4.0, track="p3"), linear(25, 0.0, y=-4.0, track="q3")),
+            # only one P sample inside Q's span at the scan offsets below
+            (linear(10, 0.9, y=12.0, track="p4"), linear(10, 0.0, y=12.0, track="q4")),
+        ]
+
+    def test_objective_and_correspondences(self):
+        matched = self.edge_pairs()
+        rot = Transform4D.from_yaw_deg(30.0).matrix
+        trans = np.array([1.0, -2.0, 0.5])
+        tracks = PairedTracks(matched, rot, trans)
+        pairs = oracle_pairs(matched, rot, trans)
+        for d in (0.0, 0.537, 0.55, -0.3):
+            got, n_got = estimator._offset_objective(tracks, d)
+            want, n_want = oracle_offset_objective(pairs, d)
+            assert n_got == n_want
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert_same_correspondences(
+                interpolated_correspondences(matched, rot, trans, d),
+                oracle_interpolated_correspondences(matched, rot, trans, d),
+            )
+
+    def test_endpoints_included_exactly(self):
+        traj = linear(25, 0.0, track="p")
+        corr = interpolated_correspondences([(traj, linear(25, 0.0, track="q"))],
+                                            np.eye(3), np.zeros(3), 0.0)
+        assert len(corr) == 25
+        np.testing.assert_array_equal(corr.q_xyz, traj.xyz)
+        np.testing.assert_array_equal(corr.weights, np.full(25, 0.5))
+
+    def test_short_and_disjoint_pairs_yield_nothing(self):
+        matched = self.edge_pairs()[1:3]
+        tracks = PairedTracks(matched)
+        assert len(tracks.interpolate(0.2)[0]) == 0
+        assert estimator._offset_objective(tracks, 0.2) == (math.inf, 0)
+        assert len(interpolated_correspondences(matched, np.eye(3), np.zeros(3), 0.2)) == 0
+
+    def test_scan_drops_pairs_with_one_sample_in_overlap(self):
+        matched = self.edge_pairs()
+        tracks = PairedTracks(matched)
+        # shifted by its own last timestamp, p4 has exactly one sample (at 0.0)
+        # inside q4's span [0, 0.9]
+        d = float(matched[4][0].times[-1])
+        idx = tracks.interpolate(d)[0]
+        assert np.count_nonzero(tracks.p_pair[idx] == 4) == 1
+        geo = pl._OffsetGeometry(tracks, d)
+        old = OracleGeometry(oracle_pair_interp_arrays(matched, d))
+        np.testing.assert_array_equal(geo.counts, old.counts)
+        np.testing.assert_array_equal(geo.p, old.p)
+        for d in (0.0, 0.537, d):
+            new = pl._solve_at_offset(tracks, d)
+            ref = oracle_solve_at_offset(matched, d)
+            assert (new is None) == (ref is None)
+            if ref is not None:
+                assert new[1] == ref[1]
+                np.testing.assert_allclose(new[0].translation, ref[0].translation, atol=1e-9)
+
+    def test_no_pairs(self):
+        tracks = PairedTracks([])
+        assert tracks.n_pairs == 0 and tracks.n_usable == 0
+        assert estimator._offset_objective(tracks, 0.0) == (math.inf, 0)
+        assert pl._solve_at_offset(tracks, 0.0) is None
+
+
+class TestAlignmentParity:
+    def test_pair_means_and_pooled(self, scene):
+        db_p, db_q, truth = scene["db_p"], scene["db_q"], scene["truth"]
+        traj_pairs = [(ti, tj) for ti in range(len(db_p.trajectories))
+                      for tj in range(len(db_q.trajectories))][::7]
+        for tf in (truth, Transform4D(truth.rotation, truth.translation + 0.3,
+                                      truth.time_offset - 0.04)):
+            got, pooled = pl._alignment_stats(db_p, db_q, traj_pairs, tf)
+            want, want_pooled = oracle_alignment_stats(db_p, db_q, traj_pairs, tf)
+            assert [math.isinf(m) for m in got] == [math.isinf(m) for m in want]
+            assert any(math.isfinite(m) for m in want)
+            np.testing.assert_allclose(
+                [m for m in got if math.isfinite(m)], [m for m in want if math.isfinite(m)],
+                rtol=1e-9, atol=1e-12,
+            )
+            assert pooled == pytest.approx(want_pooled, rel=1e-9)
+
+
+class TestPolishStop:
+    def test_fewer_rounds_same_answer(self, scene, monkeypatch):
+        c, matched, halfwidth = scene["polish"]
+        rounds = []
+        refine = estimator.refine_time_offset
+
+        def counting(*a, **k):
+            rounds.append(1)
+            return refine(*a, **k)
+
+        monkeypatch.setattr(estimator, "refine_time_offset", counting)
+        got = estimator.solve(c, matched, search_halfwidth=halfwidth)
+        assert len(rounds) < 12
+        want = oracle_polish(c, matched, halfwidth)
+        assert abs(got.time_offset - want.time_offset) < 1e-8
+        np.testing.assert_allclose(got.translation, want.translation, rtol=0, atol=1e-6)
+
+
+class TestScoreParity:
+    def test_seeded_scene(self, scene):
+        db_p, db_q, truth = scene["db_p"], scene["db_q"], scene["truth"]
+        for tf in (truth, Transform4D(truth.rotation, truth.translation + 0.4,
+                                      truth.time_offset + 0.03)):
+            for radius in (1.0, 0.3):
+                assert pl.score_session(tf, db_p, db_q, match_radius=radius) == \
+                    oracle_score_session(tf, db_p, db_q, match_radius=radius)
+
+    def test_garbage_transform(self, scene):
+        db_p, db_q = scene["db_p"], scene["db_q"]
+        tf = Transform4D.from_yaw_deg(97.0, (30.0, -40.0, 2.0), 3.3)
+        got = pl.score_session(tf, db_p, db_q)
+        assert got == oracle_score_session(tf, db_p, db_q)
+
+    def test_empty_databases(self, scene):
+        empty = make_database([], sensor_id="E")
+        db_p, truth = scene["db_p"], scene["truth"]
+        for a, b in ((empty, empty), (db_p, empty), (empty, db_p)):
+            assert pl.score_session(truth, a, b) == oracle_score_session(truth, a, b)
+
+
+class TestNoViableHypothesis:
+    def test_collapse_is_not_reported_as_too_few_matches(self, scene, monkeypatch):
+        monkeypatch.setattr(pl, "_run_loop", lambda *a, **k: None)
+        with pytest.raises(NoViableHypothesis) as info:
+            pl.calibrate(scene["db_p"], scene["db_q"])
+        err = info.value
+        assert isinstance(err, CalibrationError)
+        assert not isinstance(err, NoCandidateMatches)
+        assert err.hypotheses_tried >= 1
+        assert err.filtered_count >= 3 and err.raw_count >= err.filtered_count
+        msg = str(err)
+        assert f"all {err.hypotheses_tried} initial hypotheses collapsed" in msg
+        assert f"{err.filtered_count} matches survived filtering" in msg
+        assert f"({err.raw_count} raw candidates)" in msg
+        assert "need at least 3" not in msg
+
+    def test_cli_exits_two(self, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+
+        from trajcal.cli import main
+
+        runner = CliRunner()
+        out = tmp_path / "scene"
+        args = ["simulate", "--out", str(out), "--vehicles", "10", "--duration", "25",
+                "--seed", "3"]
+        assert runner.invoke(main, args).exit_code == 0
+        monkeypatch.setattr(pl, "_run_loop", lambda *a, **k: None)
+        result = runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(out / "dbP.jsonl"),
+             "--input-q", str(out / "dbQ.jsonl")],
+        )
+        assert result.exit_code == 2
+        assert "collapsed" in result.output and "raw=" in result.output

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trajcal.errors import BothZeroScore, NoCandidateMatches
+from trajcal.estimator import PairedTracks
 from trajcal.evaluation import make_report
 from trajcal.model import Transform4D, transform_database
 from trajcal.pipeline import (
@@ -326,8 +327,8 @@ class TestInitialization:
     def test_solve_at_offset_consensus_ignores_wrong_pairs(self):
         from trajcal import pipeline as pl
 
-        matched = self._matched_pairs_with_offset(0.8)
-        solved = pl._solve_at_offset(matched, 0.8)
+        tracks = PairedTracks(self._matched_pairs_with_offset(0.8))
+        solved = pl._solve_at_offset(tracks, 0.8)
         assert solved is not None
         sol, inliers, mean = solved
         assert inliers >= 5  # the five genuine pairs support the fit
@@ -338,9 +339,9 @@ class TestInitialization:
         from trajcal import pipeline as pl
 
         for offset in (0.8, -3.7):
-            matched = self._matched_pairs_with_offset(offset)
+            tracks = PairedTracks(self._matched_pairs_with_offset(offset))
             gaps = np.array([offset + g for g in (-2.0, -1.0, 0.0, 1.5, 4.0) for _ in range(10)])
-            hyps = pl._offset_hypotheses(matched, gaps, 2.5, 0.1, 4)
+            hyps = pl._offset_hypotheses(tracks, gaps, 2.5, 0.1, 4)
             assert hyps, "scan found no candidates"
             assert abs(hyps[0] - offset) < 0.06, f"best hypothesis {hyps[0]} vs {offset}"
 
