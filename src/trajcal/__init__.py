@@ -37,16 +37,13 @@ from .evaluation import (
 from .features import (
     FeatureDatabase,
     MotionFeature,
-    curvature,
     extract_features,
     segment_velocities,
-    velocity_stats,
 )
 from .matching import (
     MatchWeights,
     PositionMatch,
     apply_semantic_filters,
-    feature_distance,
     filter_bbox,
     filter_mutual_nn,
     filter_neighbor_count,
@@ -59,10 +56,7 @@ from .model import (
     Trajectory,
     TrajectoryDatabase,
     Transform4D,
-    apply,
     blend_transforms,
-    compose,
-    invert,
     transform_database,
     transform_trajectory,
 )

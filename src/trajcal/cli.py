@@ -15,7 +15,13 @@ import click
 from . import evaluation, io, pipeline, simulator
 from .errors import CalibrationError, NoCandidateMatches, NoViableHypothesis
 from .features import extract_features
-from .matching import apply_semantic_filters, motion_match
+from .matching import (
+    filter_bbox,
+    filter_mutual_nn,
+    filter_neighbor_count,
+    filter_neighborhood_distribution,
+    motion_match,
+)
 
 # spec'd contract: usage/IO problems exit 1, quality failures exit 2
 click.UsageError.exit_code = 1
@@ -107,7 +113,7 @@ def _echo_report(report) -> None:
 @click.option("--max-iter", type=int, help="Override maximum loop iterations.")
 @click.option("--d-th", type=float, help="Override feature-distance threshold.")
 @click.option("--dump-features", "dump_features", type=click.Path(), help="Write per-position feature CSVs (prefix).")
-@click.option("--dump-matches", "dump_matches", type=click.Path(dir_okay=False), help="Write annotated raw matches CSV.")
+@click.option("--dump-matches", "dump_matches", type=click.Path(dir_okay=False), help="Write the raw matches CSV, with a 0/1 column per filter: whether that filter alone keeps the match.")
 @click.option("--verbose", is_flag=True)
 def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max_iter,
               d_th, dump_features, dump_matches, verbose):
@@ -135,18 +141,21 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
             io.write_features_csv(db_p, fp, f"{dump_features}.p.csv")
             io.write_features_csv(db_q, fq, f"{dump_features}.q.csv")
         if dump_matches:
+            # each filter judges a match without looking at the other
+            # matches, so run alone on the raw list it gives every match the
+            # verdict it would give inside the cascade
             raw = motion_match(fp, fq, cfg.match_weights)
-            annotated = apply_semantic_filters(
-                raw, fp, fq, db_p, db_q,
-                weights=cfg.match_weights,
-                box_tolerance=cfg.box_tolerance,
-                neighbor_radius=cfg.neighbor_radius,
-                count_tolerance=cfg.count_tolerance,
-                hist_frames=cfg.hist_frames,
-                hist_tolerance=cfg.hist_tolerance,
-                annotate_only=True,
-            )
-            io.write_matches_csv(annotated, db_p, db_q, dump_matches)
+            survivors = {
+                "mutual": filter_mutual_nn(raw, fp, fq, cfg.match_weights),
+                "bbox": filter_bbox(raw, db_p, db_q, cfg.box_tolerance),
+                "count": filter_neighbor_count(
+                    raw, db_p, db_q, cfg.neighbor_radius, cfg.count_tolerance
+                ),
+                "hist": filter_neighborhood_distribution(
+                    raw, db_p, db_q, cfg.neighbor_radius, cfg.hist_frames, cfg.hist_tolerance
+                ),
+            }
+            io.write_matches_csv(raw, survivors, db_p, db_q, dump_matches)
 
     prior = None
     if continuous:

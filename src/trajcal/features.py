@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSegment, DegenerateTimestep, EmptyTrajectory
+from .errors import DegenerateTimestep, EmptyTrajectory
 from .model import Trajectory, TrajectoryDatabase
 
 DEFAULT_WINDOW = 3
@@ -99,34 +99,6 @@ def segment_velocities(traj: Trajectory) -> np.ndarray:
         raise DegenerateTimestep(f"non-increasing timestamps in trajectory {traj.track_id!r}")
     dist = np.linalg.norm(np.diff(traj.xyz, axis=0), axis=1)
     return dist / dt
-
-
-def velocity_stats(velocities: np.ndarray, i: int, m: int) -> tuple[float, float]:
-    """Mean and population variance of the speeds in window [i-m, i+m-1],
-    clipped to the available indices."""
-    v = np.asarray(velocities, dtype=float)
-    lo, hi = max(0, i - m), min(len(v), i + m)
-    if hi <= lo:
-        raise ValueError(f"empty velocity window for position {i} (m={m}, n={len(v)})")
-    w = v[lo:hi]
-    mean = float(w.mean())
-    return mean, float(np.mean((w - mean) ** 2))
-
-
-def curvature(traj: Trajectory, i: int) -> float:
-    """Cosine of the angle at position i between the segments toward its
-    neighbors. Collinear motion gives -1, a right angle gives 0."""
-    if not 1 <= i <= len(traj) - 2:
-        raise ValueError(f"curvature needs interior index, got {i} of {len(traj)} positions")
-    xyz = traj.xyz
-    back = xyz[i - 1] - xyz[i]
-    fwd = xyz[i + 1] - xyz[i]
-    nb, nf = float(np.linalg.norm(back)), float(np.linalg.norm(fwd))
-    if nb < _SEGMENT_TOL or nf < _SEGMENT_TOL:
-        raise DegenerateSegment(
-            f"stationary segment at position {i} of trajectory {traj.track_id!r}"
-        )
-    return float(np.clip(np.dot(back, fwd) / (nb * nf), -1.0, 1.0))
 
 
 def _trajectory_features(traj: Trajectory, window: int) -> TrajectoryFeatures:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .features import FeatureDatabase
-from .matching import FILTER_BBOX, FILTER_COUNT, FILTER_HIST, FILTER_MUTUAL, PositionMatch
+from .matching import PositionMatch
 from .model import Position, Trajectory, TrajectoryDatabase, Transform4D
 from .pipeline import CalibrationSession
 from .simulator import LAYOUTS, ScenarioConfig, default_scenario
@@ -229,19 +229,17 @@ def write_features_csv(db: TrajectoryDatabase, fdb: FeatureDatabase, path) -> No
 
 def write_matches_csv(
     matches: Sequence[PositionMatch],
+    survivors: Mapping[str, Sequence[PositionMatch]],
     db_p: TrajectoryDatabase,
     db_q: TrajectoryDatabase,
     path,
 ) -> None:
-    def _flag(m: PositionMatch, name: str) -> str:
-        value = m.flag(name)
-        return "" if value is None else str(int(value))
-
+    """One row per match; each ``survivors`` entry (filter name -> that
+    filter's output) becomes a 0/1 column marking the matches it kept."""
+    kept = {name: set(out) for name, out in survivors.items()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["p_track", "p_frame", "q_track", "q_frame", "dist", "mutual", "bbox", "count", "hist"]
-        )
+        writer.writerow(["p_track", "p_frame", "q_track", "q_frame", "dist", *kept])
         for m in matches:
             p = db_p.trajectories[m.ref[0]].positions[m.ref[1]]
             q = db_q.trajectories[m.cand[0]].positions[m.cand[1]]
@@ -252,9 +250,6 @@ def write_matches_csv(
                     q.track_id,
                     q.frame_index,
                     repr(m.feature_distance),
-                    _flag(m, FILTER_MUTUAL),
-                    _flag(m, FILTER_BBOX),
-                    _flag(m, FILTER_COUNT),
-                    _flag(m, FILTER_HIST),
+                    *(int(m in out) for out in kept.values()),
                 ]
             )

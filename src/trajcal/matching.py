@@ -9,20 +9,14 @@ before any geometry is solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidFeature
-from .features import FeatureDatabase, MotionFeature
+from .features import FeatureDatabase
 from .model import TrajectoryDatabase
-
-FILTER_MUTUAL = "mutual"
-FILTER_BBOX = "bbox"
-FILTER_COUNT = "count"
-FILTER_HIST = "hist"
 
 
 @dataclass(frozen=True)
@@ -56,28 +50,6 @@ class PositionMatch:
     ref: tuple[int, int]
     cand: tuple[int, int]
     feature_distance: float
-    filter_flags: tuple[tuple[str, bool], ...] = ()
-
-    def with_flag(self, name: str, passed: bool) -> "PositionMatch":
-        return replace(self, filter_flags=self.filter_flags + ((name, bool(passed)),))
-
-    def flag(self, name: str) -> bool | None:
-        for key, value in self.filter_flags:
-            if key == name:
-                return value
-        return None
-
-
-def feature_distance(a: MotionFeature, b: MotionFeature, w: MatchWeights) -> float:
-    """Weighted L1 distance between two features; sigma enters as the
-    standard deviation, not the stored variance."""
-    if not (a.valid and b.valid):
-        raise InvalidFeature("feature distance requires two valid features")
-    return float(
-        w.lambda_c * abs(a.curvature - b.curvature)
-        + w.lambda_alpha * abs(a.velocity_mean - b.velocity_mean)
-        + w.lambda_sigma * abs(np.sqrt(a.velocity_variance) - np.sqrt(b.velocity_variance))
-    )
 
 
 def _scaled(feats: np.ndarray, w: MatchWeights) -> np.ndarray:
@@ -116,8 +88,6 @@ def filter_mutual_nn(
     fp: FeatureDatabase,
     fq: FeatureDatabase,
     w: MatchWeights | None = None,
-    *,
-    annotate_only: bool = False,
 ) -> list[PositionMatch]:
     """Keep (p, q) only when q is p's nearest neighbor and p is q's."""
     w = w or MatchWeights()
@@ -129,14 +99,7 @@ def filter_mutual_nn(
     q_index = {(int(t), int(i)): k for k, (t, i) in enumerate(zip(q_traj, q_pos))}
     tree_p = cKDTree(_scaled(p_feats, w))
     _, nn_of_q = tree_p.query(_scaled(q_feats, w), k=1, p=1)
-    out = []
-    for m in matches:
-        qk = q_index[m.cand]
-        passed = int(nn_of_q[qk]) == p_index[m.ref]
-        m = m.with_flag(FILTER_MUTUAL, passed)
-        if passed or annotate_only:
-            out.append(m)
-    return out
+    return [m for m in matches if int(nn_of_q[q_index[m.cand]]) == p_index[m.ref]]
 
 
 def filter_bbox(
@@ -144,8 +107,6 @@ def filter_bbox(
     db_p: TrajectoryDatabase,
     db_q: TrajectoryDatabase,
     box_tolerance: float = 0.5,
-    *,
-    annotate_only: bool = False,
 ) -> list[PositionMatch]:
     """Keep pairs whose bounding boxes agree within the tolerance (L1 over
     length/width/height) and whose class labels are identical."""
@@ -154,9 +115,7 @@ def filter_bbox(
         p = db_p.trajectories[m.ref[0]].positions[m.ref[1]]
         q = db_q.trajectories[m.cand[0]].positions[m.cand[1]]
         size_gap = sum(abs(a - b) for a, b in zip(p.bbox, q.bbox))
-        passed = size_gap <= box_tolerance and p.class_label == q.class_label
-        m = m.with_flag(FILTER_BBOX, passed)
-        if passed or annotate_only:
+        if size_gap <= box_tolerance and p.class_label == q.class_label:
             out.append(m)
     return out
 
@@ -189,8 +148,6 @@ def filter_neighbor_count(
     db_q: TrajectoryDatabase,
     radius: float = 15.0,
     count_tolerance: int = 1,
-    *,
-    annotate_only: bool = False,
 ) -> list[PositionMatch]:
     """Keep pairs whose same-frame neighbor counts agree within tolerance.
 
@@ -203,9 +160,7 @@ def filter_neighbor_count(
     for m in matches:
         cp = counts_p[m.ref[0]][m.ref[1]]
         cq = counts_q[m.cand[0]][m.cand[1]]
-        passed = abs(int(cp) - int(cq)) <= count_tolerance
-        m = m.with_flag(FILTER_COUNT, passed)
-        if passed or annotate_only:
+        if abs(int(cp) - int(cq)) <= count_tolerance:
             out.append(m)
     return out
 
@@ -233,8 +188,6 @@ def filter_neighborhood_distribution(
     radius: float = 15.0,
     k_frames: int = 5,
     hist_tolerance: int = 2,
-    *,
-    annotate_only: bool = False,
 ) -> list[PositionMatch]:
     """Keep pairs whose neighbor-count histories over the adjacent frames
     agree (L1 distance between the per-frame count histograms)."""
@@ -244,9 +197,7 @@ def filter_neighborhood_distribution(
     for m in matches:
         hp = _count_histogram(db_p, counts_p, m.ref[0], m.ref[1], k_frames)
         hq = _count_histogram(db_q, counts_q, m.cand[0], m.cand[1], k_frames)
-        passed = int(np.abs(hp - hq).sum()) <= hist_tolerance
-        m = m.with_flag(FILTER_HIST, passed)
-        if passed or annotate_only:
+        if int(np.abs(hp - hq).sum()) <= hist_tolerance:
             out.append(m)
     return out
 
@@ -264,16 +215,14 @@ def apply_semantic_filters(
     count_tolerance: int = 1,
     hist_frames: int = 5,
     hist_tolerance: int = 2,
-    annotate_only: bool = False,
 ) -> list[PositionMatch]:
-    """Run the full cascade. Mutual-NN goes first (it depends on the raw
-    candidate set); the remaining predicates are pair-local and commute."""
-    out = filter_mutual_nn(matches, fp, fq, weights, annotate_only=annotate_only)
-    out = filter_bbox(out, db_p, db_q, box_tolerance, annotate_only=annotate_only)
-    out = filter_neighbor_count(
-        out, db_p, db_q, neighbor_radius, count_tolerance, annotate_only=annotate_only
+    """Run the full cascade. Every filter judges each match on its own
+    (mutual-NN against the whole feature databases), so the order changes
+    the cost, not the result; the history filter, the costliest per match,
+    runs last."""
+    out = filter_mutual_nn(matches, fp, fq, weights)
+    out = filter_bbox(out, db_p, db_q, box_tolerance)
+    out = filter_neighbor_count(out, db_p, db_q, neighbor_radius, count_tolerance)
+    return filter_neighborhood_distribution(
+        out, db_p, db_q, neighbor_radius, hist_frames, hist_tolerance
     )
-    out = filter_neighborhood_distribution(
-        out, db_p, db_q, neighbor_radius, hist_frames, hist_tolerance, annotate_only=annotate_only
-    )
-    return out

@@ -295,7 +295,7 @@ class Transform4D:
         )
 
     def compose(self, other: "Transform4D") -> "Transform4D":
-        """self after other: apply(self.compose(other), p) == apply(self, apply(other, p))."""
+        """self after other: self.compose(other).apply(p) == self.apply(other.apply(p))."""
         return Transform4D(
             quat_multiply(self.rotation, other.rotation),
             self.matrix @ other.translation + self.translation,
@@ -342,18 +342,6 @@ class Transform4D:
 
 # ---------------------------------------------------------------------------
 # module-level operations on the transform
-
-
-def apply(tf: Transform4D, p: Position) -> Position:
-    return tf.apply(p)
-
-
-def compose(a: Transform4D, b: Transform4D) -> Transform4D:
-    return a.compose(b)
-
-
-def invert(tf: Transform4D) -> Transform4D:
-    return tf.inverse()
 
 
 def transform_trajectory(tf: Transform4D, traj: Trajectory) -> Trajectory:

@@ -109,7 +109,8 @@ class CalibrationSession:
 
 def _trimmed_solve(corr: estimator.CorrespondenceSet, max_rounds: int = 5):
     """Spatial solve with residual trimming; gross outliers among the pairs
-    would otherwise drag the least-squares fit."""
+    would otherwise drag the least-squares fit. Returns the solution, the
+    kept rows and every row's residual under the solution."""
     keep = np.ones(len(corr), dtype=bool)
     sol = None
     for _ in range(max_rounds):
@@ -126,7 +127,7 @@ def _trimmed_solve(corr: estimator.CorrespondenceSet, max_rounds: int = 5):
         if new_keep.sum() < 6 or np.array_equal(new_keep, keep):
             break
         keep = new_keep
-    return sol, keep
+    return sol, keep, res
 
 
 def _vote_trajectory_pairs(
@@ -158,6 +159,14 @@ def _vote_trajectory_pairs(
 
 def _matched_objects(db_p, db_q, traj_pairs):
     return [(db_p.trajectories[ti], db_q.trajectories[tj]) for ti, tj in traj_pairs]
+
+
+def _class_pairs(db_p, db_q):
+    """Every (P, Q) trajectory pair whose class labels agree."""
+    return [(ti, tj)
+            for ti, traj_p in enumerate(db_p.trajectories)
+            for tj, traj_q in enumerate(db_q.trajectories)
+            if traj_p.class_label == traj_q.class_label]
 
 
 _INLIER_GATE = 1.5  # meters of mean per-pair residual for consensus voting
@@ -331,13 +340,15 @@ def _alignment_stats(db_p, db_q, traj_pairs, tf: Transform4D):
 
 def _reassociate(db_p, db_q, traj_pairs, tf: Transform4D, gate: float, time_gate: float):
     """Fresh position pairs: time-nearest samples inside each matched
-    trajectory's overlap, gated by spatial residual."""
-    rows, residuals = [], []
+    trajectory's overlap, gated by spatial residual. Returns them as a
+    correspondence set (raw Q coordinates and times) and as
+    ``(ti, pi, tj, pj)`` index rows."""
+    rows, p_xyz, q_xyz, p_t, q_t = [], [], [], [], []
     for ti, tj in traj_pairs:
         traj_p = db_p.trajectories[ti]
         traj_q = db_q.trajectories[tj]
         tq = traj_q.times + tf.time_offset
-        q_xyz = tf.apply_points(traj_q.xyz)
+        q_mapped = tf.apply_points(traj_q.xyz)
         j = np.searchsorted(tq, traj_p.times)
         j_lo = np.clip(j - 1, 0, len(tq) - 1)
         j_hi = np.clip(j, 0, len(tq) - 1)
@@ -345,14 +356,24 @@ def _reassociate(db_p, db_q, traj_pairs, tf: Transform4D, gate: float, time_gate
             np.abs(tq[j_hi] - traj_p.times) < np.abs(tq[j_lo] - traj_p.times), j_hi, j_lo
         )
         dt_ok = np.abs(tq[nearer] - traj_p.times) <= time_gate
-        res = np.linalg.norm(traj_p.xyz - q_xyz[nearer], axis=1)
-        ok = dt_ok & (res <= gate)
-        for pi in np.nonzero(ok)[0]:
-            rows.append((ti, int(pi), tj, int(nearer[pi])))
-            residuals.append(float(res[pi]))
+        res = np.linalg.norm(traj_p.xyz - q_mapped[nearer], axis=1)
+        (pi,) = np.nonzero(dt_ok & (res <= gate))
+        if len(pi) == 0:
+            continue
+        pj = nearer[pi]
+        rows.append(np.column_stack([np.full(len(pi), ti), pi, np.full(len(pi), tj), pj]))
+        p_xyz.append(traj_p.xyz[pi])
+        q_xyz.append(traj_q.xyz[pj])
+        p_t.append(traj_p.times[pi])
+        q_t.append(traj_q.times[pj])
     if not rows:
-        return np.empty((0, 4), dtype=np.int64), np.empty(0)
-    return np.array(rows, dtype=np.int64), np.array(residuals)
+        empty = np.empty((0, 3))
+        return (estimator.CorrespondenceSet(empty, empty, np.empty(0), np.empty(0)),
+                np.empty((0, 4), dtype=np.int64))
+    corr = estimator.CorrespondenceSet(
+        np.vstack(p_xyz), np.vstack(q_xyz), np.concatenate(p_t), np.concatenate(q_t)
+    )
+    return corr, np.vstack(rows)
 
 
 def _pairs_to_correspondences(pairs: np.ndarray, db_p, db_q) -> estimator.CorrespondenceSet:
@@ -362,17 +383,6 @@ def _pairs_to_correspondences(pairs: np.ndarray, db_p, db_q) -> estimator.Corres
         np.array([db_p.trajectories[ti].times[pi] for ti, pi in pairs[:, :2]]),
         np.array([db_q.trajectories[tj].times[pj] for tj, pj in pairs[:, 2:]]),
     )
-
-
-def _drop_outlier_pairs(traj_pairs, pair_means, threshold: float):
-    """Matched trajectories whose own alignment is far off the consensus are
-    false pairs; S3's mandate includes removing them."""
-    finite = [m for m in pair_means if math.isfinite(m)]
-    if not finite:
-        return traj_pairs
-    gate = max(3.0 * float(np.median(finite)), threshold)
-    kept = [tp for tp, m in zip(traj_pairs, pair_means) if m <= gate]
-    return kept if kept else traj_pairs
 
 
 def _run_loop(db_p, db_q, cfg: PipelineConfig, tf0: Transform4D, halfwidth: float):
@@ -389,17 +399,14 @@ def _run_loop(db_p, db_q, cfg: PipelineConfig, tf0: Transform4D, halfwidth: floa
     converged = False
     iterations = 0
     pairs = None
-    all_ti = range(len(db_p.trajectories))
-    all_tj = range(len(db_q.trajectories))
-    traj_pairs = [(ti, tj) for ti in all_ti for tj in all_tj
-                  if db_p.trajectories[ti].class_label == db_q.trajectories[tj].class_label]
+    traj_pairs = _class_pairs(db_p, db_q)
     # first association casts a wide net over every class-compatible pair;
     # the residual gate keeps only tracks that actually lie on each other
     wide_gate = max(4.0 * cfg.trajectory_distance_threshold, 2.0)
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
         # S3 (and initial association): position pairs from trajectory pairs
-        new_pairs, _ = _reassociate(
+        corr, new_pairs = _reassociate(
             db_p, db_q, traj_pairs, tf, gate if gate is not None else wide_gate, time_gate
         )
         if len(new_pairs) < 3:
@@ -408,26 +415,17 @@ def _run_loop(db_p, db_q, cfg: PipelineConfig, tf0: Transform4D, halfwidth: floa
         pairs = new_pairs
         # S1: transform from current pairs
         try:
-            sol, keep = _trimmed_solve(_pairs_to_correspondences(pairs, db_p, db_q))
+            sol, keep, res = _trimmed_solve(corr)
         except (DegenerateGeometry, TooFewPairs):
             break
-        kept_pairs = pairs[keep]
-        res = np.linalg.norm(
-            np.array([db_p.trajectories[ti].xyz[pi] for ti, pi in kept_pairs[:, :2]])
-            - (np.array([db_q.trajectories[tj].xyz[pj] for tj, pj in kept_pairs[:, 2:]])
-               @ sol.rotation.T + sol.translation),
-            axis=1,
-        )
         gate = 3.0 * sol.rms_residual + 1e-9
         # S2: trajectory pairing by majority vote + alignment distance
         voted = _vote_trajectory_pairs(
-            kept_pairs, res, db_p, db_q, cfg.min_trajectory_votes
+            pairs[keep], res[keep], db_p, db_q, cfg.min_trajectory_votes
         )
         if not voted:
             break
-        p_t = np.array([db_p.trajectories[ti].times[pi] for ti, pi in kept_pairs[:, :2]])
-        q_t = np.array([db_q.trajectories[tj].times[pj] for tj, pj in kept_pairs[:, 2:]])
-        dt0 = float(np.median(p_t - q_t))
+        dt0 = float(np.median(corr.p_times[keep] - corr.q_times[keep]))
         matched = _matched_objects(db_p, db_q, voted)
         try:
             dt = estimator.refine_time_offset(
@@ -436,10 +434,7 @@ def _run_loop(db_p, db_q, cfg: PipelineConfig, tf0: Transform4D, halfwidth: floa
         except InsufficientOverlap:
             dt = dt0
         tf = Transform4D.from_matrix(sol.rotation, sol.translation, dt)
-        pair_means, pooled = _alignment_stats(db_p, db_q, voted, tf)
-        voted = _drop_outlier_pairs(voted, pair_means, cfg.trajectory_distance_threshold)
-        if len(voted) < len(pair_means):
-            _, pooled = _alignment_stats(db_p, db_q, voted, tf)
+        _, pooled = _alignment_stats(db_p, db_q, voted, tf)
         traj_pairs = voted
         if best is None or pooled < best[0]:
             best = (pooled, tf, traj_pairs, sol.rms_residual)
@@ -454,19 +449,17 @@ def _run_loop(db_p, db_q, cfg: PipelineConfig, tf0: Transform4D, halfwidth: floa
     return tf, traj_pairs, rms, iterations, converged
 
 
-def _polish(db_p, db_q, cfg, tf, traj_pairs, rms, halfwidth):
+def _polish(db_p, db_q, tf, traj_pairs, rms, halfwidth):
     """Final pass: re-associate under the best iterate and hand the pairs to
     the estimator's alternating interpolated solve."""
-    final_pairs, _ = _reassociate(
+    corr, _ = _reassociate(
         db_p, db_q, traj_pairs, tf,
         gate=3.0 * rms + 1e-9, time_gate=0.6 * db_p.frame_period,
     )
-    if len(final_pairs) >= 3:
+    if len(corr) >= 3:
         try:
             return estimator.solve(
-                _pairs_to_correspondences(final_pairs, db_p, db_q),
-                _matched_objects(db_p, db_q, traj_pairs),
-                search_halfwidth=halfwidth,
+                corr, _matched_objects(db_p, db_q, traj_pairs), search_halfwidth=halfwidth
             )
         except (DegenerateGeometry, TooFewPairs, InsufficientOverlap):
             pass
@@ -503,19 +496,19 @@ def calibrate(
     fp = extract_features(db_p, cfg.feature_window)
     fq = extract_features(db_q, cfg.feature_window)
     raw = motion_match(fp, fq, w)
-    kept = apply_semantic_filters(
-        raw,
-        fp,
-        fq,
-        db_p,
-        db_q,
-        weights=w,
-        box_tolerance=cfg.box_tolerance,
-        neighbor_radius=cfg.neighbor_radius,
-        count_tolerance=cfg.count_tolerance,
-        hist_frames=cfg.hist_frames,
-        hist_tolerance=cfg.hist_tolerance,
-    )
+
+    def cascade(count_tolerance, hist_tolerance):
+        return apply_semantic_filters(
+            raw, fp, fq, db_p, db_q,
+            weights=w,
+            box_tolerance=cfg.box_tolerance,
+            neighbor_radius=cfg.neighbor_radius,
+            count_tolerance=count_tolerance,
+            hist_frames=cfg.hist_frames,
+            hist_tolerance=hist_tolerance,
+        )
+
+    kept = cascade(cfg.count_tolerance, cfg.hist_tolerance)
     if len(kept) < 3:
         raise NoCandidateMatches(len(raw), len(kept))
 
@@ -541,22 +534,13 @@ def calibrate(
         # dense traffic makes neighbor counts flicker and the neighborhood
         # filters starve the vote; retry them with relaxed tolerances before
         # giving up on a structured initialization
-        relaxed = apply_semantic_filters(
-            raw, fp, fq, db_p, db_q,
-            weights=w,
-            box_tolerance=cfg.box_tolerance,
-            neighbor_radius=cfg.neighbor_radius,
-            count_tolerance=cfg.count_tolerance + 2,
-            hist_frames=cfg.hist_frames,
-            hist_tolerance=3 * cfg.hist_tolerance,
-        )
+        relaxed = cascade(cfg.count_tolerance + 2, 3 * cfg.hist_tolerance)
         if len(relaxed) > len(kept):
             kept = relaxed
             pairs, scores = _index_pairs(kept)
             candidates = _vote_trajectory_pairs(pairs, scores, db_p, db_q, loose_votes, top_k=2)
-    raw_gaps = np.array(
-        [db_p.trajectories[ti].times[pi] for ti, pi in pairs[:, :2]]
-    ) - np.array([db_q.trajectories[tj].times[pj] for tj, pj in pairs[:, 2:]])
+    filtered = _pairs_to_correspondences(pairs, db_p, db_q)
+    raw_gaps = filtered.p_times - filtered.q_times
     dt_center = float(np.median(raw_gaps))
     hypotheses: list[Transform4D] = []
     if prior is not None:
@@ -574,7 +558,7 @@ def calibrate(
     if not hypotheses:
         # fallback: plain trimmed solve on the (scrambled) filtered matches
         try:
-            sol, _ = _trimmed_solve(_pairs_to_correspondences(pairs, db_p, db_q))
+            sol, _, _ = _trimmed_solve(filtered)
             hypotheses.append(Transform4D.from_matrix(sol.rotation, sol.translation, dt_center))
         except (DegenerateGeometry, TooFewPairs) as exc:
             raise NoViableHypothesis(len(raw), len(kept), 0) from exc
@@ -585,7 +569,7 @@ def calibrate(
         if outcome is None:
             continue
         tf, traj_pairs, rms, iterations, converged = outcome
-        tf = _polish(db_p, db_q, cfg, tf, traj_pairs, rms, halfwidth)
+        tf = _polish(db_p, db_q, tf, traj_pairs, rms, halfwidth)
         score, n_pp, n_po = score_session(tf, db_p, db_q, match_radius=cfg.score_match_radius)
         session = CalibrationSession(
             transform=tf,
@@ -614,21 +598,11 @@ def derive_position_pairs(
     """Same-instant position pairs implied by a calibration: for each P
     position, the time-nearest Q position (mapped through the transform)
     within half a frame and ``spatial_gate`` meters."""
-    all_pairs = [
-        (ti, tj)
-        for ti in range(len(db_p.trajectories))
-        for tj in range(len(db_q.trajectories))
-        if db_p.trajectories[ti].class_label == db_q.trajectories[tj].class_label
-    ]
-    pairs, _ = _reassociate(
-        db_p, db_q, all_pairs, transform,
+    corr, _ = _reassociate(
+        db_p, db_q, _class_pairs(db_p, db_q), transform,
         gate=spatial_gate, time_gate=0.5 * db_p.frame_period + 1e-9,
     )
-    if len(pairs) == 0:
-        return estimator.CorrespondenceSet(
-            np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0)
-        )
-    return _pairs_to_correspondences(pairs, db_p, db_q)
+    return corr
 
 
 _SCORE_BLOCK = 512  # P positions per block of score_session's window pairs
@@ -775,11 +749,14 @@ class SessionStore:
         return guard()
 
     def append(self, session: CalibrationSession) -> None:
+        with self._locked():
+            self._append(session)
+
+    def _append(self, session: CalibrationSession) -> None:
         import json
 
-        with self._locked():
-            with open(self.sessions_path, "a") as fh:
-                fh.write(json.dumps(session.to_dict()) + "\n")
+        with open(self.sessions_path, "a") as fh:
+            fh.write(json.dumps(session.to_dict()) + "\n")
 
     def sessions(self) -> list[CalibrationSession]:
         import json
@@ -802,26 +779,18 @@ class SessionStore:
         with open(self.fused_path) as fh:
             return CalibrationSession.from_dict(json.load(fh))
 
-    def save_fused(self, session: CalibrationSession) -> None:
+    def record(self, session: CalibrationSession) -> CalibrationSession:
+        """Append the session and store the fold of the whole log as the
+        fused estimate (``fuse_sessions``: sessions scoring under the store's
+        threshold are logged but do not update the fused state)."""
         import json
 
+        # one lock for the whole step; flock on a second open of the lock
+        # file would wait on this one, so nothing inside may call append()
         with self._locked():
+            self._append(session)
+            fused = fuse_sessions(self.sessions(), self.min_fuse_score)
             with open(self.fused_path, "w") as fh:
-                json.dump(session.to_dict(), fh, indent=2)
+                json.dump(fused.to_dict(), fh, indent=2)
                 fh.write("\n")
-
-    def record(self, session: CalibrationSession) -> CalibrationSession:
-        """Append the session and fold it into the stored fused estimate;
-        sessions scoring under the store's threshold are logged but do not
-        update the fused state."""
-        self.append(session)
-        fused = self.load_fused()
-        if fused is None:
-            fused = session
-        elif session.score >= self.min_fuse_score or session.score > fused.score:
-            try:
-                fused = update_continuous(fused, session)
-            except BothZeroScore:
-                pass
-        self.save_fused(fused)
         return fused

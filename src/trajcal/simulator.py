@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Position, Trajectory, TrajectoryDatabase, Transform4D, invert
+from .model import Position, Trajectory, TrajectoryDatabase, Transform4D
 
 LAYOUTS = ("four_way", "three_way", "sidewalk")
 
@@ -216,7 +216,7 @@ def sensor_pose(position, yaw_deg: float = 0.0, clock_offset: float = 0.0) -> Tr
     """World->sensor transform for a sensor placed at ``position`` with the
     given heading, whose clock reads world time plus ``clock_offset``."""
     sensor_to_world = Transform4D.from_yaw_deg(yaw_deg, position, -clock_offset)
-    return invert(sensor_to_world)
+    return sensor_to_world.inverse()
 
 
 def default_scenario(
@@ -469,31 +469,34 @@ def observe(
     )
 
 
+def _observe_pair(
+    cfg: ScenarioConfig, tracks_p: Sequence[WorldTrack], tracks_q: Sequence[WorldTrack]
+) -> tuple[TrajectoryDatabase, TrajectoryDatabase]:
+    """Sensor P's view of ``tracks_p`` and sensor Q's of ``tracks_q``, each
+    with its own noise and dropout stream."""
+    return tuple(
+        observe(
+            tracks,
+            pose,
+            sensing_range,
+            frame_period=cfg.frame_period,
+            duration=cfg.duration,
+            noise_sigma=cfg.noise_sigma,
+            dropout_rate=cfg.dropout_rate,
+            seed=_child_seed(cfg.seed, stream),
+            sensor_id=sensor_id,
+        )
+        for tracks, pose, sensing_range, stream, sensor_id in (
+            (tracks_p, cfg.pose_p, cfg.sensing_range_p, 1, "P"),
+            (tracks_q, cfg.pose_q, cfg.sensing_range_q, 2, "Q"),
+        )
+    )
+
+
 def make_pair(cfg: ScenarioConfig) -> tuple[TrajectoryDatabase, TrajectoryDatabase, Transform4D]:
     """Observed databases for both sensors plus the exact Q->P transform."""
     tracks = generate_world_tracks(cfg)
-    db_p = observe(
-        tracks,
-        cfg.pose_p,
-        cfg.sensing_range_p,
-        frame_period=cfg.frame_period,
-        duration=cfg.duration,
-        noise_sigma=cfg.noise_sigma,
-        dropout_rate=cfg.dropout_rate,
-        seed=_child_seed(cfg.seed, 1),
-        sensor_id="P",
-    )
-    db_q = observe(
-        tracks,
-        cfg.pose_q,
-        cfg.sensing_range_q,
-        frame_period=cfg.frame_period,
-        duration=cfg.duration,
-        noise_sigma=cfg.noise_sigma,
-        dropout_rate=cfg.dropout_rate,
-        seed=_child_seed(cfg.seed, 2),
-        sensor_id="Q",
-    )
+    db_p, db_q = _observe_pair(cfg, tracks, tracks)
     truth = cfg.pose_p.compose(cfg.pose_q.inverse())
     return db_p, db_q, truth
 
@@ -503,29 +506,7 @@ def make_nonoverlapping_pair(cfg: ScenarioConfig) -> tuple[TrajectoryDatabase, T
     disjoint traffic, so no true correspondence exists."""
     tracks_p = generate_world_tracks(cfg)
     tracks_q = generate_world_tracks(replace(cfg, seed=cfg.seed + 99991))
-    db_p = observe(
-        tracks_p,
-        cfg.pose_p,
-        cfg.sensing_range_p,
-        frame_period=cfg.frame_period,
-        duration=cfg.duration,
-        noise_sigma=cfg.noise_sigma,
-        dropout_rate=cfg.dropout_rate,
-        seed=_child_seed(cfg.seed, 1),
-        sensor_id="P",
-    )
-    db_q = observe(
-        tracks_q,
-        cfg.pose_q,
-        cfg.sensing_range_q,
-        frame_period=cfg.frame_period,
-        duration=cfg.duration,
-        noise_sigma=cfg.noise_sigma,
-        dropout_rate=cfg.dropout_rate,
-        seed=_child_seed(cfg.seed, 2),
-        sensor_id="Q",
-    )
-    return db_p, db_q
+    return _observe_pair(cfg, tracks_p, tracks_q)
 
 
 def _child_seed(seed: int, stream: int) -> np.random.SeedSequence:

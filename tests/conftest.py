@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trajcal.errors import DegenerateSegment, InvalidFeature
 from trajcal.model import Position, Trajectory, TrajectoryDatabase, Transform4D
 
 
@@ -69,3 +70,47 @@ def random_position(rng: np.random.Generator, track="r", frame=0) -> Position:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference implementations of the vectorized feature and match code
+
+
+def velocity_stats(velocities: np.ndarray, i: int, m: int) -> tuple[float, float]:
+    """Mean and population variance of the speeds in window [i-m, i+m-1],
+    clipped to the available indices."""
+    v = np.asarray(velocities, dtype=float)
+    lo, hi = max(0, i - m), min(len(v), i + m)
+    if hi <= lo:
+        raise ValueError(f"empty velocity window for position {i} (m={m}, n={len(v)})")
+    w = v[lo:hi]
+    mean = float(w.mean())
+    return mean, float(np.mean((w - mean) ** 2))
+
+
+def curvature(traj: Trajectory, i: int) -> float:
+    """Cosine of the angle at position i between the segments toward its
+    neighbors. Collinear motion gives -1, a right angle gives 0."""
+    if not 1 <= i <= len(traj) - 2:
+        raise ValueError(f"curvature needs interior index, got {i} of {len(traj)} positions")
+    xyz = traj.xyz
+    back = xyz[i - 1] - xyz[i]
+    fwd = xyz[i + 1] - xyz[i]
+    nb, nf = float(np.linalg.norm(back)), float(np.linalg.norm(fwd))
+    if nb < 1e-9 or nf < 1e-9:
+        raise DegenerateSegment(
+            f"stationary segment at position {i} of trajectory {traj.track_id!r}"
+        )
+    return float(np.clip(np.dot(back, fwd) / (nb * nf), -1.0, 1.0))
+
+
+def feature_distance(a, b, w) -> float:
+    """Weighted L1 distance between two MotionFeatures under MatchWeights
+    ``w``; sigma enters as the standard deviation, not the stored variance."""
+    if not (a.valid and b.valid):
+        raise InvalidFeature("feature distance requires two valid features")
+    return float(
+        w.lambda_c * abs(a.curvature - b.curvature)
+        + w.lambda_alpha * abs(a.velocity_mean - b.velocity_mean)
+        + w.lambda_sigma * abs(np.sqrt(a.velocity_variance) - np.sqrt(b.velocity_variance))
+    )

@@ -140,6 +140,71 @@ class TestCalibrate:
         assert (tmp_path / "feat.q.csv").exists()
         assert (tmp_path / "matches.csv").exists()
 
+    def test_dump_columns_are_solo_filter_survivors(self, runner, tmp_path):
+        import csv
+
+        from trajcal import io
+        from trajcal.features import extract_features
+        from trajcal.matching import (
+            apply_semantic_filters,
+            filter_bbox,
+            filter_mutual_nn,
+            filter_neighbor_count,
+            filter_neighborhood_distribution,
+            motion_match,
+        )
+        from trajcal.pipeline import PipelineConfig
+
+        scene = simulate(runner, tmp_path / "scene", "--noise", "0.2")
+        dump = tmp_path / "matches.csv"
+        runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+             "--input-q", str(scene / "dbQ.jsonl"), "--dump-matches", str(dump)],
+        )
+        db_p = io.read_database_jsonl(scene / "dbP.jsonl")
+        db_q = io.read_database_jsonl(scene / "dbQ.jsonl")
+        cfg = PipelineConfig()
+        fp = extract_features(db_p, cfg.feature_window)
+        fq = extract_features(db_q, cfg.feature_window)
+        raw = motion_match(fp, fq, cfg.match_weights)
+        solo = {
+            "mutual": filter_mutual_nn(raw, fp, fq, cfg.match_weights),
+            "bbox": filter_bbox(raw, db_p, db_q, cfg.box_tolerance),
+            "count": filter_neighbor_count(
+                raw, db_p, db_q, cfg.neighbor_radius, cfg.count_tolerance),
+            "hist": filter_neighborhood_distribution(
+                raw, db_p, db_q, cfg.neighbor_radius, cfg.hist_frames, cfg.hist_tolerance),
+        }
+        with open(dump, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(raw)
+
+        def key(track_p, frame_p, track_q, frame_q):
+            return (track_p, int(frame_p), track_q, int(frame_q))
+
+        def key_of(m):
+            p = db_p.trajectories[m.ref[0]].positions[m.ref[1]]
+            q = db_q.trajectories[m.cand[0]].positions[m.cand[1]]
+            return key(p.track_id, p.frame_index, q.track_id, q.frame_index)
+
+        assert [key(r["p_track"], r["p_frame"], r["q_track"], r["q_frame"]) for r in rows] == \
+            [key_of(m) for m in raw]
+        for name, kept in solo.items():
+            assert [r[name] for r in rows] == [str(int(m in kept)) for m in raw], name
+            assert 0 < len(kept) < len(raw), name
+        survivors = apply_semantic_filters(
+            raw, fp, fq, db_p, db_q,
+            weights=cfg.match_weights,
+            box_tolerance=cfg.box_tolerance,
+            neighbor_radius=cfg.neighbor_radius,
+            count_tolerance=cfg.count_tolerance,
+            hist_frames=cfg.hist_frames,
+            hist_tolerance=cfg.hist_tolerance,
+        )
+        all_ones = [m for m, r in zip(raw, rows) if all(r[n] == "1" for n in solo)]
+        assert all_ones == survivors
+
 
 class TestEvaluate:
     def test_report_json(self, runner, tmp_path):

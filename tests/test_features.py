@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajcal.errors import DegenerateSegment, DegenerateTimestep, EmptyTrajectory
-from trajcal.features import (
-    curvature,
-    extract_features,
-    segment_velocities,
-    velocity_stats,
-)
+from trajcal.features import extract_features, segment_velocities
 from trajcal.model import Trajectory, transform_database
 
 from conftest import (
     arc_trajectory,
+    curvature,
     make_database,
     make_position,
     make_trajectory,
     random_transform,
     straight_trajectory,
+    velocity_stats,
 )
 
 

@@ -2,8 +2,9 @@
 
 The oracles below are the earlier per-pair implementations of the polish
 objective, the interpolated correspondences, the consensus solve at one
-candidate offset, the 12-round polish loop and the session score's window
-loop, kept here verbatim in behaviour. Every vectorized path must reproduce
+candidate offset, the 12-round polish loop, the session score's window loop
+and the nearest-time re-association with its per-row gather, kept here
+verbatim in behaviour. Every vectorized path must reproduce
 them: same sample counts and inlier sets, the same arrays, values equal to
 rounding."""
 
@@ -255,6 +256,40 @@ def oracle_score_session(transform, db_p, db_q, match_radius=1.0):
     return score, n_pp, n_po
 
 
+def oracle_reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate):
+    rows = []
+    for ti, tj in traj_pairs:
+        traj_p = db_p.trajectories[ti]
+        traj_q = db_q.trajectories[tj]
+        tq = traj_q.times + tf.time_offset
+        q_xyz = tf.apply_points(traj_q.xyz)
+        j = np.searchsorted(tq, traj_p.times)
+        j_lo = np.clip(j - 1, 0, len(tq) - 1)
+        j_hi = np.clip(j, 0, len(tq) - 1)
+        nearer = np.where(
+            np.abs(tq[j_hi] - traj_p.times) < np.abs(tq[j_lo] - traj_p.times), j_hi, j_lo
+        )
+        dt_ok = np.abs(tq[nearer] - traj_p.times) <= time_gate
+        res = np.linalg.norm(traj_p.xyz - q_xyz[nearer], axis=1)
+        ok = dt_ok & (res <= gate)
+        for pi in np.nonzero(ok)[0]:
+            rows.append((ti, int(pi), tj, int(nearer[pi])))
+    if not rows:
+        return np.empty((0, 4), dtype=np.int64)
+    return np.array(rows, dtype=np.int64)
+
+
+def oracle_gather(rows, db_p, db_q):
+    if len(rows) == 0:
+        return np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0)
+    return (
+        np.array([db_p.trajectories[ti].xyz[pi] for ti, pi in rows[:, :2]]),
+        np.array([db_q.trajectories[tj].xyz[pj] for tj, pj in rows[:, 2:]]),
+        np.array([db_p.trajectories[ti].times[pi] for ti, pi in rows[:, :2]]),
+        np.array([db_q.trajectories[tj].times[pj] for tj, pj in rows[:, 2:]]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # a seeded reference-like scene, with the scan's and the polish's inputs
 
@@ -453,6 +488,67 @@ class TestEdgeCases:
         assert tracks.n_pairs == 0 and tracks.n_usable == 0
         assert estimator._offset_objective(tracks, 0.0) == (math.inf, 0)
         assert pl._solve_at_offset(tracks, 0.0) is None
+
+
+class TestReassociateParity:
+    def assert_same(self, db_p, db_q, traj_pairs, tf, gate, time_gate):
+        corr, rows = pl._reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate)
+        want = oracle_reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate)
+        assert rows.dtype == want.dtype and rows.shape == want.shape
+        np.testing.assert_array_equal(rows, want)
+        assert corr.weights is None
+        for got, old in zip((corr.p_xyz, corr.q_xyz, corr.p_times, corr.q_times),
+                            oracle_gather(want, db_p, db_q)):
+            assert got.shape == old.shape
+            np.testing.assert_array_equal(got, old)
+        return rows
+
+    def test_seeded_scene(self, scene):
+        db_p, db_q, truth = scene["db_p"], scene["db_q"], scene["truth"]
+        traj_pairs = pl._class_pairs(db_p, db_q)
+        off = Transform4D(truth.rotation, truth.translation + 0.3, truth.time_offset - 0.04)
+        for tf in (truth, off):
+            for gate, time_gate in ((2.0, 0.06), (1.0, 0.05 + 1e-9), (0.3, 0.06)):
+                rows = self.assert_same(db_p, db_q, traj_pairs, tf, gate, time_gate)
+                assert len(rows) > 50
+
+    def test_edge_cases(self):
+        halfway_q = make_trajectory(
+            np.column_stack([np.arange(8.0), np.full(8, 3.0), np.ones(8)]),
+            track="q3", t0=0.0, dt=0.5)
+        halfway_p = make_trajectory(
+            np.column_stack([np.arange(7.0) + 0.5, np.full(7, 3.0), np.ones(7)]),
+            track="p3", t0=0.25, dt=0.5)
+        db_p = make_database([
+            linear(30, 0.0, track="p0"),
+            linear(30, 0.2, y=5.0, track="p1"),
+            linear(20, 100.0, y=9.0, track="p2"),
+            halfway_p,
+        ], sensor_id="P")
+        db_q = make_database([
+            linear(30, 0.0, track="q0"),
+            linear(1, 0.5, y=5.0, track="q1"),  # Q track with 1 sample
+            linear(20, 0.0, y=9.0, track="q2"),  # no time overlap with p2
+            halfway_q,  # P instants exactly halfway between Q samples
+        ], sensor_id="Q")
+        tf = Transform4D.identity()
+        pairs = [(k, k) for k in range(4)] + [(0, 1), (3, 0)]
+        rows = self.assert_same(db_p, db_q, pairs, tf, gate=1e9, time_gate=0.3)
+        assert not np.any((rows[:, 0] == 2) & (rows[:, 2] == 2))
+        assert np.count_nonzero((rows[:, 0] == 1) & (rows[:, 2] == 1)) >= 1
+        # a tie in time goes to the earlier Q sample
+        tie = rows[(rows[:, 0] == 3) & (rows[:, 2] == 3)]
+        assert len(tie) == 7
+        np.testing.assert_array_equal(tie[:, 3], tie[:, 1])
+        self.assert_same(db_p, db_q, pairs, tf, gate=0.5, time_gate=0.3)
+
+    def test_no_pairs(self, scene):
+        db_p, db_q, truth = scene["db_p"], scene["db_q"], scene["truth"]
+        rows = self.assert_same(db_p, db_q, [], truth, 1.0, 0.06)
+        assert rows.shape == (0, 4)
+        far = Transform4D(truth.rotation, truth.translation, truth.time_offset + 1e4)
+        assert len(self.assert_same(db_p, db_q, pl._class_pairs(db_p, db_q), far,
+                                    1.0, 0.06)) == 0
 
 
 class TestAlignmentParity:

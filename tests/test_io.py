@@ -161,20 +161,26 @@ class TestDebugDumps:
 
     def test_matches_csv(self, tmp_path):
         from trajcal.features import extract_features
-        from trajcal.matching import MatchWeights, apply_semantic_filters, motion_match
+        from trajcal.matching import MatchWeights, filter_bbox, filter_mutual_nn, motion_match
 
         cfg = default_scenario(n_vehicles=6, duration=20.0, noise_sigma=0.1, seed=3)
         db_p, db_q, _ = make_pair(cfg)
         fp, fq = extract_features(db_p, 3), extract_features(db_q, 3)
         matches = motion_match(fp, fq, MatchWeights())
-        annotated = apply_semantic_filters(
-            matches, fp, fq, db_p, db_q, annotate_only=True
-        )
+        survivors = {
+            "mutual": filter_mutual_nn(matches, fp, fq, MatchWeights()),
+            "bbox": filter_bbox(matches, db_p, db_q, 0.5),
+            "none": [],
+        }
         path = tmp_path / "matches.csv"
-        io.write_matches_csv(annotated, db_p, db_q, path)
+        io.write_matches_csv(matches, survivors, db_p, db_q, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "p_track,p_frame,q_track,q_frame,dist,mutual,bbox,count,hist"
-        assert len(lines) == 1 + len(annotated)
+        assert lines[0] == "p_track,p_frame,q_track,q_frame,dist,mutual,bbox,none"
+        assert len(lines) == 1 + len(matches)
+        rows = [line.split(",") for line in lines[1:]]
+        for col, kept in enumerate(survivors.values(), start=5):
+            assert [r[col] for r in rows] == [str(int(m in kept)) for m in matches]
+        assert {r[5] for r in rows} == {"0", "1"}
 
     def test_fmt_six_significant_digits(self):
         assert io.fmt(3.14159265) == "3.14159"

@@ -10,7 +10,6 @@ from trajcal.features import MotionFeature, extract_features
 from trajcal.matching import (
     MatchWeights,
     apply_semantic_filters,
-    feature_distance,
     filter_bbox,
     filter_mutual_nn,
     filter_neighbor_count,
@@ -22,6 +21,7 @@ from trajcal.model import transform_database
 
 from conftest import (
     accelerating_trajectory,
+    feature_distance,
     make_database,
     make_trajectory,
     random_transform,
@@ -122,8 +122,7 @@ class TestMutualNN:
         fp, fq = extract_features(db_p, 3), extract_features(db_q, 3)
         matches = motion_match(fp, fq, MatchWeights())
         kept = filter_mutual_nn(matches, fp, fq, MatchWeights())
-        assert len(kept) == len(matches)
-        assert all(m.flag("mutual") for m in kept)
+        assert kept == matches
         assert all(m.ref == m.cand for m in kept)
 
     def test_asymmetric_nearest_removed(self):
@@ -256,9 +255,7 @@ class TestNeighborhoodDistribution:
         fp, fq = extract_features(db_p, 3), extract_features(db_q, 3)
         matches = motion_match(fp, fq, MatchWeights())
         kept = filter_neighborhood_distribution(matches, db_p, db_q, 15.0, 5, 0)
-        removed = filter_neighborhood_distribution(matches, db_p, db_q, 15.0, 5, 0,
-                                                    annotate_only=True)
-        assert len(kept) < len(removed)  # something was actually pruned
+        assert len(kept) < len(matches)  # something was actually pruned
 
 
 class TestBBoxFilter:
@@ -333,13 +330,21 @@ class TestCascadeProperties:
             results.add(frozenset((m.ref, m.cand) for m in ms))
         assert len(results) == 1
 
-    def test_cascade_annotate_only_keeps_everything(self):
-        db_p, db_q = neighbors_scene()
+    def test_cascade_keeps_what_every_solo_filter_keeps(self):
+        # each filter judges a match on its own, so the cascade's survivors
+        # are the raw matches that every filter, run alone, keeps
+        from trajcal import simulator
+
+        cfg = simulator.default_scenario(n_vehicles=8, duration=15.0, noise_sigma=0.1, seed=3)
+        db_p, db_q, _ = simulator.make_pair(cfg)
         fp, fq = extract_features(db_p, 3), extract_features(db_q, 3)
         matches = motion_match(fp, fq, MatchWeights())
-        annotated = apply_semantic_filters(
-            matches, fp, fq, db_p, db_q, annotate_only=True
-        )
-        assert len(annotated) == len(matches)
-        assert all(m.flag("mutual") is not None for m in annotated)
-        assert all(m.flag("hist") is not None for m in annotated)
+        solo = [
+            filter_mutual_nn(matches, fp, fq, MatchWeights()),
+            filter_bbox(matches, db_p, db_q, 0.5),
+            filter_neighbor_count(matches, db_p, db_q, 15.0, 1),
+            filter_neighborhood_distribution(matches, db_p, db_q, 15.0, 5, 2),
+        ]
+        kept = apply_semantic_filters(matches, fp, fq, db_p, db_q)
+        assert kept == [m for m in matches if all(m in out for out in solo)]
+        assert 0 < len(kept) < len(matches)

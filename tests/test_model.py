@@ -10,10 +10,7 @@ from trajcal.model import (
     Trajectory,
     TrajectoryDatabase,
     Transform4D,
-    apply,
     blend_transforms,
-    compose,
-    invert,
     matrix_to_quat,
     quat_canonical,
     quat_multiply,
@@ -33,12 +30,12 @@ def quat_sandwich(q, v):
 class TestApply:
     def test_identity(self):
         p = make_position(1.0, 2.0, 3.0, 5.0)
-        out = apply(Transform4D.identity(), p)
+        out = Transform4D.identity().apply(p)
         assert (out.x, out.y, out.z, out.t) == (1.0, 2.0, 3.0, 5.0)
 
     def test_quarter_turn(self):
         tf = Transform4D.from_yaw_deg(90.0)
-        out = apply(tf, make_position(1.0, 0.0, 0.0, 0.0))
+        out = tf.apply(make_position(1.0, 0.0, 0.0, 0.0))
         assert out.x == pytest.approx(0.0, abs=1e-12)
         assert out.y == pytest.approx(1.0, abs=1e-12)
         assert out.z == pytest.approx(0.0, abs=1e-12)
@@ -56,13 +53,13 @@ class TestApply:
             [10.0, -5.0, 2.0]
         )
         np.testing.assert_allclose(sandwich, expected, atol=1e-12)
-        out = apply(tf, make_position(2.0, 0.0, 0.0, 1.0))
+        out = tf.apply(make_position(2.0, 0.0, 0.0, 1.0))
         np.testing.assert_allclose([out.x, out.y, out.z], expected, atol=1e-12)
         assert out.t == pytest.approx(1.5, abs=1e-12)
 
     def test_metadata_unchanged(self):
         p = make_position(1.0, 2.0, 3.0, 5.0, frame=7, bbox=(4.0, 2.0, 1.5), track="abc")
-        out = apply(Transform4D.from_yaw_deg(13.0, (1, 2, 3), 4.0), p)
+        out = Transform4D.from_yaw_deg(13.0, (1, 2, 3), 4.0).apply(p)
         assert out.frame_index == 7
         assert out.bbox == (4.0, 2.0, 1.5)
         assert out.class_label == p.class_label
@@ -72,40 +69,40 @@ class TestApply:
 class TestComposeInvert:
     def test_compose_identity(self, rng):
         b = random_transform(rng)
-        out = compose(Transform4D.identity(), b)
+        out = Transform4D.identity().compose(b)
         assert out.approx_equal(b, tol=1e-12)
 
     def test_compose_with_inverse_is_identity(self, rng):
         a = random_transform(rng)
-        assert compose(a, invert(a)).approx_equal(Transform4D.identity(), tol=1e-9)
+        assert a.compose(a.inverse()).approx_equal(Transform4D.identity(), tol=1e-9)
 
     def test_compose_matches_pointwise_application(self, rng):
         a, b = random_transform(rng), random_transform(rng)
-        ab = compose(a, b)
+        ab = a.compose(b)
         for k in range(100):
             p = random_position(rng, frame=k)
-            lhs = apply(ab, p)
-            rhs = apply(a, apply(b, p))
+            lhs = ab.apply(p)
+            rhs = a.apply(b.apply(p))
             np.testing.assert_allclose(
                 [lhs.x, lhs.y, lhs.z, lhs.t], [rhs.x, rhs.y, rhs.z, rhs.t], atol=1e-9
             )
 
     def test_invert_identity(self):
-        assert invert(Transform4D.identity()).approx_equal(Transform4D.identity(), tol=0.0)
+        assert Transform4D.identity().inverse().approx_equal(Transform4D.identity(), tol=0.0)
 
     def test_invert_pure_translation(self):
         tf = Transform4D(np.array([1.0, 0, 0, 0]), np.array([1.0, 2.0, 3.0]), 4.0)
-        inv = invert(tf)
+        inv = tf.inverse()
         np.testing.assert_allclose(inv.translation, [-1.0, -2.0, -3.0], atol=1e-12)
         assert inv.time_offset == -4.0
         np.testing.assert_allclose(inv.matrix, np.eye(3), atol=1e-12)
 
     def test_invert_round_trip_on_random_positions(self, rng):
         tf = Transform4D.from_yaw_deg(73.0, (5.0, 1.0, 0.0), 1.2)
-        inv = invert(tf)
+        inv = tf.inverse()
         for k in range(100):
             p = random_position(rng, frame=k)
-            back = apply(inv, apply(tf, p))
+            back = inv.apply(tf.apply(p))
             np.testing.assert_allclose(
                 [back.x, back.y, back.z, back.t], [p.x, p.y, p.z, p.t], atol=1e-9
             )
@@ -122,7 +119,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_apply_invert_recovers(self, tf, seed):
         p = random_position(np.random.default_rng(seed))
-        back = apply(invert(tf), apply(tf, p))
+        back = tf.inverse().apply(tf.apply(p))
         np.testing.assert_allclose(
             [back.x, back.y, back.z, back.t], [p.x, p.y, p.z, p.t], atol=1e-9
         )
@@ -130,8 +127,8 @@ class TestProperties:
     @given(transforms_st, transforms_st, transforms_st)
     @settings(max_examples=40, deadline=None)
     def test_compose_associative(self, a, b, c):
-        lhs = compose(compose(a, b), c)
-        rhs = compose(a, compose(b, c))
+        lhs = a.compose(b).compose(c)
+        rhs = a.compose(b.compose(c))
         assert lhs.approx_equal(rhs, tol=1e-9)
 
     @given(transforms_st, st.integers(min_value=0, max_value=2**31 - 1))
@@ -140,7 +137,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         a, b = random_position(rng), random_position(rng)
         d_before = np.linalg.norm(a.xyz - b.xyz)
-        d_after = np.linalg.norm(apply(tf, a).xyz - apply(tf, b).xyz)
+        d_after = np.linalg.norm(tf.apply(a).xyz - tf.apply(b).xyz)
         assert d_after == pytest.approx(d_before, abs=1e-9)
 
     @given(transforms_st)

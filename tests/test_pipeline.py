@@ -271,6 +271,21 @@ class TestSessionStore:
         assert fused.transform.approx_equal(good.transform, tol=1e-12)
         assert len(store.sessions()) == 2
 
+    def test_missing_fused_state_is_rebuilt_from_the_log(self, tmp_path, rng):
+        from conftest import random_transform
+
+        store = SessionStore(tmp_path / "store")
+        logged = [session_with(s, random_transform(rng)) for s in (0.9, 0.2, 0.7)]
+        for s in logged:
+            store.append(s)
+        assert store.load_fused() is None
+        new = session_with(0.8, random_transform(rng))
+        fused = store.record(new)
+        want = fuse_sessions(logged + [new], min_score=store.min_fuse_score)
+        for got in (fused, store.load_fused()):
+            assert got.transform.approx_equal(want.transform, tol=1e-12)
+            assert got.score == want.score
+
     def test_session_dict_round_trip(self, rng):
         from conftest import random_transform
 

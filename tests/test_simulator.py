@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from trajcal.features import curvature
 from trajcal.model import Transform4D
 from trajcal.simulator import (
     LAYOUTS,
@@ -19,6 +18,8 @@ from trajcal.simulator import (
     observe,
     sensor_pose,
 )
+
+from conftest import curvature
 
 
 class TestWorldGeneration:
