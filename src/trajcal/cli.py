@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -126,17 +127,13 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
         _fail(str(exc))
     cfg = pipeline.PipelineConfig()
     if max_iter is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, max_iterations=max_iter)
     if d_th is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, match_weights=replace(cfg.match_weights, d_th=d_th))
 
     if dump_features or dump_matches:
-        fp = extract_features(db_p, cfg.feature_window)
-        fq = extract_features(db_q, cfg.feature_window)
+        fp = extract_features(db_p)
+        fq = extract_features(db_q)
         if dump_features:
             io.write_features_csv(db_p, fp, f"{dump_features}.p.csv")
             io.write_features_csv(db_q, fq, f"{dump_features}.q.csv")
@@ -147,13 +144,9 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
             raw = motion_match(fp, fq, cfg.match_weights)
             survivors = {
                 "mutual": filter_mutual_nn(raw, fp, fq, cfg.match_weights),
-                "bbox": filter_bbox(raw, db_p, db_q, cfg.box_tolerance),
-                "count": filter_neighbor_count(
-                    raw, db_p, db_q, cfg.neighbor_radius, cfg.count_tolerance
-                ),
-                "hist": filter_neighborhood_distribution(
-                    raw, db_p, db_q, cfg.neighbor_radius, cfg.hist_frames, cfg.hist_tolerance
-                ),
+                "bbox": filter_bbox(raw, db_p, db_q),
+                "count": filter_neighbor_count(raw, db_p, db_q),
+                "hist": filter_neighborhood_distribution(raw, db_p, db_q),
             }
             io.write_matches_csv(raw, survivors, db_p, db_q, dump_matches)
 

@@ -31,6 +31,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # the search's rounding
 _OFFSET_TOL = 1e-9
 _POLISH_STOP = 10.0 * _OFFSET_TOL
+_POLISH_ROUNDS = 12
 
 # rank test: second singular value of the centered cross-covariance relative
 # to the largest; traffic scenes are near-planar, so only true collinearity
@@ -238,19 +239,17 @@ def refine_time_offset(
     coarse: float,
     search_halfwidth: float,
     *,
-    grid_step: float | None = None,
     tol: float = _OFFSET_TOL,
 ) -> float:
-    """Sub-frame time offset: grid scan over [coarse - hw, coarse + hw]
-    followed by golden-section around the best cell."""
+    """Sub-frame time offset: grid scan over [coarse - hw, coarse + hw] in
+    half the median Q sampling interval, followed by golden-section around
+    the best cell."""
     if not matched_trajectories:
         raise InsufficientOverlap("no matched trajectories to refine against")
     tracks = PairedTracks(matched_trajectories, rotation, translation)
     if tracks.n_usable == 0:
         raise InsufficientOverlap("matched trajectories are too short to interpolate")
-    if grid_step is None:
-        grid_step = 0.5 * float(np.median(tracks.q_steps()))
-    grid_step = min(grid_step, max(search_halfwidth, 1e-12))
+    grid_step = min(0.5 * float(np.median(tracks.q_steps())), max(search_halfwidth, 1e-12))
     grid = np.arange(coarse - search_halfwidth, coarse + search_halfwidth + 0.5 * grid_step, grid_step)
     values = [_offset_objective(tracks, float(d))[0] for d in grid]
     if all(math.isinf(v) for v in values):
@@ -293,7 +292,6 @@ def solve(
     matched_trajectories: Sequence[TrajectoryPair] = (),
     *,
     search_halfwidth: float | None = None,
-    polish_rounds: int = 12,
 ) -> Transform4D:
     """Full 4D solve: spatial fit, coarse offset, then alternate sub-frame
     offset refinement with interpolated re-solves until they agree.
@@ -303,7 +301,7 @@ def solve(
     space from Q interpolated at that offset. Polish stops once a round moves
     the offset by no more than ``_POLISH_STOP`` (ten search resolutions:
     rounds past that only re-sample the search's rounding), or after
-    ``polish_rounds`` rounds."""
+    ``_POLISH_ROUNDS`` rounds."""
     sol = solve_spatial(c)
     dt = estimate_time_offset_coarse(c)
     if matched_trajectories:
@@ -312,7 +310,7 @@ def solve(
             if gaps:
                 search_halfwidth = 2.0 * float(np.median(np.concatenate(gaps)))
         if search_halfwidth:
-            for _ in range(polish_rounds):
+            for _ in range(_POLISH_ROUNDS):
                 dt_new = refine_time_offset(
                     matched_trajectories, sol.rotation, sol.translation, dt, search_halfwidth
                 )

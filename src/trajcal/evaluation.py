@@ -160,9 +160,7 @@ def _scenario_for(axis: str, value, seed: int, scenario_kwargs: dict) -> simulat
     return simulator.default_scenario(layout, **kwargs)
 
 
-def _run_cell(
-    axis: str, value, seed: int, scenario_kwargs: dict, cfg: pipeline.PipelineConfig
-) -> SweepRow:
+def _run_cell(axis: str, value, seed: int, scenario_kwargs: dict) -> SweepRow:
     if axis == "passes":
         # continuous calibration: every pass sees fresh traffic, is
         # warm-started from the fused state so far, and folds back into it
@@ -172,7 +170,7 @@ def _run_cell(
         for k in range(int(value)):
             scen = _scenario_for(axis, value, seed + 100_003 * k, scenario_kwargs)
             db_p, db_q, truth = simulator.make_pair(scen)
-            session = pipeline.calibrate(db_p, db_q, cfg, prior=fused)
+            session = pipeline.calibrate(db_p, db_q, prior=fused)
             fused = pipeline.fuse_sessions([s for s in (fused, session) if s is not None])
         report = make_report(fused.transform, truth)
         return SweepRow(
@@ -187,7 +185,7 @@ def _run_cell(
         )
     scen = _scenario_for(axis, value, seed, scenario_kwargs)
     db_p, db_q, truth = simulator.make_pair(scen)
-    session = pipeline.calibrate(db_p, db_q, cfg)
+    session = pipeline.calibrate(db_p, db_q)
     report = make_report(session.transform, truth)
     return SweepRow(
         axis_value=float(value),
@@ -207,18 +205,16 @@ def run_sweep(
     seeds: Sequence[int],
     *,
     scenario_kwargs: dict | None = None,
-    pipeline_config: pipeline.PipelineConfig | None = None,
 ) -> list[SweepRow]:
     """Grid of scenarios (one axis varied) x seeds: simulate, calibrate,
     score against ground truth. A failed cell records success=False and NaN
     metrics instead of aborting the sweep."""
     scenario_kwargs = scenario_kwargs or {}
-    cfg = pipeline_config or pipeline.PipelineConfig()
     rows = []
     for value in values:
         for seed in seeds:
             try:
-                rows.append(_run_cell(axis, value, seed, scenario_kwargs, cfg))
+                rows.append(_run_cell(axis, value, seed, scenario_kwargs))
             except CalibrationError:
                 rows.append(
                     SweepRow(

@@ -18,6 +18,13 @@ from scipy.spatial import cKDTree
 from .features import FeatureDatabase
 from .model import TrajectoryDatabase
 
+# the cascade's tolerances, the ones calibrate() runs it with
+BOX_TOLERANCE = 0.5  # L1 over length/width/height, meters
+NEIGHBOR_RADIUS = 15.0  # meters
+COUNT_TOLERANCE = 1  # same-frame neighbors
+HIST_FRAMES = 5  # frames either side of the matched one
+HIST_TOLERANCE = 4  # L1 between neighbor-count histories
+
 
 @dataclass(frozen=True)
 class MatchWeights:
@@ -106,7 +113,7 @@ def filter_bbox(
     matches: Sequence[PositionMatch],
     db_p: TrajectoryDatabase,
     db_q: TrajectoryDatabase,
-    box_tolerance: float = 0.5,
+    box_tolerance: float = BOX_TOLERANCE,
 ) -> list[PositionMatch]:
     """Keep pairs whose bounding boxes agree within the tolerance (L1 over
     length/width/height) and whose class labels are identical."""
@@ -146,8 +153,8 @@ def filter_neighbor_count(
     matches: Sequence[PositionMatch],
     db_p: TrajectoryDatabase,
     db_q: TrajectoryDatabase,
-    radius: float = 15.0,
-    count_tolerance: int = 1,
+    radius: float = NEIGHBOR_RADIUS,
+    count_tolerance: int = COUNT_TOLERANCE,
 ) -> list[PositionMatch]:
     """Keep pairs whose same-frame neighbor counts agree within tolerance.
 
@@ -185,9 +192,9 @@ def filter_neighborhood_distribution(
     matches: Sequence[PositionMatch],
     db_p: TrajectoryDatabase,
     db_q: TrajectoryDatabase,
-    radius: float = 15.0,
-    k_frames: int = 5,
-    hist_tolerance: int = 2,
+    radius: float = NEIGHBOR_RADIUS,
+    k_frames: int = HIST_FRAMES,
+    hist_tolerance: int = HIST_TOLERANCE,
 ) -> list[PositionMatch]:
     """Keep pairs whose neighbor-count histories over the adjacent frames
     agree (L1 distance between the per-frame count histograms)."""
@@ -210,11 +217,11 @@ def apply_semantic_filters(
     db_q: TrajectoryDatabase,
     *,
     weights: MatchWeights | None = None,
-    box_tolerance: float = 0.5,
-    neighbor_radius: float = 15.0,
-    count_tolerance: int = 1,
-    hist_frames: int = 5,
-    hist_tolerance: int = 2,
+    box_tolerance: float = BOX_TOLERANCE,
+    neighbor_radius: float = NEIGHBOR_RADIUS,
+    count_tolerance: int = COUNT_TOLERANCE,
+    hist_frames: int = HIST_FRAMES,
+    hist_tolerance: int = HIST_TOLERANCE,
 ) -> list[PositionMatch]:
     """Run the full cascade. Every filter judges each match on its own
     (mutual-NN against the whole feature databases), so the order changes

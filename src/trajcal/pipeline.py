@@ -34,37 +34,27 @@ from .errors import (
     TooFewPairs,
 )
 from .features import extract_features
-from .matching import MatchWeights, apply_semantic_filters, motion_match
+from .matching import (
+    COUNT_TOLERANCE,
+    HIST_TOLERANCE,
+    MatchWeights,
+    apply_semantic_filters,
+    motion_match,
+)
 from .model import TrajectoryDatabase, Transform4D, blend_transforms
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """What a caller sets per session: the S1-S3 iteration cap and the
+    feature-matching weights (with their acceptance threshold ``d_th``)."""
+
     max_iterations: int = 20
-    trajectory_distance_threshold: float = 0.5  # meters
-    feature_window: int = 3
     match_weights: MatchWeights = MatchWeights()
-    box_tolerance: float = 0.5
-    neighbor_radius: float = 15.0
-    count_tolerance: int = 1
-    hist_frames: int = 5
-    hist_tolerance: int = 4
-    search_halfwidth: float | None = None  # None -> 2 * frame_period
-    initial_scan_halfwidth: float = 2.5  # seconds, first-pass offset search
-    min_trajectory_votes: int = 3
-    score_match_radius: float = 1.0  # meters, same-object gate when scoring
-    max_hypotheses: int = 4
-    retry_score_threshold: float = 0.5  # retry next offset basin below this
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.max_hypotheses < 1:
-            raise ValueError("max_hypotheses must be >= 1")
-        for name in ("trajectory_distance_threshold", "initial_scan_halfwidth",
-                     "score_match_radius", "neighbor_radius", "box_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -171,6 +161,11 @@ def _class_pairs(db_p, db_q):
 
 _INLIER_GATE = 1.5  # meters of mean per-pair residual for consensus voting
 _MAX_PROPOSALS = 8  # solo-fit proposers per candidate offset
+_SCAN_HALFWIDTH = 2.5  # seconds of margin around the raw gaps, first-pass offset scan
+_MAX_HYPOTHESES = 4  # offsets the scan hands to the S1-S3 loop
+_MIN_TRAJECTORY_VOTES = 3  # matched positions a trajectory pair needs in the S2 vote
+_TRAJECTORY_DISTANCE_THRESHOLD = 0.5  # meters of pooled alignment: the loop has converged
+_RETRY_SCORE_THRESHOLD = 0.5  # a session scoring below this tries the next hypothesis
 
 
 class _OffsetGeometry:
@@ -281,7 +276,9 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, hal
     spread of raw timestamp gaps, so a biased median cannot push the true
     offset out of view. The coarse stage votes with a widened gate because a
     quarter-second of offset error already moves traffic by meters; fine
-    scans around the strongest cells then resolve to half a frame."""
+    scans around the strongest cells then resolve to half a frame. Returns
+    the chosen hypotheses best first, each offset with the consensus spatial
+    solution the fine scan found there."""
     margin = max(halfwidth, 2.0)
     lo = float(np.percentile(raw_gaps, 2)) - margin
     hi = float(np.percentile(raw_gaps, 98)) + margin
@@ -295,7 +292,7 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, hal
             keys.append(((-solved[1], solved[2]), float(d)))
     keys.sort()
     fine_step = 0.5 * frame_period
-    candidates: list[tuple[tuple, float]] = []
+    candidates = []
     seen: list[float] = []
     for _, center in keys[: 3 * max_n]:
         if any(abs(center - s) <= coarse_step for s in seen):
@@ -308,34 +305,29 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, hal
                 continue
             key = (-solved[1], solved[2])
             if best is None or key < best[0]:
-                best = (key, float(d))
+                best = (key, float(d), solved[0])
         if best is not None:
             candidates.append(best)
-    candidates.sort()
-    chosen: list[float] = []
-    for _, dt in candidates:
-        if all(abs(dt - c) > 2 * fine_step for c in chosen):
-            chosen.append(dt)
+    candidates.sort(key=lambda c: c[:2])
+    chosen: list[Transform4D] = []
+    for _, dt, sol in candidates:
+        if all(abs(dt - c.time_offset) > 2 * fine_step for c in chosen):
+            chosen.append(Transform4D.from_matrix(sol.rotation, sol.translation, dt))
         if len(chosen) >= max_n:
             break
     return chosen
 
 
-def _alignment_stats(db_p, db_q, traj_pairs, tf: Transform4D):
-    """Per matched-trajectory-pair mean point-to-interpolated-point distance
-    under the candidate transform (inf without overlap), plus the pooled
-    mean."""
+def _pooled_alignment(db_p, db_q, traj_pairs, tf: Transform4D) -> float:
+    """Mean point-to-interpolated-point distance over every matched
+    trajectory pair under the candidate transform (inf without overlap)."""
     tracks = estimator.PairedTracks(
         _matched_objects(db_p, db_q, traj_pairs), tf.matrix, tf.translation
     )
     idx, _, q, _ = tracks.interpolate(tf.time_offset)
-    dists = np.linalg.norm(tracks.p_xyz[idx] - q, axis=1)
-    pair = tracks.p_pair[idx]
-    counts = np.bincount(pair, minlength=tracks.n_pairs)
-    sums = np.bincount(pair, weights=dists, minlength=tracks.n_pairs)
-    pair_means = [s / c if c else math.inf for s, c in zip(sums.tolist(), counts.tolist())]
-    pooled = float(dists.mean()) if len(dists) else math.inf
-    return pair_means, pooled
+    if len(idx) == 0:
+        return math.inf
+    return float(np.linalg.norm(tracks.p_xyz[idx] - q, axis=1).mean())
 
 
 def _reassociate(db_p, db_q, traj_pairs, tf: Transform4D, gate: float, time_gate: float):
@@ -385,7 +377,7 @@ def _pairs_to_correspondences(pairs: np.ndarray, db_p, db_q) -> estimator.Corres
     )
 
 
-def _run_loop(db_p, db_q, cfg: PipelineConfig, tf0: Transform4D, halfwidth: float):
+def _run_loop(db_p, db_q, max_iterations: int, tf0: Transform4D, halfwidth: float):
     """S1/S2/S3 iterations from one initial transform hypothesis.
 
     Returns (transform, traj_pairs, rms, iterations, converged) for the best
@@ -402,8 +394,8 @@ def _run_loop(db_p, db_q, cfg: PipelineConfig, tf0: Transform4D, halfwidth: floa
     traj_pairs = _class_pairs(db_p, db_q)
     # first association casts a wide net over every class-compatible pair;
     # the residual gate keeps only tracks that actually lie on each other
-    wide_gate = max(4.0 * cfg.trajectory_distance_threshold, 2.0)
-    for it in range(1, cfg.max_iterations + 1):
+    wide_gate = max(4.0 * _TRAJECTORY_DISTANCE_THRESHOLD, 2.0)
+    for it in range(1, max_iterations + 1):
         iterations = it
         # S3 (and initial association): position pairs from trajectory pairs
         corr, new_pairs = _reassociate(
@@ -421,7 +413,7 @@ def _run_loop(db_p, db_q, cfg: PipelineConfig, tf0: Transform4D, halfwidth: floa
         gate = 3.0 * sol.rms_residual + 1e-9
         # S2: trajectory pairing by majority vote + alignment distance
         voted = _vote_trajectory_pairs(
-            pairs[keep], res[keep], db_p, db_q, cfg.min_trajectory_votes
+            pairs[keep], res[keep], db_p, db_q, _MIN_TRAJECTORY_VOTES
         )
         if not voted:
             break
@@ -434,11 +426,11 @@ def _run_loop(db_p, db_q, cfg: PipelineConfig, tf0: Transform4D, halfwidth: floa
         except InsufficientOverlap:
             dt = dt0
         tf = Transform4D.from_matrix(sol.rotation, sol.translation, dt)
-        _, pooled = _alignment_stats(db_p, db_q, voted, tf)
+        pooled = _pooled_alignment(db_p, db_q, voted, tf)
         traj_pairs = voted
         if best is None or pooled < best[0]:
             best = (pooled, tf, traj_pairs, sol.rms_residual)
-        if pooled < cfg.trajectory_distance_threshold:
+        if pooled < _TRAJECTORY_DISTANCE_THRESHOLD:
             converged = True
             break
         if stalled:
@@ -493,27 +485,15 @@ def calibrate(
     """
     cfg = cfg or PipelineConfig()
     w = cfg.match_weights
-    fp = extract_features(db_p, cfg.feature_window)
-    fq = extract_features(db_q, cfg.feature_window)
+    fp = extract_features(db_p)
+    fq = extract_features(db_q)
     raw = motion_match(fp, fq, w)
-
-    def cascade(count_tolerance, hist_tolerance):
-        return apply_semantic_filters(
-            raw, fp, fq, db_p, db_q,
-            weights=w,
-            box_tolerance=cfg.box_tolerance,
-            neighbor_radius=cfg.neighbor_radius,
-            count_tolerance=count_tolerance,
-            hist_frames=cfg.hist_frames,
-            hist_tolerance=hist_tolerance,
-        )
-
-    kept = cascade(cfg.count_tolerance, cfg.hist_tolerance)
+    kept = apply_semantic_filters(raw, fp, fq, db_p, db_q, weights=w)
     if len(kept) < 3:
         raise NoCandidateMatches(len(raw), len(kept))
 
     frame_period = db_p.frame_period
-    halfwidth = cfg.search_halfwidth if cfg.search_halfwidth is not None else 2.0 * frame_period
+    halfwidth = 2.0 * frame_period
 
     def _index_pairs(matches):
         idx = np.array(
@@ -528,13 +508,16 @@ def calibrate(
     # candidate clock offsets from the consensus scan; the consensus solve is
     # built to ignore the wrong candidates, so recall matters more than
     # precision here
-    loose_votes = max(2, cfg.min_trajectory_votes - 1)
+    loose_votes = max(2, _MIN_TRAJECTORY_VOTES - 1)
     candidates = _vote_trajectory_pairs(pairs, scores, db_p, db_q, loose_votes, top_k=2)
     if len(candidates) < 3:
         # dense traffic makes neighbor counts flicker and the neighborhood
         # filters starve the vote; retry them with relaxed tolerances before
         # giving up on a structured initialization
-        relaxed = cascade(cfg.count_tolerance + 2, 3 * cfg.hist_tolerance)
+        relaxed = apply_semantic_filters(
+            raw, fp, fq, db_p, db_q, weights=w,
+            count_tolerance=COUNT_TOLERANCE + 2, hist_tolerance=3 * HIST_TOLERANCE,
+        )
         if len(relaxed) > len(kept):
             kept = relaxed
             pairs, scores = _index_pairs(kept)
@@ -547,14 +530,9 @@ def calibrate(
         hypotheses.append(prior.transform if isinstance(prior, CalibrationSession) else prior)
     if candidates:
         tracks0 = estimator.PairedTracks(_matched_objects(db_p, db_q, candidates))
-        for dt_h in _offset_hypotheses(
-            tracks0, raw_gaps, cfg.initial_scan_halfwidth, frame_period, cfg.max_hypotheses
-        ):
-            solved = _solve_at_offset(tracks0, dt_h)
-            if solved is not None:
-                hypotheses.append(
-                    Transform4D.from_matrix(solved[0].rotation, solved[0].translation, dt_h)
-                )
+        hypotheses += _offset_hypotheses(
+            tracks0, raw_gaps, _SCAN_HALFWIDTH, frame_period, _MAX_HYPOTHESES
+        )
     if not hypotheses:
         # fallback: plain trimmed solve on the (scrambled) filtered matches
         try:
@@ -565,12 +543,12 @@ def calibrate(
 
     best_session = None
     for tf0 in hypotheses:
-        outcome = _run_loop(db_p, db_q, cfg, tf0, halfwidth)
+        outcome = _run_loop(db_p, db_q, cfg.max_iterations, tf0, halfwidth)
         if outcome is None:
             continue
         tf, traj_pairs, rms, iterations, converged = outcome
         tf = _polish(db_p, db_q, tf, traj_pairs, rms, halfwidth)
-        score, n_pp, n_po = score_session(tf, db_p, db_q, match_radius=cfg.score_match_radius)
+        score, n_pp, n_po = score_session(tf, db_p, db_q)
         session = CalibrationSession(
             transform=tf,
             score=score,
@@ -582,7 +560,7 @@ def calibrate(
         )
         if best_session is None or session.score > best_session.score:
             best_session = session
-        if session.score >= cfg.retry_score_threshold:
+        if session.score >= _RETRY_SCORE_THRESHOLD:
             break
     if best_session is None:
         raise NoViableHypothesis(len(raw), len(kept), len(hypotheses))

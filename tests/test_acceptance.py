@@ -151,19 +151,11 @@ class TestCriterion5FilteringGain:
             n_vehicles=35, duration=45.0, noise_sigma=0.2, time_offset=0.5, seed=0
         )
         db_p, db_q, truth = make_pair(cfg)
-        pcfg = PipelineConfig()
-        fp = extract_features(db_p, pcfg.feature_window)
-        fq = extract_features(db_q, pcfg.feature_window)
-        raw = motion_match(fp, fq, pcfg.match_weights)
-        kept = apply_semantic_filters(
-            raw, fp, fq, db_p, db_q,
-            weights=pcfg.match_weights,
-            box_tolerance=pcfg.box_tolerance,
-            neighbor_radius=pcfg.neighbor_radius,
-            count_tolerance=pcfg.count_tolerance,
-            hist_frames=pcfg.hist_frames,
-            hist_tolerance=pcfg.hist_tolerance,
-        )
+        weights = PipelineConfig().match_weights
+        fp = extract_features(db_p)
+        fq = extract_features(db_q)
+        raw = motion_match(fp, fq, weights)
+        kept = apply_semantic_filters(raw, fp, fq, db_p, db_q, weights=weights)
 
         def truths(matches, same_instant):
             ok = 0

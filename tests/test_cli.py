@@ -164,17 +164,15 @@ class TestCalibrate:
         )
         db_p = io.read_database_jsonl(scene / "dbP.jsonl")
         db_q = io.read_database_jsonl(scene / "dbQ.jsonl")
-        cfg = PipelineConfig()
-        fp = extract_features(db_p, cfg.feature_window)
-        fq = extract_features(db_q, cfg.feature_window)
-        raw = motion_match(fp, fq, cfg.match_weights)
+        weights = PipelineConfig().match_weights
+        fp = extract_features(db_p)
+        fq = extract_features(db_q)
+        raw = motion_match(fp, fq, weights)
         solo = {
-            "mutual": filter_mutual_nn(raw, fp, fq, cfg.match_weights),
-            "bbox": filter_bbox(raw, db_p, db_q, cfg.box_tolerance),
-            "count": filter_neighbor_count(
-                raw, db_p, db_q, cfg.neighbor_radius, cfg.count_tolerance),
-            "hist": filter_neighborhood_distribution(
-                raw, db_p, db_q, cfg.neighbor_radius, cfg.hist_frames, cfg.hist_tolerance),
+            "mutual": filter_mutual_nn(raw, fp, fq, weights),
+            "bbox": filter_bbox(raw, db_p, db_q),
+            "count": filter_neighbor_count(raw, db_p, db_q),
+            "hist": filter_neighborhood_distribution(raw, db_p, db_q),
         }
         with open(dump, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -193,15 +191,7 @@ class TestCalibrate:
         for name, kept in solo.items():
             assert [r[name] for r in rows] == [str(int(m in kept)) for m in raw], name
             assert 0 < len(kept) < len(raw), name
-        survivors = apply_semantic_filters(
-            raw, fp, fq, db_p, db_q,
-            weights=cfg.match_weights,
-            box_tolerance=cfg.box_tolerance,
-            neighbor_radius=cfg.neighbor_radius,
-            count_tolerance=cfg.count_tolerance,
-            hist_frames=cfg.hist_frames,
-            hist_tolerance=cfg.hist_tolerance,
-        )
+        survivors = apply_semantic_filters(raw, fp, fq, db_p, db_q, weights=weights)
         all_ones = [m for m, r in zip(raw, rows) if all(r[n] == "1" for n in solo)]
         assert all_ones == survivors
 

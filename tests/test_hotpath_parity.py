@@ -196,26 +196,23 @@ def oracle_polish(c, matched, search_halfwidth, polish_rounds=12):
     return Transform4D.from_matrix(sol.rotation, sol.translation, dt)
 
 
-def oracle_alignment_stats(db_p, db_q, traj_pairs, tf):
-    """Per-pair mean distance to the mapped Q track, interpolated on P's clock."""
-    pair_means, total, count = [], 0.0, 0
+def oracle_pooled_alignment(db_p, db_q, traj_pairs, tf):
+    """Mean distance to the mapped Q track, interpolated on P's clock, pooled
+    over every pair's samples inside its overlap."""
+    total, count = 0.0, 0
     for ti, tj in traj_pairs:
         traj_p, traj_q = db_p.trajectories[ti], db_q.trajectories[tj]
         if len(traj_q) < 2:
-            pair_means.append(math.inf)
             continue
         tq = traj_q.times + tf.time_offset
         q_xyz = tf.apply_points(traj_q.xyz)
         mask = (traj_p.times >= tq[0]) & (traj_p.times <= tq[-1])
         if not mask.any():
-            pair_means.append(math.inf)
             continue
         interp, _ = oracle_interp_with_variance(traj_p.times[mask], tq, q_xyz)
-        dists = np.linalg.norm(traj_p.xyz[mask] - interp, axis=1)
-        pair_means.append(float(dists.mean()))
-        total += float(dists.sum())
+        total += float(np.linalg.norm(traj_p.xyz[mask] - interp, axis=1).sum())
         count += int(mask.sum())
-    return pair_means, (total / count if count else math.inf)
+    return total / count if count else math.inf
 
 
 def oracle_score_session(transform, db_p, db_q, match_radius=1.0):
@@ -552,21 +549,19 @@ class TestReassociateParity:
 
 
 class TestAlignmentParity:
-    def test_pair_means_and_pooled(self, scene):
+    def test_pooled_mean(self, scene):
         db_p, db_q, truth = scene["db_p"], scene["db_q"], scene["truth"]
         traj_pairs = [(ti, tj) for ti in range(len(db_p.trajectories))
                       for tj in range(len(db_q.trajectories))][::7]
         for tf in (truth, Transform4D(truth.rotation, truth.translation + 0.3,
                                       truth.time_offset - 0.04)):
-            got, pooled = pl._alignment_stats(db_p, db_q, traj_pairs, tf)
-            want, want_pooled = oracle_alignment_stats(db_p, db_q, traj_pairs, tf)
-            assert [math.isinf(m) for m in got] == [math.isinf(m) for m in want]
-            assert any(math.isfinite(m) for m in want)
-            np.testing.assert_allclose(
-                [m for m in got if math.isfinite(m)], [m for m in want if math.isfinite(m)],
-                rtol=1e-9, atol=1e-12,
-            )
-            assert pooled == pytest.approx(want_pooled, rel=1e-9)
+            want = oracle_pooled_alignment(db_p, db_q, traj_pairs, tf)
+            assert math.isfinite(want)
+            assert pl._pooled_alignment(db_p, db_q, traj_pairs, tf) == \
+                pytest.approx(want, rel=1e-9)
+        far = Transform4D(truth.rotation, truth.translation, truth.time_offset + 1e4)
+        assert pl._pooled_alignment(db_p, db_q, traj_pairs, far) == math.inf
+        assert pl._pooled_alignment(db_p, db_q, [], truth) == math.inf
 
 
 class TestPolishStop:

@@ -343,7 +343,7 @@ class TestCascadeProperties:
             filter_mutual_nn(matches, fp, fq, MatchWeights()),
             filter_bbox(matches, db_p, db_q, 0.5),
             filter_neighbor_count(matches, db_p, db_q, 15.0, 1),
-            filter_neighborhood_distribution(matches, db_p, db_q, 15.0, 5, 2),
+            filter_neighborhood_distribution(matches, db_p, db_q, 15.0, 5, 4),
         ]
         kept = apply_semantic_filters(matches, fp, fq, db_p, db_q)
         assert kept == [m for m in matches if all(m in out for out in solo)]

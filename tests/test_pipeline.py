@@ -136,8 +136,31 @@ class TestCalibrate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(trajectory_distance_threshold=0.0)
+
+    def test_cascade_runs_with_its_public_defaults(self, monkeypatch):
+        # what calibrate() keeps is what a library user gets from
+        # apply_semantic_filters with nothing but the weights
+        from trajcal import pipeline as pl
+        from trajcal.matching import apply_semantic_filters
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            kept = apply_semantic_filters(*args, **kwargs)
+            calls.append((args, kept))
+            return kept
+
+        monkeypatch.setattr(pl, "apply_semantic_filters", spy)
+        cfg = default_scenario(n_vehicles=25, duration=45.0, noise_sigma=0.2,
+                               time_offset=0.537, seed=1)
+        db_p, db_q, _ = make_pair(cfg)
+        calibrate(db_p, db_q)
+        (raw, fp, fq, spied_p, spied_q), kept = calls[0]
+        assert spied_p is db_p and spied_q is db_q
+        defaults = apply_semantic_filters(
+            raw, fp, fq, db_p, db_q, weights=PipelineConfig().match_weights
+        )
+        assert kept == defaults, f"calibrate kept {len(kept)}, defaults keep {len(defaults)}"
 
 
 class TestScoreSession:
@@ -358,7 +381,8 @@ class TestInitialization:
             gaps = np.array([offset + g for g in (-2.0, -1.0, 0.0, 1.5, 4.0) for _ in range(10)])
             hyps = pl._offset_hypotheses(tracks, gaps, 2.5, 0.1, 4)
             assert hyps, "scan found no candidates"
-            assert abs(hyps[0] - offset) < 0.06, f"best hypothesis {hyps[0]} vs {offset}"
+            best = hyps[0].time_offset
+            assert abs(best - offset) < 0.06, f"best hypothesis {best} vs {offset}"
 
 
 class TestAlignmentMonotonicity:
@@ -376,7 +400,7 @@ class TestAlignmentMonotonicity:
             for j in range(len(db_q.trajectories))
             if db_p.trajectories[i].class_label == db_q.trajectories[j].class_label
         ]
-        _, pooled = pl._alignment_stats(db_p, db_q, all_pairs, session.transform)
         # the returned transform aligns matched content essentially exactly
-        pair_means, _ = pl._alignment_stats(db_p, db_q, all_pairs, session.transform)
+        pair_means = [pl._pooled_alignment(db_p, db_q, [pair], session.transform)
+                      for pair in all_pairs]
         assert min(m for m in pair_means if math.isfinite(m)) < 1e-6
