@@ -5,11 +5,9 @@ from .errors import (
     BothZeroScore,
     CalibrationError,
     DegenerateGeometry,
-    DegenerateSegment,
     DegenerateTimestep,
     EmptyTrajectory,
     InsufficientOverlap,
-    InvalidFeature,
     NoCandidateMatches,
     NoViableHypothesis,
     TooFewPairs,
@@ -58,7 +56,6 @@ from .model import (
     Transform4D,
     blend_transforms,
     transform_database,
-    transform_trajectory,
 )
 from .pipeline import (
     CalibrationSession,

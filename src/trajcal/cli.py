@@ -126,10 +126,13 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
     except io.FileFormatError as exc:
         _fail(str(exc))
     cfg = pipeline.PipelineConfig()
-    if max_iter is not None:
-        cfg = replace(cfg, max_iterations=max_iter)
-    if d_th is not None:
-        cfg = replace(cfg, match_weights=replace(cfg.match_weights, d_th=d_th))
+    try:
+        if max_iter is not None:
+            cfg = replace(cfg, max_iterations=max_iter)
+        if d_th is not None:
+            cfg = replace(cfg, match_weights=replace(cfg.match_weights, d_th=d_th))
+    except ValueError as exc:
+        _fail(str(exc))
 
     if dump_features or dump_matches:
         fp = extract_features(db_p)

@@ -13,14 +13,6 @@ class DegenerateTimestep(CalibrationError):
     """Non-increasing timestamps inside a trajectory."""
 
 
-class DegenerateSegment(CalibrationError):
-    """Two consecutive positions coincide; segment direction is undefined."""
-
-
-class InvalidFeature(CalibrationError):
-    """A feature flagged invalid was used where a valid one is required."""
-
-
 class TooFewPairs(CalibrationError):
     """Not enough correspondences for the requested solve."""
 
@@ -47,8 +39,9 @@ class NoCandidateMatches(CalibrationError):
 
 class NoViableHypothesis(CalibrationError):
     """Enough matches survived filtering, but no initial transform led to a
-    calibration: every hypothesis collapsed in the iterative loop, or none
-    could be formed at all (the fallback solve was degenerate)."""
+    calibration: every hypothesis collapsed in the iterative loop, or there
+    was none to try (no prior, and the offset scan found no clock offset that
+    two trajectory pairs agree on)."""
 
     def __init__(self, raw_count: int, filtered_count: int, hypotheses_tried: int):
         self.raw_count = raw_count
@@ -57,7 +50,7 @@ class NoViableHypothesis(CalibrationError):
         if hypotheses_tried:
             cause = f"all {hypotheses_tried} initial hypotheses collapsed in the calibration loop"
         else:
-            cause = "no initial hypothesis could be formed (the fallback solve is degenerate)"
+            cause = "the offset scan found no clock offset that two trajectory pairs agree on"
         super().__init__(
             f"{cause}; {filtered_count} matches survived filtering "
             f"({raw_count} raw candidates)"

@@ -344,14 +344,13 @@ class Transform4D:
 # module-level operations on the transform
 
 
-def transform_trajectory(tf: Transform4D, traj: Trajectory) -> Trajectory:
-    return Trajectory(traj.track_id, tuple(tf.apply(p) for p in traj.positions))
-
-
 def transform_database(tf: Transform4D, db: TrajectoryDatabase) -> TrajectoryDatabase:
     return TrajectoryDatabase(
         sensor_id=db.sensor_id,
-        trajectories=tuple(transform_trajectory(tf, t) for t in db.trajectories),
+        trajectories=tuple(
+            Trajectory(t.track_id, tuple(tf.apply(p) for p in t.positions))
+            for t in db.trajectories
+        ),
         frame_period=db.frame_period,
         sensing_range=db.sensing_range,
     )

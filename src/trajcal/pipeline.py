@@ -4,7 +4,7 @@ One calibration session: match positions by motion features, prune with the
 semantic filters, vote whole-trajectory pairs, then alternate between solving
 the space-time transform from the current pairs and re-deriving the pairs
 from the matched trajectories, until matched trajectories agree to within a
-distance threshold or iterations run out.
+distance threshold, re-association repeats itself, or iterations run out.
 
 Initialization is the fragile part: raw feature matches are temporally
 scrambled along feature-flat (straight, constant-speed) tracks, so the first
@@ -120,13 +120,12 @@ def _trimmed_solve(corr: estimator.CorrespondenceSet, max_rounds: int = 5):
     return sol, keep, res
 
 
-def _vote_trajectory_pairs(
-    pairs: np.ndarray, scores: np.ndarray, db_p, db_q, min_votes: int, top_k: int = 1
-):
+def _vote_trajectory_pairs(pairs: np.ndarray, scores: np.ndarray, min_votes: int, top_k: int = 1):
     """Each Q trajectory pairs with the P trajectory holding the plurality of
     its matched positions; ties break toward the smaller mean pair score.
-    Class labels must agree (tracker semantics are trusted that far).
-    ``top_k`` > 1 also returns runner-up candidates (for hypothesis seeding)."""
+    Every pair handed in is already class-matched (by ``filter_bbox``, or by
+    association over ``_class_pairs``). ``top_k`` > 1 also returns runner-up
+    candidates (for hypothesis seeding)."""
     tally: dict[int, dict[int, list]] = {}
     for (ti, _, tj, _), s in zip(pairs, scores):
         by_p = tally.setdefault(int(tj), {})
@@ -140,9 +139,7 @@ def _vote_trajectory_pairs(
             key=lambda c: (-c[0], c[1], c[2]),
         )
         for cnt, _, ti in candidates[:top_k]:
-            if cnt >= min_votes and (
-                db_p.trajectories[ti].class_label == db_q.trajectories[tj].class_label
-            ):
+            if cnt >= min_votes:
                 out.append((ti, tj))
     return out
 
@@ -269,8 +266,7 @@ def _solve_at_offset(tracks: estimator.PairedTracks, dt: float, gate: float = _I
     return sol, int(supporters.sum()), float(np.mean(means[supporters]))
 
 
-def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, halfwidth: float,
-                       frame_period: float, max_n: int):
+def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, frame_period: float):
     """Candidate clock offsets from a two-stage consensus scan (spatial refit
     + inlier count at every grid offset). The coarse range comes from the
     spread of raw timestamp gaps, so a biased median cannot push the true
@@ -279,9 +275,8 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, hal
     scans around the strongest cells then resolve to half a frame. Returns
     the chosen hypotheses best first, each offset with the consensus spatial
     solution the fine scan found there."""
-    margin = max(halfwidth, 2.0)
-    lo = float(np.percentile(raw_gaps, 2)) - margin
-    hi = float(np.percentile(raw_gaps, 98)) + margin
+    lo = float(np.percentile(raw_gaps, 2)) - _SCAN_HALFWIDTH
+    hi = float(np.percentile(raw_gaps, 98)) + _SCAN_HALFWIDTH
     coarse_step = max(0.25, frame_period)
     coarse_gate = _INLIER_GATE + 12.0 * coarse_step  # ~typical speed * step
     coarse = np.arange(lo, hi + 0.5 * coarse_step, coarse_step)
@@ -294,7 +289,7 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, hal
     fine_step = 0.5 * frame_period
     candidates = []
     seen: list[float] = []
-    for _, center in keys[: 3 * max_n]:
+    for _, center in keys[: 3 * _MAX_HYPOTHESES]:
         if any(abs(center - s) <= coarse_step for s in seen):
             continue
         seen.append(center)
@@ -313,7 +308,7 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, hal
     for _, dt, sol in candidates:
         if all(abs(dt - c.time_offset) > 2 * fine_step for c in chosen):
             chosen.append(Transform4D.from_matrix(sol.rotation, sol.translation, dt))
-        if len(chosen) >= max_n:
+        if len(chosen) >= _MAX_HYPOTHESES:
             break
     return chosen
 
@@ -368,42 +363,31 @@ def _reassociate(db_p, db_q, traj_pairs, tf: Transform4D, gate: float, time_gate
     return corr, np.vstack(rows)
 
 
-def _pairs_to_correspondences(pairs: np.ndarray, db_p, db_q) -> estimator.CorrespondenceSet:
-    return estimator.CorrespondenceSet(
-        np.array([db_p.trajectories[ti].xyz[pi] for ti, pi in pairs[:, :2]]),
-        np.array([db_q.trajectories[tj].xyz[pj] for tj, pj in pairs[:, 2:]]),
-        np.array([db_p.trajectories[ti].times[pi] for ti, pi in pairs[:, :2]]),
-        np.array([db_q.trajectories[tj].times[pj] for tj, pj in pairs[:, 2:]]),
-    )
-
-
 def _run_loop(db_p, db_q, max_iterations: int, tf0: Transform4D, halfwidth: float):
     """S1/S2/S3 iterations from one initial transform hypothesis.
 
-    Returns (transform, traj_pairs, rms, iterations, converged) for the best
-    iterate, or None when the hypothesis collapses (too few pairs to go on).
+    Returns (transform, traj_pairs, rms, iterations, converged) for the last
+    completed iterate, or None when the hypothesis collapses before one
+    completes (too few pairs to go on). The loop also stops when
+    re-association returns the previous iteration's position pairs: the
+    iteration would only repeat the last one.
     """
-    frame_period = db_p.frame_period
-    time_gate = 0.6 * frame_period
+    time_gate = 0.6 * db_p.frame_period
     tf = tf0
-    gate = None  # set from the first solve's rms
-    best = None
+    last = None
     converged = False
     iterations = 0
     pairs = None
     traj_pairs = _class_pairs(db_p, db_q)
     # first association casts a wide net over every class-compatible pair;
     # the residual gate keeps only tracks that actually lie on each other
-    wide_gate = max(4.0 * _TRAJECTORY_DISTANCE_THRESHOLD, 2.0)
+    gate = max(4.0 * _TRAJECTORY_DISTANCE_THRESHOLD, 2.0)
     for it in range(1, max_iterations + 1):
         iterations = it
         # S3 (and initial association): position pairs from trajectory pairs
-        corr, new_pairs = _reassociate(
-            db_p, db_q, traj_pairs, tf, gate if gate is not None else wide_gate, time_gate
-        )
-        if len(new_pairs) < 3:
+        corr, new_pairs = _reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate)
+        if len(new_pairs) < 3 or (pairs is not None and np.array_equal(new_pairs, pairs)):
             break
-        stalled = pairs is not None and np.array_equal(new_pairs, pairs)
         pairs = new_pairs
         # S1: transform from current pairs
         try:
@@ -412,9 +396,7 @@ def _run_loop(db_p, db_q, max_iterations: int, tf0: Transform4D, halfwidth: floa
             break
         gate = 3.0 * sol.rms_residual + 1e-9
         # S2: trajectory pairing by majority vote + alignment distance
-        voted = _vote_trajectory_pairs(
-            pairs[keep], res[keep], db_p, db_q, _MIN_TRAJECTORY_VOTES
-        )
+        voted = _vote_trajectory_pairs(pairs[keep], res[keep], _MIN_TRAJECTORY_VOTES)
         if not voted:
             break
         dt0 = float(np.median(corr.p_times[keep] - corr.q_times[keep]))
@@ -426,23 +408,18 @@ def _run_loop(db_p, db_q, max_iterations: int, tf0: Transform4D, halfwidth: floa
         except InsufficientOverlap:
             dt = dt0
         tf = Transform4D.from_matrix(sol.rotation, sol.translation, dt)
-        pooled = _pooled_alignment(db_p, db_q, voted, tf)
         traj_pairs = voted
-        if best is None or pooled < best[0]:
-            best = (pooled, tf, traj_pairs, sol.rms_residual)
-        if pooled < _TRAJECTORY_DISTANCE_THRESHOLD:
+        last = (tf, traj_pairs, sol.rms_residual)
+        if _pooled_alignment(db_p, db_q, voted, tf) < _TRAJECTORY_DISTANCE_THRESHOLD:
             converged = True
             break
-        if stalled:
-            break
-    if best is None:
+    if last is None:
         return None
-    _, tf, traj_pairs, rms = best
-    return tf, traj_pairs, rms, iterations, converged
+    return (*last, iterations, converged)
 
 
 def _polish(db_p, db_q, tf, traj_pairs, rms, halfwidth):
-    """Final pass: re-associate under the best iterate and hand the pairs to
+    """Final pass: re-associate under the loop's last iterate and hand the pairs to
     the estimator's alternating interpolated solve."""
     corr, _ = _reassociate(
         db_p, db_q, traj_pairs, tf,
@@ -478,8 +455,8 @@ def calibrate(
     score-checked.
 
     Raises NoCandidateMatches when fewer than 3 pairs survive the filters,
-    and NoViableHypothesis when enough do but every initial hypothesis
-    collapses (or none can be formed).
+    and NoViableHypothesis when enough do but the offset scan finds no
+    hypothesis (and there is no prior) or every hypothesis collapses.
     Non-convergence is not an error: the session comes back with
     ``converged=False`` and its honest score.
     """
@@ -509,7 +486,7 @@ def calibrate(
     # built to ignore the wrong candidates, so recall matters more than
     # precision here
     loose_votes = max(2, _MIN_TRAJECTORY_VOTES - 1)
-    candidates = _vote_trajectory_pairs(pairs, scores, db_p, db_q, loose_votes, top_k=2)
+    candidates = _vote_trajectory_pairs(pairs, scores, loose_votes, top_k=2)
     if len(candidates) < 3:
         # dense traffic makes neighbor counts flicker and the neighborhood
         # filters starve the vote; retry them with relaxed tolerances before
@@ -521,25 +498,17 @@ def calibrate(
         if len(relaxed) > len(kept):
             kept = relaxed
             pairs, scores = _index_pairs(kept)
-            candidates = _vote_trajectory_pairs(pairs, scores, db_p, db_q, loose_votes, top_k=2)
-    filtered = _pairs_to_correspondences(pairs, db_p, db_q)
-    raw_gaps = filtered.p_times - filtered.q_times
-    dt_center = float(np.median(raw_gaps))
+            candidates = _vote_trajectory_pairs(pairs, scores, loose_votes, top_k=2)
     hypotheses: list[Transform4D] = []
     if prior is not None:
         hypotheses.append(prior.transform if isinstance(prior, CalibrationSession) else prior)
     if candidates:
+        raw_gaps = np.array([db_p.trajectories[ti].times[pi] - db_q.trajectories[tj].times[pj]
+                             for ti, pi, tj, pj in pairs])
         tracks0 = estimator.PairedTracks(_matched_objects(db_p, db_q, candidates))
-        hypotheses += _offset_hypotheses(
-            tracks0, raw_gaps, _SCAN_HALFWIDTH, frame_period, _MAX_HYPOTHESES
-        )
+        hypotheses += _offset_hypotheses(tracks0, raw_gaps, frame_period)
     if not hypotheses:
-        # fallback: plain trimmed solve on the (scrambled) filtered matches
-        try:
-            sol, _, _ = _trimmed_solve(filtered)
-            hypotheses.append(Transform4D.from_matrix(sol.rotation, sol.translation, dt_center))
-        except (DegenerateGeometry, TooFewPairs) as exc:
-            raise NoViableHypothesis(len(raw), len(kept), 0) from exc
+        raise NoViableHypothesis(len(raw), len(kept), 0)
 
     best_session = None
     for tf0 in hypotheses:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajcal.errors import DegenerateSegment, InvalidFeature
+from trajcal.errors import CalibrationError
 from trajcal.model import Position, Trajectory, TrajectoryDatabase, Transform4D
 
 
@@ -74,6 +74,14 @@ def rng():
 
 # ---------------------------------------------------------------------------
 # scalar reference implementations of the vectorized feature and match code
+
+
+class DegenerateSegment(CalibrationError):
+    """Two consecutive positions coincide; segment direction is undefined."""
+
+
+class InvalidFeature(CalibrationError):
+    """A feature flagged invalid was used where a valid one is required."""
 
 
 def velocity_stats(velocities: np.ndarray, i: int, m: int) -> tuple[float, float]:

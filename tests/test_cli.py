@@ -93,6 +93,20 @@ class TestCalibrate:
         assert result.exit_code == 1
         assert ":7:" in result.output
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-iter", "0", "max_iterations must be >= 1"),
+        ("--d-th", "-1", "d_th must be positive"),
+    ])
+    def test_bad_setting_exits_one(self, runner, tmp_path, flag, value, message):
+        scene = simulate(runner, tmp_path / "scene")
+        result = runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+             "--input-q", str(scene / "dbQ.jsonl"), flag, value],
+        )
+        assert result.exit_code == 1
+        assert f"error: {message}" in result.output
+
     def test_no_candidates_exits_two_with_counts(self, runner, tmp_path):
         a = simulate(runner, tmp_path / "a", "--vehicles", "2")
         b = simulate(runner, tmp_path / "b", "--vehicles", "2", "--seed", "99")

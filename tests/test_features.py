@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajcal.errors import DegenerateSegment, DegenerateTimestep, EmptyTrajectory
+from trajcal.errors import DegenerateTimestep, EmptyTrajectory
 from trajcal.features import extract_features, segment_velocities
 from trajcal.model import Trajectory, transform_database
 
 from conftest import (
+    DegenerateSegment,
     arc_trajectory,
     curvature,
     make_database,

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from trajcal.errors import InvalidFeature
 from trajcal.features import MotionFeature, extract_features
 from trajcal.matching import (
     MatchWeights,
@@ -20,6 +19,7 @@ from trajcal.matching import (
 from trajcal.model import transform_database
 
 from conftest import (
+    InvalidFeature,
     accelerating_trajectory,
     feature_distance,
     make_database,

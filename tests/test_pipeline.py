@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trajcal.errors import BothZeroScore, NoCandidateMatches
+from trajcal.errors import BothZeroScore, NoCandidateMatches, NoViableHypothesis
 from trajcal.estimator import PairedTracks
 from trajcal.evaluation import make_report
 from trajcal.model import Transform4D, transform_database
@@ -77,8 +77,8 @@ class TestCalibrate:
         db_p, db_q = make_nonoverlapping_pair(cfg)
         try:
             session = calibrate(db_p, db_q)
-        except NoCandidateMatches:
-            return  # legal outcome per the contract
+        except (NoCandidateMatches, NoViableHypothesis):
+            return  # legal outcomes per the contract: both are quality failures
         assert session.score < 0.2
 
     def test_too_few_matches_raises(self):
@@ -124,6 +124,44 @@ class TestCalibrate:
         assert report.success
         assert report.rte_m < 0.10
         assert session.score > 0.8
+
+    def test_empty_offset_scan_raises_no_viable_hypothesis(self):
+        # dense traffic where the loose vote finds a few candidate pairs but
+        # no clock offset that two of them agree on: with no prior there is
+        # nothing to start the loop from, which is a quality failure
+        cfg = default_scenario(
+            "four_way", n_vehicles=100, duration=45.0, frame_period=0.1, noise_sigma=0.2,
+            time_offset=0.537, rotation_deg=180.0, sensor_distance=28.8, seed=201007,
+        )
+        db_p, db_q, _ = make_pair(cfg)
+        with pytest.raises(NoViableHypothesis) as info:
+            calibrate(db_p, db_q)
+        assert info.value.hypotheses_tried == 0
+        assert "no clock offset that two trajectory pairs agree on" in str(info.value)
+
+    def test_stalled_loop_does_not_repeat_its_solve(self, monkeypatch):
+        # a loop whose re-association returns the last iteration's pairs
+        # stops before solving them again
+        from trajcal import pipeline as pl
+
+        solve, calls = pl._trimmed_solve, []
+
+        def spy(corr, *args, **kwargs):
+            calls.append(corr)
+            return solve(corr, *args, **kwargs)
+
+        def same(a, b):
+            return all(np.array_equal(getattr(a, f), getattr(b, f))
+                       for f in ("p_xyz", "q_xyz", "p_times", "q_times"))
+
+        monkeypatch.setattr(pl, "_trimmed_solve", spy)
+        cfg = default_scenario(n_vehicles=8, duration=15.0, noise_sigma=0.25,
+                               time_offset=0.5, seed=77)
+        db_p, db_q, _ = make_pair(cfg)
+        session = calibrate(db_p, db_q)
+        assert session.iterations_used == 2
+        assert calls
+        assert not any(same(a, b) for a, b in zip(calls, calls[1:]))
 
     def test_prior_shortcuts_to_solution(self):
         cfg = default_scenario(n_vehicles=10, duration=25.0, noise_sigma=0.2, seed=3)
@@ -379,7 +417,7 @@ class TestInitialization:
         for offset in (0.8, -3.7):
             tracks = PairedTracks(self._matched_pairs_with_offset(offset))
             gaps = np.array([offset + g for g in (-2.0, -1.0, 0.0, 1.5, 4.0) for _ in range(10)])
-            hyps = pl._offset_hypotheses(tracks, gaps, 2.5, 0.1, 4)
+            hyps = pl._offset_hypotheses(tracks, gaps, 0.1)
             assert hyps, "scan found no candidates"
             best = hyps[0].time_offset
             assert abs(best - offset) < 0.06, f"best hypothesis {best} vs {offset}"
