@@ -158,7 +158,8 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
         directory = store_dir or os.environ.get(_STORE_ENV)
         if not directory:
             _fail(f"--continuous needs --store-dir or ${_STORE_ENV}")
-        prior = pipeline.SessionStore(directory).load_fused()
+        store = pipeline.SessionStore(directory)
+        prior = store.load_fused()
 
     try:
         session = pipeline.calibrate(db_p, db_q, cfg, prior=prior)
@@ -184,7 +185,7 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
         _echo_report(evaluation.make_report(session.transform, truth))
 
     if continuous:
-        fused = pipeline.SessionStore(directory).record(session)
+        fused = store.record(session)
         click.echo(f"fused: score {io.fmt(fused.score)}")
         _echo_transform(fused.transform)
         if truth is not None:
@@ -273,7 +274,7 @@ def fuse_sessions(store_dir, out_path):
     if fused.score <= 0:
         click.echo("fusion failed: every stored session scored zero", err=True)
         sys.exit(2)
-    target = Path(out_path) if out_path else store.fused_path
+    target = Path(out_path) if out_path else store.directory / "fused.json"
     io.write_session_json(fused, target)
     click.echo(f"fused {len(sessions)} sessions -> {target} (score {io.fmt(fused.score)})")
     _echo_transform(fused.transform)

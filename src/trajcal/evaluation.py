@@ -164,29 +164,16 @@ def _run_cell(axis: str, value, seed: int, scenario_kwargs: dict) -> SweepRow:
     if axis == "passes":
         # continuous calibration: every pass sees fresh traffic, is
         # warm-started from the fused state so far, and folds back into it
-        fused = None
-        truth = None
-        session = None
+        estimate = None
         for k in range(int(value)):
             scen = _scenario_for(axis, value, seed + 100_003 * k, scenario_kwargs)
             db_p, db_q, truth = simulator.make_pair(scen)
-            session = pipeline.calibrate(db_p, db_q, prior=fused)
-            fused = pipeline.fuse_sessions([s for s in (fused, session) if s is not None])
-        report = make_report(fused.transform, truth)
-        return SweepRow(
-            axis_value=float(value),
-            seed=seed,
-            rre_deg=report.rre_deg,
-            rte_m=report.rte_m,
-            toe_s=report.toe_s,
-            success=report.success,
-            score=fused.score,
-            iterations=session.iterations_used,
-        )
-    scen = _scenario_for(axis, value, seed, scenario_kwargs)
-    db_p, db_q, truth = simulator.make_pair(scen)
-    session = pipeline.calibrate(db_p, db_q)
-    report = make_report(session.transform, truth)
+            session = pipeline.calibrate(db_p, db_q, prior=estimate)
+            estimate = pipeline.fuse_sessions([s for s in (estimate, session) if s is not None])
+    else:
+        db_p, db_q, truth = simulator.make_pair(_scenario_for(axis, value, seed, scenario_kwargs))
+        session = estimate = pipeline.calibrate(db_p, db_q)
+    report = make_report(estimate.transform, truth)
     return SweepRow(
         axis_value=float(value),
         seed=seed,
@@ -194,7 +181,7 @@ def _run_cell(axis: str, value, seed: int, scenario_kwargs: dict) -> SweepRow:
         rte_m=report.rte_m,
         toe_s=report.toe_s,
         success=report.success,
-        score=session.score,
+        score=estimate.score,
         iterations=session.iterations_used,
     )
 

@@ -75,9 +75,9 @@ def read_database_jsonl(path) -> TrajectoryDatabase:
             except json.JSONDecodeError as exc:
                 raise FileFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
             if line_no == 1:
-                if "meta" not in record:
+                meta = record.get("meta") if isinstance(record, dict) else None
+                if not isinstance(meta, dict):
                     raise FileFormatError(f"{path}:1: first line must carry a 'meta' header")
-                meta = record["meta"]
                 missing = {"sensor_id", "frame_period", "sensing_range"} - set(meta)
                 if missing:
                     raise FileFormatError(f"{path}:1: meta missing keys {sorted(missing)}")
@@ -111,7 +111,7 @@ def read_database_jsonl(path) -> TrajectoryDatabase:
             frame_period=float(meta["frame_period"]),
             sensing_range=float(meta["sensing_range"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
@@ -130,7 +130,7 @@ def read_transform_json(path) -> Transform4D:
     try:
         with open(path) as fh:
             return Transform4D.from_dict(json.load(fh))
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: invalid transform file: {exc}") from exc
 
 
@@ -145,7 +145,7 @@ def read_session_json(path) -> CalibrationSession:
     try:
         with open(path) as fh:
             return CalibrationSession.from_dict(json.load(fh))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: invalid session file: {exc}") from exc
 
 

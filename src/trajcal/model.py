@@ -29,6 +29,8 @@ def quat_canonical(q: Sequence[float]) -> np.ndarray:
     """Normalize and fix the sign so the scalar part is non-negative."""
     arr = np.asarray(q, dtype=float).reshape(4)
     n = float(np.linalg.norm(arr))
+    if not math.isfinite(n):
+        raise ValueError(f"non-finite quaternion {arr.tolist()}")
     if n < _QUAT_TOL:
         raise ValueError("zero-norm quaternion")
     arr = arr / n

@@ -17,8 +17,13 @@ candidates are retried.
 
 from __future__ import annotations
 
+import fcntl
+import json
 import math
+import os
 import time
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -670,74 +675,60 @@ def update_continuous(
 
 
 class SessionStore:
-    """Append-only session log plus the current fused estimate, as files."""
+    """Append-only session log; the fused estimate is the fold of that log
+    (``fuse_sessions``), so the log is the store's only state. Sessions
+    scoring under ``min_fuse_score`` are logged but do not update the fused
+    state."""
 
-    def __init__(self, directory, min_fuse_score: float = 0.5):
+    min_fuse_score = 0.5
+
+    def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.sessions_path = self.directory / "sessions.jsonl"
-        self.fused_path = self.directory / "fused.json"
-        self.min_fuse_score = min_fuse_score
 
+    @contextmanager
     def _locked(self):
-        import fcntl
-        from contextlib import contextmanager
+        # flock on a second open of the lock file waits on this one, so
+        # nothing run under the lock may take it again; closing releases it
+        with open(self.directory / ".lock", "w") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            yield
 
-        @contextmanager
-        def guard():
-            lock_path = self.directory / ".lock"
-            with open(lock_path, "w") as fh:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-                try:
-                    yield
-                finally:
-                    fcntl.flock(fh, fcntl.LOCK_UN)
-
-        return guard()
-
-    def append(self, session: CalibrationSession) -> None:
-        with self._locked():
-            self._append(session)
-
-    def _append(self, session: CalibrationSession) -> None:
-        import json
-
-        with open(self.sessions_path, "a") as fh:
-            fh.write(json.dumps(session.to_dict()) + "\n")
-
-    def sessions(self) -> list[CalibrationSession]:
-        import json
-
+    def _read(self) -> list[CalibrationSession]:
         if not self.sessions_path.exists():
             return []
         out = []
         with open(self.sessions_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
                     out.append(CalibrationSession.from_dict(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    warnings.warn(
+                        f"{self.sessions_path}:{line_no}: skipped damaged session record ({exc})"
+                    )
         return out
 
-    def load_fused(self) -> CalibrationSession | None:
-        import json
+    def sessions(self) -> list[CalibrationSession]:
+        """Every complete session in the log, oldest first; a damaged line
+        is skipped with a warning naming it."""
+        with self._locked():
+            return self._read()
 
-        if not self.fused_path.exists():
-            return None
-        with open(self.fused_path) as fh:
-            return CalibrationSession.from_dict(json.load(fh))
+    def load_fused(self) -> CalibrationSession | None:
+        with self._locked():
+            return fuse_sessions(self._read(), self.min_fuse_score)
 
     def record(self, session: CalibrationSession) -> CalibrationSession:
-        """Append the session and store the fold of the whole log as the
-        fused estimate (``fuse_sessions``: sessions scoring under the store's
-        threshold are logged but do not update the fused state)."""
-        import json
-
-        # one lock for the whole step; flock on a second open of the lock
-        # file would wait on this one, so nothing inside may call append()
+        """Append the session and return the fold of the whole log."""
+        line = json.dumps(session.to_dict()) + "\n"
         with self._locked():
-            self._append(session)
-            fused = fuse_sessions(self.sessions(), self.min_fuse_score)
-            with open(self.fused_path, "w") as fh:
-                json.dump(fused.to_dict(), fh, indent=2)
-                fh.write("\n")
-        return fused
+            with open(self.sessions_path, "a+b") as fh:
+                end = fh.tell()
+                # a torn last line must not swallow this record
+                if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                    line = "\n" + line
+                fh.write(line.encode())
+            return fuse_sessions(self._read(), self.min_fuse_score)

@@ -107,6 +107,34 @@ class TestCalibrate:
         assert result.exit_code == 1
         assert f"error: {message}" in result.output
 
+    @pytest.mark.parametrize("option,content", [
+        ("--truth", "[1, 2, 3]"),
+        ("--truth", '{"qw": NaN, "qx": 0, "qy": 0, "qz": 0, "tx": 0, "ty": 0, "tz": 0, "dt": 0}'),
+        ("--session", "[1, 2, 3]"),
+        ("--session", '{"transform": null, "score": 1, "n_pp": 1, "n_po": 1, '
+                      '"iterations_used": 1, "converged": true, "created_at": 0}'),
+        ("--input-p", "5\n"),
+    ], ids=["truth-list", "truth-nan-quaternion", "session-list", "session-null-transform",
+            "database-int-header"])
+    def test_wrong_shaped_file_exits_one(self, runner, tmp_path, option, content):
+        scene = simulate(runner, tmp_path / "scene")
+        bad = tmp_path / "bad"
+        bad.write_text(content)
+        if option == "--session":
+            args = ["evaluate", "--session", str(bad), "--truth", str(scene / "ground_truth.json")]
+        else:
+            files = {
+                "--input-p": scene / "dbP.jsonl",
+                "--input-q": scene / "dbQ.jsonl",
+                "--truth": scene / "ground_truth.json",
+                option: bad,
+            }
+            args = ["calibrate", *(a for flag, path in files.items() for a in (flag, str(path)))]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {bad}" in result.output
+
     def test_no_candidates_exits_two_with_counts(self, runner, tmp_path):
         a = simulate(runner, tmp_path / "a", "--vehicles", "2")
         b = simulate(runner, tmp_path / "b", "--vehicles", "2", "--seed", "99")
@@ -133,9 +161,16 @@ class TestCalibrate:
                 ],
             )
             assert result.exit_code == 0, result.output
-        assert (store / "sessions.jsonl").exists()
-        assert (store / "fused.json").exists()
         assert len((store / "sessions.jsonl").read_text().splitlines()) == 2
+        # the log is the store's only state: the fused estimate is its fold
+        from trajcal.pipeline import SessionStore, fuse_sessions
+
+        log = SessionStore(store)
+        want = fuse_sessions(log.sessions(), min_score=log.min_fuse_score)
+        got = log.load_fused()
+        assert got.transform.approx_equal(want.transform, tol=1e-12)
+        assert got.score == want.score
+        assert not (store / "fused.json").exists()
 
     def test_dump_debug_csvs(self, runner, tmp_path):
         scene = simulate(runner, tmp_path / "scene")
@@ -270,14 +305,14 @@ class TestFuseSessions:
         store = SessionStore(tmp_path / "store")
         good_tf = Transform4D.from_yaw_deg(10.0, (1.0, 2.0, 0.0), 0.5)
         for k, score in enumerate((0.85, 0.84, 0.82, 0.82)):
-            store.append(
+            store.record(
                 CalibrationSession(good_tf, score, 100, 240, 3, True, created_at=float(k))
             )
         junk = Transform4D.from_yaw_deg(170.0, (300.0, 0.0, 0.0), 9.0)
-        store.append(CalibrationSession(junk, 0.0, 0, 240, 20, False, created_at=9.0))
+        store.record(CalibrationSession(junk, 0.0, 0, 240, 20, False, created_at=9.0))
         result = runner.invoke(main, ["fuse-sessions", "--store-dir", str(store.directory)])
         assert result.exit_code == 0, result.output
-        fused = tio.read_session_json(store.fused_path)
+        fused = tio.read_session_json(store.directory / "fused.json")
         assert fused.transform.approx_equal(good_tf, tol=1e-9)
         assert fused.score == pytest.approx(0.85)
 

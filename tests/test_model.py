@@ -236,6 +236,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="zero-norm"):
             Transform4D(np.zeros(4), np.zeros(3), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_quaternion_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            quat_canonical(np.array([bad, 0.0, 0.0, 0.0]))
+
     def test_canonical_sign(self):
         q = quat_canonical(np.array([-1.0, 0.2, 0.1, -0.3]))
         assert q[0] > 0

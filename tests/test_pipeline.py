@@ -1,6 +1,9 @@
 """The calibration loop, scoring, continuous fusion, and the session store."""
 
+import json
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +25,19 @@ from trajcal.pipeline import (
 from trajcal.simulator import default_scenario, make_nonoverlapping_pair, make_pair
 
 from conftest import make_database, straight_trajectory
+
+
+# the store's lock is fcntl.flock, so these tests run where fork does
+_FORK = multiprocessing.get_context("fork")
+
+
+def _record_sessions(directory, n, writer_id):
+    rng = np.random.default_rng(writer_id)
+    store = SessionStore(directory)
+    for i in range(n):
+        tf = Transform4D.from_yaw_deg(rng.uniform(-5, 5), rng.normal(size=3), rng.normal())
+        session = session_with(rng.uniform(0.3, 1.0), tf)
+        store.record(replace(session, created_at=float(100 * writer_id + i)))
 
 
 def session_with(score, tf=None, n_pp=10, n_po=20):
@@ -102,8 +118,6 @@ class TestCalibrate:
     def test_asymmetric_sensing_ranges(self):
         # short-range and long-range sensor paired; the score normalization
         # must absorb the coverage asymmetry
-        from dataclasses import replace
-
         cfg = default_scenario(n_vehicles=20, duration=40.0, noise_sigma=0.2, seed=4)
         cfg = replace(cfg, sensing_range_p=50.0, sensing_range_q=150.0)
         db_p, db_q, truth = make_pair(cfg)
@@ -332,20 +346,78 @@ class TestSessionStore:
         assert fused.transform.approx_equal(good.transform, tol=1e-12)
         assert len(store.sessions()) == 2
 
-    def test_missing_fused_state_is_rebuilt_from_the_log(self, tmp_path, rng):
+    def test_fused_state_is_the_fold_of_the_log(self, tmp_path, rng):
         from conftest import random_transform
 
         store = SessionStore(tmp_path / "store")
         logged = [session_with(s, random_transform(rng)) for s in (0.9, 0.2, 0.7)]
         for s in logged:
-            store.append(s)
-        assert store.load_fused() is None
+            store.record(s)
+        want = fuse_sessions(logged, min_score=store.min_fuse_score)
+        got = store.load_fused()
+        assert got.transform.approx_equal(want.transform, tol=1e-12)
+        assert got.score == want.score
         new = session_with(0.8, random_transform(rng))
         fused = store.record(new)
         want = fuse_sessions(logged + [new], min_score=store.min_fuse_score)
         for got in (fused, store.load_fused()):
             assert got.transform.approx_equal(want.transform, tol=1e-12)
             assert got.score == want.score
+        assert not (store.directory / "fused.json").exists()
+
+    def test_torn_line_is_skipped_and_does_not_swallow_the_next_record(self, tmp_path, rng):
+        from conftest import random_transform
+
+        store = SessionStore(tmp_path / "store")
+        first = session_with(0.9, random_transform(rng))
+        full = json.dumps(first.to_dict())
+        store.sessions_path.write_text(full + "\n" + full[: len(full) // 2])
+        new = session_with(0.8, random_transform(rng))
+        with pytest.warns(UserWarning, match=r"sessions\.jsonl:2:"):
+            store.record(new)
+        with pytest.warns(UserWarning, match=r"sessions\.jsonl:2:"):
+            stored = store.sessions()
+        assert len(stored) == 2
+        assert stored[0].transform.approx_equal(first.transform, tol=1e-12)
+        assert stored[1].transform.approx_equal(new.transform, tol=1e-12)
+
+    def test_reader_never_sees_a_partial_state(self, tmp_path):
+        store = SessionStore(tmp_path / "store")
+        writer = _FORK.Process(target=_record_sessions, args=(store.directory, 200, 0))
+        writer.start()
+        reads = failures = 0
+        while writer.is_alive():
+            try:
+                store.load_fused()
+            except Exception:
+                failures += 1
+            reads += 1
+        writer.join()
+        assert writer.exitcode == 0
+        assert reads > 0 and failures == 0
+        assert len(store.sessions()) == 200
+
+    def test_concurrent_writers_keep_one_consistent_log(self, tmp_path):
+        store = SessionStore(tmp_path / "store")
+        writers = [
+            _FORK.Process(target=_record_sessions, args=(store.directory, 8, k))
+            for k in range(4)
+        ]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join()
+        assert [w.exitcode for w in writers] == [0] * 4
+        lines = store.sessions_path.read_text().splitlines()
+        assert len(lines) == 32
+        logged = [CalibrationSession.from_dict(json.loads(line)) for line in lines]
+        assert sorted(s.created_at for s in logged) == [
+            float(100 * k + i) for k in range(4) for i in range(8)
+        ]
+        want = fuse_sessions(store.sessions(), min_score=store.min_fuse_score)
+        got = store.load_fused()
+        assert got.transform.approx_equal(want.transform, tol=1e-12)
+        assert got.score == want.score
 
     def test_session_dict_round_trip(self, rng):
         from conftest import random_transform
