@@ -240,10 +240,13 @@ def sweep(axis, values, n_seeds, seed_base, out_dir, layout, vehicles, duration,
         layout=layout, n_vehicles=vehicles, duration=duration,
         noise_sigma=noise, time_offset=offset,
     )
-    rows = evaluation.run_sweep(
-        axis, grid, list(range(seed_base, seed_base + n_seeds)),
-        scenario_kwargs=scenario_kwargs,
-    )
+    try:
+        rows = evaluation.run_sweep(
+            axis, grid, list(range(seed_base, seed_base + n_seeds)),
+            scenario_kwargs=scenario_kwargs,
+        )
+    except ValueError as exc:
+        _fail(str(exc))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     evaluation.write_sweep_csv(rows, out / "sweep.csv")

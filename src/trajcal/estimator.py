@@ -9,7 +9,10 @@ time against linear interpolation until the spatial mismatch bottoms out.
 Every "interpolate Q at P's instants inside the overlap" step goes through
 one structure, ``PairedTracks``: all matched pairs stacked pair-major once,
 so an evaluation at any offset is a fixed number of numpy calls however many
-pairs there are.
+pairs there are. The pipeline's offset scan goes one step further: it
+evaluates a whole block of candidate offsets on one stacked layout (one
+overlap mask, one ``searchsorted`` and one blend per block), and its
+per-pair and per-offset fits are stacks for ``_rigid_fit``.
 """
 
 from __future__ import annotations
@@ -157,9 +160,12 @@ class PairedTracks:
     Interpolating each Q track at its partner's P instants is then a fixed
     number of numpy calls whatever the pair count: one overlap mask, one
     ``searchsorted`` through a pair-major key (pair id, time) that orders
-    exactly like a per-pair search, and one linear blend. Pair ``k`` is the
-    k-th entry of ``matched_trajectories``; a pair whose Q track has fewer
-    than 2 samples cannot interpolate and never yields a sample. With
+    exactly like a per-pair search, and one linear blend. The same holds for
+    a block of offsets at once (``overlap`` then ``blend``), which is how the
+    offset scan evaluates its candidates; ``interpolate`` is the one-offset
+    case. Pair ``k`` is the k-th entry of ``matched_trajectories``; a pair
+    whose Q track has fewer than 2 samples cannot interpolate and never
+    yields a sample. With
     ``rotation``/``translation`` the Q track is mapped into P's frame once,
     here, instead of once per evaluation."""
 
@@ -178,25 +184,56 @@ class PairedTracks:
         self.p_xyz = np.vstack([t.xyz for t in tp] or [np.empty((0, 3))])
         self.p_pair = np.repeat(np.arange(self.n_pairs), p_counts)
         self.q_times = np.concatenate([t.times for t in tq] or [np.empty(0)])
-        self.q_xyz = np.vstack([t.xyz for t in tq] or [np.empty((0, 3))])
+        q_xyz = np.vstack([t.xyz for t in tq] or [np.empty((0, 3))])
         if rotation is not None:
-            self.q_xyz = self.q_xyz @ np.asarray(rotation).T
-            self.q_xyz += np.asarray(translation)
+            q_xyz = q_xyz @ np.asarray(rotation).T
+            q_xyz += np.asarray(translation)
+        self._q_cols = np.ascontiguousarray(q_xyz.T)  # coordinate-major: gathers are contiguous
         self.q_stop = np.cumsum(q_counts)
         self.q_start = self.q_stop - q_counts
         # complex numbers order lexicographically (real, then imaginary)
         self._q_key = np.repeat(np.arange(self.n_pairs), q_counts) + 1j * self.q_times
         usable = q_counts >= 2
-        self._q_first = np.full(self.n_pairs, math.inf)
-        self._q_last = np.full(self.n_pairs, -math.inf)
-        self._q_first[usable] = self.q_times[self.q_start[usable]]
-        self._q_last[usable] = self.q_times[self.q_stop[usable] - 1]
+        q_first = np.full(self.n_pairs, math.inf)
+        q_last = np.full(self.n_pairs, -math.inf)
+        q_first[usable] = self.q_times[self.q_start[usable]]
+        q_last[usable] = self.q_times[self.q_stop[usable] - 1]
+        # each P sample's own pair's Q time span
+        self._span_first = q_first[self.p_pair]
+        self._span_last = q_last[self.p_pair]
         self.n_usable = int(usable.sum())
 
     def q_steps(self) -> np.ndarray:
         """Sampling intervals inside every Q track."""
         steps = np.diff(self.q_times)
         return np.delete(steps, self.q_stop[:-1] - 1)
+
+    def overlap(self, offsets: np.ndarray):
+        """The P instants that fall inside their own pair's Q time span once
+        shifted to Q's clock (``t_p - offset``), at each of ``offsets``.
+
+        Returns ``(at, idx, s)``: per such instant, its offset's position in
+        ``offsets``, the index of its P sample and its shifted time; rows
+        are offset-major, then pair-major and time-ordered. Costs a boolean
+        per offset and P sample, so a caller bounds ``len(offsets)``."""
+        s = self.p_times - np.asarray(offsets, dtype=float)[:, None]
+        at, idx = np.nonzero((s >= self._span_first) & (s <= self._span_last))
+        return at, idx, s[at, idx]
+
+    def blend(self, idx: np.ndarray, s: np.ndarray):
+        """Q interpolated at the shifted times ``s`` of the P samples
+        ``idx``, rows as ``overlap`` returns them: ``(q, var_factor)``, with
+        ``q`` coordinate-major (3, n) and ``var_factor`` as in
+        ``interpolate``."""
+        pair = self.p_pair[idx]
+        j = np.searchsorted(self._q_key, pair + 1j * s, side="right") - 1
+        j = np.minimum(j, self.q_stop[pair] - 2)
+        t0 = self.q_times[j]
+        u = (s - t0) / (self.q_times[j + 1] - t0)
+        q = self._q_cols.take(j, axis=1)
+        q *= 1.0 - u
+        q += self._q_cols.take(j + 1, axis=1) * u
+        return q, 1.0 + (1.0 - u) ** 2 + u**2
 
     def interpolate(self, offset: float):
         """Q interpolated at the P instants that fall inside their own pair's
@@ -209,17 +246,9 @@ class PairedTracks:
         noisy point against a blend of two noisy points is least noisy
         mid-gap, which would bias a raw squared objective toward half-frame
         alignment."""
-        s = self.p_times - offset
-        pair = self.p_pair
-        idx = np.flatnonzero((s >= self._q_first[pair]) & (s <= self._q_last[pair]))
-        s, pair = s[idx], pair[idx]
-        j = np.searchsorted(self._q_key, pair + 1j * s, side="right") - 1
-        j = np.minimum(j, self.q_stop[pair] - 2)
-        t0 = self.q_times[j]
-        u = (s - t0) / (self.q_times[j + 1] - t0)
-        q = self.q_xyz[j] * (1.0 - u)[:, None]
-        q += self.q_xyz[j + 1] * u[:, None]
-        return idx, s, q, 1.0 + (1.0 - u) ** 2 + u**2
+        _, idx, s = self.overlap([offset])
+        q, var_factor = self.blend(idx, s)
+        return idx, s, np.ascontiguousarray(q.T), var_factor
 
 
 def _offset_objective(tracks: PairedTracks, d: float) -> tuple[float, int]:

@@ -154,8 +154,6 @@ def _scenario_for(axis: str, value, seed: int, scenario_kwargs: dict) -> simulat
         kwargs["rotation_deg"] = float(value)
     elif axis == "time_offset":
         kwargs["time_offset"] = float(value)
-    elif axis != "passes":
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     kwargs["seed"] = seed
     return simulator.default_scenario(layout, **kwargs)
 
@@ -195,7 +193,15 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Grid of scenarios (one axis varied) x seeds: simulate, calibrate,
     score against ground truth. A failed cell records success=False and NaN
-    metrics instead of aborting the sweep."""
+    metrics instead of aborting the sweep. An unknown axis, or a ``passes``
+    value that is not a positive integer, raises ValueError before any cell
+    runs."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if axis == "passes":
+        for value in values:
+            if not (float(value).is_integer() and value >= 1):
+                raise ValueError(f"passes must be positive integers, got {value!r}")
     scenario_kwargs = scenario_kwargs or {}
     rows = []
     for value in values:

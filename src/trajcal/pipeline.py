@@ -170,105 +170,245 @@ _TRAJECTORY_DISTANCE_THRESHOLD = 0.5  # meters of pooled alignment: the loop has
 _RETRY_SCORE_THRESHOLD = 0.5  # a session scoring below this tries the next hypothesis
 
 
-class _OffsetGeometry:
-    """The scan's view of the paired tracks at one candidate offset: pairs
-    with at least 2 P samples inside the overlap, those samples and the
-    interpolated raw-Q counterparts, in contiguous per-pair segments so
-    per-pair residual means are one ``reduceat``."""
+_SCAN_BLOCK = 4096  # P samples inside the overlap per block of the offset scan
 
-    def __init__(self, tracks: estimator.PairedTracks, dt: float):
-        idx, _, q, var_factor = tracks.interpolate(dt)
-        pair = tracks.p_pair[idx]
-        counts = np.bincount(pair, minlength=tracks.n_pairs)
-        rows = counts[pair] >= 2
-        self.counts = counts[counts >= 2]
-        self.n_pairs = len(self.counts)
+
+def _residual_coefficients(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Coefficients ``c`` with ``|p - (R q + T)|^2 = c . f`` for a row's
+    residual features ``f`` (see ``_ScanBlock``), for a stack of rigid
+    transforms (any leading axes); ``|R q| = |q|`` for a rotation."""
+    lead = trans.shape[:-1]
+    rt = (np.swapaxes(rot, -1, -2) @ trans[..., None])[..., 0]
+    return np.concatenate([
+        -2.0 * rot.reshape(*lead, 9), 2.0 * rt, -2.0 * trans,
+        np.sum(trans * trans, axis=-1, keepdims=True), np.ones((*lead, 1)),
+    ], axis=-1)
+
+
+class _ScanBlock:
+    """The scan's view of the paired tracks at a block of candidate offsets,
+    stacked: at each offset with at least 2 pairs that have at least 2 P
+    samples inside the overlap, those pairs' samples and their interpolated
+    raw-Q counterparts. Rows are offset-major and each such pair's rows are
+    one contiguous segment, and an offset's segments are contiguous too.
+
+    Every row is kept as 17 residual features ``f = [p_a q_b (9), q, p, 1,
+    |p|^2 + |q|^2]``, one column per row. A weighted sum of them over a pair,
+    or over a set of pairs, holds all the moments of a weighted rigid fit;
+    and the squared residual under any transform is one dot product with
+    ``_residual_coefficients``. So every pair's statistics are one
+    ``reduceat``, a set of pairs' fit is a sum of those, and scoring K
+    transforms at an offset is one matmul. Every per-offset sum is a
+    ``reduceat`` over that offset's own segments, so an offset's result does
+    not depend on which other offsets share its block."""
+
+    def __init__(self, tracks: estimator.PairedTracks, p_cols, at, idx, s, n_off: int):
+        n_pairs = tracks.n_pairs
+        key = at * n_pairs + tracks.p_pair[idx]
+        counts = np.bincount(key, minlength=n_off * n_pairs).reshape(n_off, n_pairs)
+        live = counts >= 2
+        live &= (live.sum(axis=1) >= 2)[:, None]
+        rows = live.ravel()[key]
+        idx, s = idx[rows], s[rows]
+        n_seg = live.sum(axis=1)
+        self.n_offsets = n_off
+        self.solved = np.flatnonzero(n_seg)  # block positions of the offsets solved here
+        self.n_seg = n_seg[self.solved]
+        self.seg_lo = np.cumsum(self.n_seg) - self.n_seg
+        self.counts = counts[live]
         self.starts = np.cumsum(self.counts) - self.counts
-        self.p = tracks.p_xyz[idx[rows]]
-        self.q = q[rows]
+        self.seg_at = np.repeat(np.arange(len(self.solved)), self.n_seg)
+        n_rows = counts.sum(axis=1, where=live)[self.solved]
+        self.row_hi = np.cumsum(n_rows)
+        self.row_lo = self.row_hi - n_rows
+        q, var_factor = tracks.blend(idx, s)
+        f = np.empty((17, len(idx)))
+        pq, qp = f[9:15], f[:9].reshape(3, 3, -1)
+        pq[:3] = q
+        p_cols.take(idx, axis=1, out=pq[3:])
+        np.multiply(pq[3:, None], pq[None, :3], out=qp)
+        f[15] = 1.0
+        np.einsum("ij,ij->j", pq, pq, out=f[16])
         # equal total weight per trajectory pair: long wrong tracks cannot swamp
-        self.weights = (1.0 / var_factor[rows]) / np.repeat(self.counts, self.counts)
+        per_row = np.repeat(self.counts, self.counts)
+        self.weighted = np.multiply(f, (1.0 / var_factor) / per_row, out=f)
+        self.inv_weight = var_factor * per_row
+        # per pair, the weighted sums of the features
+        self.sums = np.add.reduceat(f, self.starts, axis=1).T
 
-    def pair_means(self, rotation, translation) -> np.ndarray:
-        d = self.p - (self.q @ rotation.T + translation)
-        return np.add.reduceat(np.sqrt(np.einsum("ij,ij->i", d, d)), self.starts) / self.counts
+    def per_offset(self, values: np.ndarray) -> np.ndarray:
+        """Sums of per-pair ``values`` (leading axis) over each offset's pairs."""
+        return np.add.reduceat(values, self.seg_lo, axis=0)
 
-    def solo_fits(self, pairs: np.ndarray):
-        """Each listed pair's own weighted rigid fit, as stacks
-        (rotations, translations, ok); ``ok`` is False for a pair with fewer
-        than 3 samples or collinear ones."""
-        chosen = np.zeros(self.n_pairs, dtype=bool)
-        chosen[pairs] = True
-        counts = self.counts[chosen]
-        rows = np.repeat(chosen, self.counts)
-        starts = np.cumsum(counts) - counts
-        p, q, w = self.p[rows], self.q[rows], self.weights[rows]
-        w = w / np.repeat(np.add.reduceat(w, starts), counts)
-        p_bar = np.add.reduceat(p * w[:, None], starts)
-        q_bar = np.add.reduceat(q * w[:, None], starts)
-        p0 = p - np.repeat(p_bar, counts, axis=0)
-        q0 = (q - np.repeat(q_bar, counts, axis=0)) * w[:, None]
-        cov = np.add.reduceat(q0[:, :, None] * p0[:, None, :], starts)
-        rot, trans, ok = estimator._rigid_fit(cov, p_bar, q_bar)
-        # back to the order of ``pairs``
-        at = np.cumsum(chosen)[pairs] - 1
-        return rot[at], trans[at], ok[at] & (counts[at] >= 3)
+    def pair_means(self, which, coef: np.ndarray) -> np.ndarray:
+        """Each pair's mean residual under each of K transforms of its
+        offset, ``coef[i]`` (K, 17) being those of offset ``which[i]`` (see
+        ``_residual_coefficients``), as a (K, S) array; pairs of other
+        offsets read 0."""
+        means = np.zeros((coef.shape[1], len(self.counts)))
+        for a, c in zip(which, coef):
+            lo, hi = self.row_lo[a], self.row_hi[a]
+            seg = slice(self.seg_lo[a], self.seg_lo[a] + self.n_seg[a])
+            d2 = c @ self.weighted[:, lo:hi]
+            d2 *= self.inv_weight[lo:hi]
+            d = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+            means[:, seg] = np.add.reduceat(d, self.starts[seg] - lo, axis=1)
+        return means / self.counts
 
-    def subset(self, active: np.ndarray) -> estimator.CorrespondenceSet:
-        """Correspondences of the pairs flagged in the boolean ``active``."""
-        rows = np.repeat(active, self.counts)
-        zeros = np.zeros(int(rows.sum()))
-        return estimator.CorrespondenceSet(
-            self.p[rows], self.q[rows], zeros, zeros, self.weights[rows]
-        )
+    @staticmethod
+    def fit(sums: np.ndarray):
+        """Weighted rigid fits from summed features (any leading axes):
+        ``(rotation, translation, ok)`` as ``estimator._rigid_fit``."""
+        total = sums[..., 15:16]
+        q_bar, p_bar = sums[..., 9:12] / total, sums[..., 12:15] / total
+        cov = np.swapaxes(sums[..., :9].reshape(*sums.shape[:-1], 3, 3), -1, -2) / total[..., None]
+        cov -= q_bar[..., :, None] * p_bar[..., None, :]
+        return estimator._rigid_fit(cov, p_bar, q_bar)
+
+    def solve(self, gate: float) -> list:
+        """``_solve_at_offsets``' result for each offset of the block."""
+        out = [None] * self.n_offsets
+        n_off = len(self.solved)
+        if n_off == 0:
+            return out
+        counts, seg_at, sums, per_offset = self.counts, self.seg_at, self.sums, self.per_offset
+        # proposers: each offset's pairs with the most samples, each fit on its own
+        props = np.full((n_off, _MAX_PROPOSALS), -1)
+        for a in range(n_off):
+            lo = self.seg_lo[a]
+            order = np.argsort(-counts[lo:lo + self.n_seg[a]])[:_MAX_PROPOSALS]
+            props[a, :len(order)] = lo + order
+        has = props >= 0
+        rot = np.broadcast_to(np.eye(3), (*props.shape, 3, 3)).copy()
+        trans = np.zeros((*props.shape, 3))
+        ok = np.zeros(props.shape, dtype=bool)
+        rot[has], trans[has], ok[has] = self.fit(sums[props[has]])
+        ok &= counts[props] >= 3  # a straight snippet cannot propose, can still support
+        means = self.pair_means(range(n_off), _residual_coefficients(rot, trans))
+        inliers = means <= gate
+        n_in = per_offset(inliers.T)
+        mean_in = per_offset((means * inliers).T) / np.maximum(n_in, 1)
+        # the winner: most inliers, then the smallest mean, then the first proposer
+        usable = ok & (n_in >= 2)
+        n_key = np.where(usable, n_in, 0)
+        top = usable & (n_key == n_key.max(axis=1, keepdims=True))
+        winner = np.argmin(np.where(top, mean_in, np.inf), axis=1)
+        has_winner = top.any(axis=1)
+        # refit on the winner's supporters; with no curved pair to propose from
+        # (shape-poor scene), a jointly trimmed fit over every pair instead
+        active = np.where(has_winner[seg_at], inliers[winner[seg_at], np.arange(len(counts))], True)
+        going = np.ones(n_off, dtype=bool)  # offsets still refitting
+        degenerate = np.zeros(n_off, dtype=bool)
+        sol_rot, sol_trans = np.empty((n_off, 3, 3)), np.empty((n_off, 3))
+        rms = np.empty(n_off)
+        final = np.empty(len(counts))  # each pair's mean residual under its offset's solution
+        for _ in range(3):
+            (which,) = np.nonzero(going)
+            if not len(which):
+                break
+            fitted = active & going[seg_at]
+            total = per_offset(sums * fitted[:, None])[which]
+            r, t, fit_ok = self.fit(total)
+            degenerate[which[~fit_ok]] = True
+            going[which[~fit_ok]] = False
+            which, total, r, t = which[fit_ok], total[fit_ok], r[fit_ok], t[fit_ok]
+            coef = _residual_coefficients(r, t)
+            m = self.pair_means(which, coef[:, None])[0]
+            sol_rot[which], sol_trans[which] = r, t
+            rms[which] = np.sqrt(np.maximum(np.sum(coef * total, axis=1), 0.0) / total[:, 15])
+            final[going[seg_at]] = m[going[seg_at]]
+            refit_gate = np.full(n_off, gate)
+            poor = going & ~has_winner
+            if poor.any():
+                medians = _group_medians(m, seg_at, fitted & poor[seg_at], n_off)
+                refit_gate[poor] = 3.0 * medians[poor] + 1e-9
+            new = m <= refit_gate[seg_at]
+            going &= (per_offset(new) >= 2) & (per_offset(new != active) > 0)
+            active = np.where(going[seg_at], new, active)
+        supporters = final <= gate
+        n_sup = per_offset(supporters)
+        mean_sup = per_offset(final * supporters) / np.maximum(n_sup, 1)
+        for a, o in enumerate(self.solved.tolist()):
+            if not degenerate[a] and n_sup[a] > 0:
+                out[o] = (estimator.SpatialSolution(sol_rot[a], sol_trans[a], float(rms[a])),
+                          int(n_sup[a]), float(mean_sup[a]))
+        return out
 
 
-def _solve_at_offset(tracks: estimator.PairedTracks, dt: float, gate: float = _INLIER_GATE):
-    """Consensus spatial solve against Q interpolated at the candidate
+def _group_medians(values: np.ndarray, group: np.ndarray, mask: np.ndarray, n_groups: int):
+    """``np.median`` of the masked ``values`` of each group (NaN for a group
+    with none)."""
+    order = np.lexsort((values, group))
+    order = order[mask[order]]
+    v, g = values[order], group[order]
+    n = np.bincount(g, minlength=n_groups)
+    first = np.cumsum(n) - n
+    out = np.full(n_groups, np.nan)
+    has = n > 0
+    lo = v[(first + (n - 1) // 2)[has]]
+    hi = v[(first + n // 2)[has]]
+    out[has] = np.where(n[has] % 2 == 1, lo, (lo + hi) / 2.0)
+    return out
+
+
+def _overlap_blocks(tracks: estimator.PairedTracks, offsets: np.ndarray):
+    """Runs of consecutive offsets with their in-overlap rows (as
+    ``PairedTracks.overlap``), each run holding at most ``_SCAN_BLOCK`` rows
+    unless a single offset has more. Offsets without overlap add no rows, so
+    the row cap alone bounds neither the overlap mask nor a run's per-pair
+    tallies: the mask is taken over at most ``4 * _SCAN_BLOCK`` (offset, P
+    sample) cells at a time, and a run spans at most ``4 * _SCAN_BLOCK``
+    (offset, pair) cells.
+
+    Yields ``(first, count, at, idx, s)``, ``at`` counted from the run's
+    first offset."""
+    per_mask = max(1, 4 * _SCAN_BLOCK // max(1, len(tracks.p_times)))
+    per_run = max(1, 4 * _SCAN_BLOCK // max(1, tracks.n_pairs))
+    held: list[tuple] = []  # rows of the offsets [first, current) not yet yielded
+    first, n_held = 0, 0
+
+    def run(count):
+        at, idx, s = (np.concatenate(c) for c in zip(*held))
+        return first, count, at - first, idx, s
+
+    for m in range(0, len(offsets), per_mask):
+        chunk = offsets[m:m + per_mask]
+        at, idx, s = tracks.overlap(chunk)
+        ends = np.cumsum(np.bincount(at, minlength=len(chunk))).tolist()
+        at += m
+        cut = 0  # rows of this mask already held
+        for o, end in enumerate(ends, start=m):
+            begin = ends[o - m - 1] if o > m else 0
+            if o > first and (n_held + end - begin > _SCAN_BLOCK or o - first == per_run):
+                held.append((at[cut:begin], idx[cut:begin], s[cut:begin]))
+                yield run(o - first)
+                held, first, n_held, cut = [], o, 0, begin
+            n_held += end - begin
+        held.append((at[cut:], idx[cut:], s[cut:]))
+    if len(offsets):
+        yield run(len(offsets) - first)
+
+
+def _solve_at_offsets(tracks: estimator.PairedTracks, offsets, gate: float = _INLIER_GATE):
+    """Consensus spatial solve against Q interpolated at each candidate
     offset. Each shape-rich trajectory pair proposes a transform on its own;
     the proposal most other pairs agree with (mean residual within ``gate``)
     wins and is refit on its supporters. Mostly-wrong trajectory votes
     therefore cannot drag the fit, which a jointly trimmed least squares
     could not guarantee.
 
-    Returns (solution, inlier count, mean inlier residual) or None; ranking
-    candidate offsets lexicographically by (-inliers, residual) rewards the
-    offset at which the most trajectory pairs genuinely lie on each other."""
-    geo = _OffsetGeometry(tracks, dt)
-    if geo.n_pairs < 2:
-        return None
-
-    best = None  # ((inlier count, -mean), inlier mask)
-    proposers = np.argsort(-geo.counts)[:_MAX_PROPOSALS]
-    for rot, trans, ok in zip(*geo.solo_fits(proposers)):
-        if not ok:
-            continue  # straight snippet: cannot propose, can still support
-        means = geo.pair_means(rot, trans)
-        inliers = means <= gate
-        n_in = int(inliers.sum())
-        if n_in < 2:
-            continue
-        key = (n_in, -float(np.mean(means[inliers])))
-        if best is None or key > best[0]:
-            best = (key, inliers)
-    # refit on the winner's supporters; with no curved pair to propose from
-    # (shape-poor scene), a jointly trimmed fit over every pair instead
-    inliers = np.ones(geo.n_pairs, dtype=bool) if best is None else best[1]
-    for _ in range(3):
-        try:
-            sol = estimator.solve_spatial(geo.subset(inliers))
-        except (DegenerateGeometry, TooFewPairs):
-            return None
-        means = geo.pair_means(sol.rotation, sol.translation)
-        refit_gate = gate if best is not None else 3.0 * float(np.median(means[inliers])) + 1e-9
-        new_inliers = means <= refit_gate
-        if new_inliers.sum() < 2 or np.array_equal(new_inliers, inliers):
-            break
-        inliers = new_inliers
-    supporters = means <= gate
-    if not supporters.any():
-        return None
-    return sol, int(supporters.sum()), float(np.mean(means[supporters]))
+    Returns, in the order of ``offsets``, (solution, inlier count, mean
+    inlier residual) or None per offset; ranking candidate offsets
+    lexicographically by (-inliers, residual) rewards the offset at which
+    the most trajectory pairs genuinely lie on each other. Offsets are
+    solved in blocks (``_overlap_blocks``, ``_ScanBlock``) that share every
+    numpy call, with bounded memory."""
+    offsets = np.asarray(offsets, dtype=float)
+    out = [None] * len(offsets)
+    p_cols = np.ascontiguousarray(tracks.p_xyz.T)
+    for first, count, at, idx, s in _overlap_blocks(tracks, offsets):
+        out[first:first + count] = _ScanBlock(tracks, p_cols, at, idx, s, count).solve(gate)
+    return out
 
 
 def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, frame_period: float):
@@ -285,22 +425,24 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, fra
     coarse_step = max(0.25, frame_period)
     coarse_gate = _INLIER_GATE + 12.0 * coarse_step  # ~typical speed * step
     coarse = np.arange(lo, hi + 0.5 * coarse_step, coarse_step)
-    keys = []
-    for i, d in enumerate(coarse):
-        solved = _solve_at_offset(tracks, float(d), gate=coarse_gate)
-        if solved is not None:
-            keys.append(((-solved[1], solved[2]), float(d)))
+    keys = [((-solved[1], solved[2]), float(d))
+            for d, solved in zip(coarse, _solve_at_offsets(tracks, coarse, gate=coarse_gate))
+            if solved is not None]
     keys.sort()
     fine_step = 0.5 * frame_period
-    candidates = []
     seen: list[float] = []
+    windows: list[np.ndarray] = []
     for _, center in keys[: 3 * _MAX_HYPOTHESES]:
         if any(abs(center - s) <= coarse_step for s in seen):
             continue
         seen.append(center)
+        windows.append(np.arange(center - coarse_step, center + coarse_step + 0.5 * fine_step, fine_step))
+    fine = iter(_solve_at_offsets(tracks, np.concatenate(windows or [np.empty(0)])))
+    candidates = []
+    for window in windows:
         best = None
-        for d in np.arange(center - coarse_step, center + coarse_step + 0.5 * fine_step, fine_step):
-            solved = _solve_at_offset(tracks, float(d))
+        # zip ends on the exhausted window before it takes from ``fine``
+        for d, solved in zip(window, fine):
             if solved is None:
                 continue
             key = (-solved[1], solved[2])

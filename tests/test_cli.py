@@ -289,6 +289,17 @@ class TestSweep:
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 3
 
+    @pytest.mark.parametrize("values", ["0", "0.5"])
+    def test_passes_not_a_positive_integer_exits_one(self, runner, tmp_path, values):
+        out = tmp_path / "x"
+        result = runner.invoke(
+            main, ["sweep", "--axis", "passes", "--values", values, "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: passes must be positive integers" in result.output
+        assert not out.exists()
+
     def test_bad_values_exit_one(self, runner, tmp_path):
         result = runner.invoke(
             main, ["sweep", "--axis", "noise", "--values", "a,b", "--out", str(tmp_path / "x")]

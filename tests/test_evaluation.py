@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from trajcal import evaluation
 from trajcal.evaluation import (
     MetricReport,
     euler_zyx_deg,
@@ -232,6 +233,15 @@ class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             run_sweep("beam_count", [1], [0])
+
+    @pytest.mark.parametrize("values", [[0], [0.5], [2, -1], [float("nan")]])
+    def test_passes_must_be_positive_integers(self, values, monkeypatch):
+        def no_cell(*a, **k):
+            raise AssertionError("a cell ran before the values were checked")
+
+        monkeypatch.setattr(evaluation, "_run_cell", no_cell)
+        with pytest.raises(ValueError, match="passes must be positive integers"):
+            run_sweep("passes", values, [0])
 
     def test_passes_axis_runs(self):
         rows = run_sweep(

@@ -377,6 +377,40 @@ class TestCorrespondenceParity:
             assert_same_correspondences(new, old)
 
 
+def assert_matches_oracle(matched, offsets, gate, got):
+    """``got`` (``_solve_at_offsets``' results at ``offsets``) against the
+    per-offset oracle; returns how many offsets were solved."""
+    assert len(got) == len(offsets)
+    solved = 0
+    for d, new in zip(offsets, got):
+        old = oracle_solve_at_offset(matched, float(d), gate=gate)
+        assert (new is None) == (old is None), d
+        if old is None:
+            continue
+        solved += 1
+        sol, n_in, mean = new
+        old_sol, old_n, old_mean, geo = old
+        assert n_in == old_n
+        np.testing.assert_array_equal(geo.pair_means(sol) <= gate,
+                                      geo.pair_means(old_sol) <= gate)
+        np.testing.assert_allclose(sol.rotation, old_sol.rotation, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(sol.translation, old_sol.translation, rtol=0, atol=1e-9)
+        assert sol.rms_residual == pytest.approx(old_sol.rms_residual, abs=1e-9)
+        assert mean == pytest.approx(old_mean, abs=1e-9)
+    return solved
+
+
+def assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a[1:] == b[1:]
+            assert a[0].rotation.tobytes() == b[0].rotation.tobytes()
+            assert a[0].translation.tobytes() == b[0].translation.tobytes()
+            assert a[0].rms_residual == b[0].rms_residual
+
+
 class TestScanParity:
     def test_inlier_sets_and_solutions(self, scene):
         truth, matched = scene["truth"], scene["candidates"]
@@ -386,33 +420,117 @@ class TestScanParity:
                                   np.arange(-0.1, 0.11, 0.05) + truth.time_offset])
         solved_any = 0
         for gate in (pl._INLIER_GATE, coarse_gate):
-            for d in offsets:
-                new = pl._solve_at_offset(tracks, float(d), gate=gate)
-                old = oracle_solve_at_offset(matched, float(d), gate=gate)
-                assert (new is None) == (old is None), d
-                if old is None:
-                    continue
-                solved_any += 1
-                sol, n_in, mean = new
-                old_sol, old_n, old_mean, geo = old
-                assert n_in == old_n
-                np.testing.assert_array_equal(geo.pair_means(sol) <= gate,
-                                              geo.pair_means(old_sol) <= gate)
-                np.testing.assert_allclose(sol.rotation, old_sol.rotation, rtol=0, atol=1e-9)
-                np.testing.assert_allclose(sol.translation, old_sol.translation, rtol=0, atol=1e-9)
-                assert mean == pytest.approx(old_mean, abs=1e-9)
+            got = pl._solve_at_offsets(tracks, offsets, gate=gate)
+            solved_any += assert_matches_oracle(matched, offsets, gate, got)
         assert solved_any > len(offsets)
 
-    def test_geometry_matches_per_pair_arrays(self, scene):
-        matched = scene["candidates"]
+
+class TestScanBlocks:
+    """The batching itself: how offsets are split into blocks never changes
+    a result, whatever the blocks mix."""
+
+    def spy_blocks(self, monkeypatch):
+        sizes = []
+        block = pl._ScanBlock
+
+        def spy(tracks, p_cols, at, idx, s, n_off):
+            sizes.append(n_off)
+            return block(tracks, p_cols, at, idx, s, n_off)
+
+        monkeypatch.setattr(pl, "_ScanBlock", spy)
+        return sizes
+
+    def test_block_split_invariance(self, scene, monkeypatch):
+        truth, matched = scene["truth"], scene["candidates"]
         tracks = PairedTracks(matched)
-        for d in (0.0, 0.537, 1.9):
-            geo = pl._OffsetGeometry(tracks, d)
-            old = OracleGeometry(oracle_pair_interp_arrays(matched, d))
-            np.testing.assert_array_equal(geo.counts, old.counts)
-            np.testing.assert_array_equal(geo.p, old.p)
-            np.testing.assert_array_equal(geo.q, old.q)
-            np.testing.assert_array_equal(geo.weights, old.weights)
+        offsets = np.concatenate([np.arange(-30.0, 30.0, 0.25),
+                                  np.arange(-0.25, 0.26, 0.05) + truth.time_offset])
+        for gate in (pl._INLIER_GATE, pl._INLIER_GATE + 3.0):
+            sizes = self.spy_blocks(monkeypatch)
+            batched = pl._solve_at_offsets(tracks, offsets, gate=gate)
+            assert max(sizes) > 1 and sum(sizes) == len(offsets)
+            monkeypatch.setattr(pl, "_SCAN_BLOCK", 1)
+            sizes = self.spy_blocks(monkeypatch)
+            single = pl._solve_at_offsets(tracks, offsets, gate=gate)
+            assert sizes == [1] * len(offsets)
+            monkeypatch.undo()
+            assert sum(r is not None for r in batched) > 20
+            assert_bitwise_equal(batched, single)
+
+    def test_block_mixes_dead_and_live_offsets(self, scene, monkeypatch):
+        truth, matched = scene["truth"], scene["candidates"]
+        tracks = PairedTracks(matched)
+
+        def live_pairs(d):
+            counts = np.bincount(tracks.p_pair[tracks.interpolate(d)[0]], minlength=tracks.n_pairs)
+            return int(np.count_nonzero(counts >= 2))
+
+        far = np.arange(20.0, 80.0, 0.5)
+        one = next(float(d) for d in far if live_pairs(d) == 1)
+        none = next(float(d) for d in far if live_pairs(d) == 0)
+        live = truth.time_offset
+        offsets = np.array([live - 0.1, none, live, one, live + 0.05, none, one, live + 0.1])
+        monkeypatch.setattr(pl, "_SCAN_BLOCK", 1 << 16)  # all eight in one block
+        sizes = self.spy_blocks(monkeypatch)
+        got = pl._solve_at_offsets(tracks, offsets)
+        assert sizes == [len(offsets)]
+        assert all(got[k] is None for k in (1, 3, 5, 6))
+        assert assert_matches_oracle(matched, offsets, pl._INLIER_GATE, got) == 4
+
+    def test_tied_inlier_counts_break_on_the_mean(self):
+        # two clusters of three curved pairs, each cluster agreeing on its own
+        # transform: both proposals gather 3 inliers, the long noisy tracks
+        # propose first, and the tighter cluster must still win
+        rng = np.random.default_rng(11)
+
+        def curve(n, phase, t0, noise, shift, track):
+            t = np.arange(n) * 0.1
+            xyz = np.column_stack([10.0 * np.cos(0.4 * t + phase), 10.0 * np.sin(0.4 * t + phase),
+                                   np.ones(n)]) + shift
+            return make_trajectory(xyz + rng.normal(0, noise, xyz.shape), track=track, t0=t0)
+
+        matched = []
+        for k, (n, noise, shift) in enumerate([(60, 0.3, 0.0)] * 3 + [(40, 0.02, 12.0)] * 3):
+            phase = 1.3 * k
+            matched.append((curve(n, phase, 0.5, noise, shift, f"p{k}"),
+                            curve(n, phase, 0.0, 0.0, 0.0, f"q{k}")))
+        tracks = PairedTracks(matched)
+        got = pl._solve_at_offsets(tracks, [0.5])
+        assert got[0][1] == 3
+        np.testing.assert_allclose(got[0][0].translation, [12.0, 12.0, 12.0], atol=0.05)
+        assert assert_matches_oracle(matched, [0.5], pl._INLIER_GATE, got) == 1
+
+    def test_shape_poor_block_takes_median_gate(self, monkeypatch):
+        # straight, constant-speed tracks: no pair can propose on its own
+        def straight(n, t0, y, heading, track):
+            t = np.arange(n) * 0.1
+            xy = np.column_stack([np.cos(heading) * 8.0 * t, np.sin(heading) * 8.0 * t + y])
+            return make_trajectory(np.column_stack([xy, np.ones(n)]), track=track, t0=t0)
+
+        rng = np.random.default_rng(3)
+        matched = []
+        for k, heading in enumerate((0.0, 0.9, 2.1, -1.2, 0.4)):
+            p = straight(50, 0.5, 6.0 * k, heading, f"p{k}")
+            q = straight(50, 0.0, 6.0 * k, heading, f"q{k}")
+            p = make_trajectory(p.xyz + rng.normal(0, 0.05, p.xyz.shape), track=f"p{k}", t0=0.5)
+            matched.append((p, q))
+        tracks = PairedTracks(matched)
+        offsets = np.array([0.3, 0.45, 0.5, 0.55, 0.8])
+        medians = []
+        group_medians = pl._group_medians
+
+        def spy(*a):
+            out = group_medians(*a)
+            medians.append(out)
+            return out
+
+        monkeypatch.setattr(pl, "_group_medians", spy)
+        sizes = self.spy_blocks(monkeypatch)
+        got = pl._solve_at_offsets(tracks, offsets)
+        assert sizes == [len(offsets)]
+        assert medians and all(np.isfinite(m).all() for m in medians)
+        assert assert_matches_oracle(matched, offsets, pl._INLIER_GATE, got) == len(offsets)
+        assert got[2][1] == len(matched)
 
 
 class TestEdgeCases:
@@ -468,12 +586,12 @@ class TestEdgeCases:
         d = float(matched[4][0].times[-1])
         idx = tracks.interpolate(d)[0]
         assert np.count_nonzero(tracks.p_pair[idx] == 4) == 1
-        geo = pl._OffsetGeometry(tracks, d)
+        at, idx, s = tracks.overlap([d])
+        block = pl._ScanBlock(tracks, np.ascontiguousarray(tracks.p_xyz.T), at, idx, s, 1)
         old = OracleGeometry(oracle_pair_interp_arrays(matched, d))
-        np.testing.assert_array_equal(geo.counts, old.counts)
-        np.testing.assert_array_equal(geo.p, old.p)
-        for d in (0.0, 0.537, d):
-            new = pl._solve_at_offset(tracks, d)
+        np.testing.assert_array_equal(block.counts, old.counts)
+        offsets = [0.0, 0.537, d]
+        for new, d in zip(pl._solve_at_offsets(tracks, offsets), offsets):
             ref = oracle_solve_at_offset(matched, d)
             assert (new is None) == (ref is None)
             if ref is not None:
@@ -484,7 +602,8 @@ class TestEdgeCases:
         tracks = PairedTracks([])
         assert tracks.n_pairs == 0 and tracks.n_usable == 0
         assert estimator._offset_objective(tracks, 0.0) == (math.inf, 0)
-        assert pl._solve_at_offset(tracks, 0.0) is None
+        assert pl._solve_at_offsets(tracks, [0.0]) == [None]
+        assert pl._solve_at_offsets(tracks, []) == []
 
 
 class TestReassociateParity:

@@ -476,7 +476,7 @@ class TestInitialization:
         from trajcal import pipeline as pl
 
         tracks = PairedTracks(self._matched_pairs_with_offset(0.8))
-        solved = pl._solve_at_offset(tracks, 0.8)
+        solved = pl._solve_at_offsets(tracks, [0.8])[0]
         assert solved is not None
         sol, inliers, mean = solved
         assert inliers >= 5  # the five genuine pairs support the fit
