@@ -35,6 +35,20 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
+def _check_parent(path, option: str) -> None:
+    """Fail before any work when ``path``'s directory is missing."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        _fail(f"{option} {path}: {parent} is not a directory")
+
+
+def _open_store(directory) -> pipeline.SessionStore:
+    try:
+        return pipeline.SessionStore(directory)
+    except OSError as exc:
+        _fail(f"session store {directory}: {exc.strerror or exc}")
+
+
 def _scenario_overrides(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
@@ -89,6 +103,15 @@ def simulate(config_path, out_dir, layout, vehicles, duration, noise, offset, ro
     )
 
 
+def _write(writer, *args) -> None:
+    """``writer(*args)``, the last argument its path; an OS error is a
+    usage/IO failure."""
+    try:
+        writer(*args)
+    except OSError as exc:
+        _fail(f"cannot write {args[-1]}: {exc.strerror or exc}")
+
+
 def _echo_transform(tf) -> None:
     tx, ty, tz = tf.translation
     qw, qx, qy, qz = tf.rotation
@@ -133,13 +156,17 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
             cfg = replace(cfg, match_weights=replace(cfg.match_weights, d_th=d_th))
     except ValueError as exc:
         _fail(str(exc))
+    for path, option in ((out_path, "--out"), (dump_features, "--dump-features"),
+                         (dump_matches, "--dump-matches")):
+        if path:
+            _check_parent(path, option)
 
     if dump_features or dump_matches:
         fp = extract_features(db_p)
         fq = extract_features(db_q)
         if dump_features:
-            io.write_features_csv(db_p, fp, f"{dump_features}.p.csv")
-            io.write_features_csv(db_q, fq, f"{dump_features}.q.csv")
+            _write(io.write_features_csv, db_p, fp, f"{dump_features}.p.csv")
+            _write(io.write_features_csv, db_q, fq, f"{dump_features}.q.csv")
         if dump_matches:
             # each filter judges a match without looking at the other
             # matches, so run alone on the raw list it gives every match the
@@ -151,15 +178,18 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
                 "count": filter_neighbor_count(raw, db_p, db_q),
                 "hist": filter_neighborhood_distribution(raw, db_p, db_q),
             }
-            io.write_matches_csv(raw, survivors, db_p, db_q, dump_matches)
+            _write(io.write_matches_csv, raw, survivors, db_p, db_q, dump_matches)
 
     prior = None
     if continuous:
         directory = store_dir or os.environ.get(_STORE_ENV)
         if not directory:
             _fail(f"--continuous needs --store-dir or ${_STORE_ENV}")
-        store = pipeline.SessionStore(directory)
-        prior = store.load_fused()
+        store = _open_store(directory)
+        try:
+            prior = store.load_fused()
+        except OSError as exc:
+            _fail(f"session store {directory}: {exc.strerror or exc}")
 
     try:
         session = pipeline.calibrate(db_p, db_q, cfg, prior=prior)
@@ -175,7 +205,7 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
         sys.exit(2)
 
     if out_path:
-        io.write_session_json(session, out_path)
+        _write(io.write_session_json, session, out_path)
     click.echo(f"session: score {io.fmt(session.score)} "
                f"(n_pp={session.n_pp}, n_po={session.n_po}), "
                f"{session.iterations_used} iterations, "
@@ -185,7 +215,10 @@ def calibrate(input_p, input_q, out_path, truth_path, continuous, store_dir, max
         _echo_report(evaluation.make_report(session.transform, truth))
 
     if continuous:
-        fused = store.record(session)
+        try:
+            fused = store.record(session)
+        except OSError as exc:
+            _fail(f"session store {store.directory}: {exc.strerror or exc}")
         click.echo(f"fused: score {io.fmt(fused.score)}")
         _echo_transform(fused.transform)
         if truth is not None:
@@ -269,7 +302,7 @@ def fuse_sessions(store_dir, out_path):
     directory = store_dir or os.environ.get(_STORE_ENV)
     if not directory:
         _fail(f"need --store-dir or ${_STORE_ENV}")
-    store = pipeline.SessionStore(directory)
+    store = _open_store(directory)
     sessions = store.sessions()
     if not sessions:
         _fail(f"no sessions recorded under {directory}")
@@ -278,7 +311,7 @@ def fuse_sessions(store_dir, out_path):
         click.echo("fusion failed: every stored session scored zero", err=True)
         sys.exit(2)
     target = Path(out_path) if out_path else store.directory / "fused.json"
-    io.write_session_json(fused, target)
+    _write(io.write_session_json, fused, target)
     click.echo(f"fused {len(sessions)} sessions -> {target} (score {io.fmt(fused.score)})")
     _echo_transform(fused.transform)
 

@@ -10,12 +10,14 @@ before any geometry is solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .features import FeatureDatabase
+from .join import window_join
 from .model import TrajectoryDatabase
 
 # the cascade's tolerances, the ones calibrate() runs it with
@@ -90,6 +92,15 @@ def motion_match(
     return out
 
 
+def _match_rows(matches: Sequence[PositionMatch]) -> np.ndarray:
+    """The matches as ``(ti, pi, tj, pj)`` rows."""
+    return np.array([m.ref + m.cand for m in matches], dtype=np.int64).reshape(-1, 4)
+
+
+def _kept(matches: Sequence[PositionMatch], keep: np.ndarray) -> list[PositionMatch]:
+    return list(compress(matches, keep.tolist()))
+
+
 def filter_mutual_nn(
     matches: Sequence[PositionMatch],
     fp: FeatureDatabase,
@@ -98,15 +109,24 @@ def filter_mutual_nn(
 ) -> list[PositionMatch]:
     """Keep (p, q) only when q is p's nearest neighbor and p is q's."""
     w = w or MatchWeights()
-    p_traj, p_pos, p_feats = fp.flat
-    q_traj, q_pos, q_feats = fq.flat
     if not matches:
         return []
-    p_index = {(int(t), int(i)): k for k, (t, i) in enumerate(zip(p_traj, p_pos))}
-    q_index = {(int(t), int(i)): k for k, (t, i) in enumerate(zip(q_traj, q_pos))}
-    tree_p = cKDTree(_scaled(p_feats, w))
-    _, nn_of_q = tree_p.query(_scaled(q_feats, w), k=1, p=1)
-    return [m for m in matches if int(nn_of_q[q_index[m.cand]]) == p_index[m.ref]]
+
+    def flat_row(fdb: FeatureDatabase, traj: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        # each position's row in ``fdb.flat`` (-1 where it has no valid feature)
+        lengths = [len(tf) for tf in fdb.per_trajectory]
+        starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        flat_traj, flat_pos, _ = fdb.flat
+        row = np.full(starts[-1], -1, dtype=np.int64)
+        row[starts[flat_traj] + flat_pos] = np.arange(len(flat_traj))
+        return row[starts[traj] + pos]
+
+    rows = _match_rows(matches)
+    tree_p = cKDTree(_scaled(fp.flat[2], w))
+    _, nn_of_q = tree_p.query(_scaled(fq.flat[2], w), k=1, p=1)
+    p_row = flat_row(fp, rows[:, 0], rows[:, 1])
+    q_row = flat_row(fq, rows[:, 2], rows[:, 3])
+    return _kept(matches, nn_of_q[q_row] == p_row)
 
 
 def filter_bbox(
@@ -127,26 +147,31 @@ def filter_bbox(
     return out
 
 
+def _neighbor_counts(db: TrajectoryDatabase, radius: float):
+    """``neighbor_count_table`` flat, with the layout it is read through:
+    ``(counts, starts, frames)`` as ``TrajectoryDatabase.stack``."""
+    starts, xyz, _, frames = db.stack()
+    track = np.repeat(np.arange(len(db.trajectories)), np.diff(starts))
+    order = np.argsort(frames, kind="stable")
+    by_frame = frames[order]
+    ranked = np.zeros(len(frames), dtype=np.int64)  # counts in frame order
+    r2 = radius * radius
+    # every pair of positions sharing a frame (a zero-width join); each
+    # position is its own pair, so a block's owners are a full run of rows
+    for i, j in window_join(by_frame, by_frame, 0):
+        a, b = order[i], order[j]
+        near = (track[a] != track[b]) & (np.sum((xyz[a] - xyz[b]) ** 2, axis=-1) <= r2)
+        ranked[i[0]:i[-1] + 1] = np.bincount(i[near] - i[0], minlength=i[-1] - i[0] + 1)
+    counts = np.empty_like(ranked)
+    counts[order] = ranked
+    return counts, starts, frames
+
+
 def neighbor_count_table(db: TrajectoryDatabase, radius: float) -> list[np.ndarray]:
     """Per position: how many positions of *other* tracks share its frame
     within ``radius``. Aligned with db trajectories/positions."""
-    counts = [np.zeros(len(t), dtype=np.int64) for t in db.trajectories]
-    by_frame: dict[int, list[tuple[int, int]]] = {}
-    for ti, traj in enumerate(db.trajectories):
-        for pi, f in enumerate(traj.frames):
-            by_frame.setdefault(int(f), []).append((ti, pi))
-    r2 = radius * radius
-    for entries in by_frame.values():
-        if len(entries) < 2:
-            continue
-        pts = np.array([db.trajectories[ti].xyz[pi] for ti, pi in entries])
-        tids = np.array([ti for ti, _ in entries])
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        within = (d2 <= r2) & (tids[:, None] != tids[None, :])
-        frame_counts = within.sum(axis=1)
-        for k, (ti, pi) in enumerate(entries):
-            counts[ti][pi] = frame_counts[k]
-    return counts
+    counts, starts, _ = _neighbor_counts(db, radius)
+    return [counts[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 def filter_neighbor_count(
@@ -161,30 +186,31 @@ def filter_neighbor_count(
     Each side is counted at its own frame: the pair itself asserts those two
     frames show the same instant, so no cross-clock mapping is needed.
     """
-    counts_p = neighbor_count_table(db_p, radius)
-    counts_q = neighbor_count_table(db_q, radius)
-    out = []
-    for m in matches:
-        cp = counts_p[m.ref[0]][m.ref[1]]
-        cq = counts_q[m.cand[0]][m.cand[1]]
-        if abs(int(cp) - int(cq)) <= count_tolerance:
-            out.append(m)
-    return out
+    if not matches:
+        return []
+    rows = _match_rows(matches)
+    counts_p, starts_p, _ = _neighbor_counts(db_p, radius)
+    counts_q, starts_q, _ = _neighbor_counts(db_q, radius)
+    cp = counts_p[starts_p[rows[:, 0]] + rows[:, 1]]
+    cq = counts_q[starts_q[rows[:, 2]] + rows[:, 3]]
+    return _kept(matches, np.abs(cp - cq) <= count_tolerance)
 
 
-def _count_histogram(
-    db: TrajectoryDatabase, counts: list[np.ndarray], ti: int, pi: int, k_frames: int
-) -> np.ndarray:
-    """Neighbor counts of the object over the 2k+1 frames around this
-    position (0 where the track has no observation)."""
-    traj = db.trajectories[ti]
-    frame_to_pos = {int(f): i for i, f in enumerate(traj.frames)}
-    f0 = int(traj.frames[pi])
-    hist = np.zeros(2 * k_frames + 1, dtype=np.int64)
-    for d in range(-k_frames, k_frames + 1):
-        j = frame_to_pos.get(f0 + d)
-        if j is not None:
-            hist[d + k_frames] = counts[ti][j]
+def _count_histories(db: TrajectoryDatabase, radius: float, traj, pos, k_frames: int):
+    """Neighbor counts of each object over the 2k+1 frames around each of
+    the given positions (0 where its track has no observation), one row per
+    position. A track's frames strictly increase, so frame ``f0 + d`` can
+    only sit within ``|d|`` rows of ``f0``'s."""
+    counts, starts, frames = _neighbor_counts(db, radius)
+    at = starts[traj] + pos
+    near = at[:, None] + np.arange(-k_frames, k_frames + 1)
+    inside = (near >= starts[traj][:, None]) & (near < starts[traj + 1][:, None])
+    near = np.where(inside, near, at[:, None])
+    slot = frames[near] - frames[at][:, None] + k_frames
+    inside &= (slot >= 0) & (slot <= 2 * k_frames)
+    hist = np.zeros(near.shape, dtype=np.int64)
+    (m, _) = np.nonzero(inside)
+    hist[m, slot[inside]] = counts[near[inside]]
     return hist
 
 
@@ -198,15 +224,14 @@ def filter_neighborhood_distribution(
 ) -> list[PositionMatch]:
     """Keep pairs whose neighbor-count histories over the adjacent frames
     agree (L1 distance between the per-frame count histograms)."""
-    counts_p = neighbor_count_table(db_p, radius)
-    counts_q = neighbor_count_table(db_q, radius)
-    out = []
-    for m in matches:
-        hp = _count_histogram(db_p, counts_p, m.ref[0], m.ref[1], k_frames)
-        hq = _count_histogram(db_q, counts_q, m.cand[0], m.cand[1], k_frames)
-        if int(np.abs(hp - hq).sum()) <= hist_tolerance:
-            out.append(m)
-    return out
+    if k_frames < 0:
+        raise ValueError(f"k_frames must be >= 0, got {k_frames}")
+    if not matches:
+        return []
+    rows = _match_rows(matches)
+    hp = _count_histories(db_p, radius, rows[:, 0], rows[:, 1], k_frames)
+    hq = _count_histories(db_q, radius, rows[:, 2], rows[:, 3], k_frames)
+    return _kept(matches, np.abs(hp - hq).sum(axis=1) <= hist_tolerance)
 
 
 def apply_semantic_filters(

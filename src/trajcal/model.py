@@ -224,6 +224,20 @@ class TrajectoryDatabase:
     def n_positions(self) -> int:
         return sum(len(t) for t in self.trajectories)
 
+    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, xyz, times, frames)`` of every position, trajectory by
+        trajectory: trajectory ``ti``'s rows are ``starts[ti]:starts[ti + 1]``."""
+        lengths = [len(t) for t in self.trajectories]
+        starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        if not lengths:
+            return starts, np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.int64)
+        return (
+            starts,
+            np.vstack([t.xyz for t in self.trajectories]),
+            np.concatenate([t.times for t in self.trajectories]),
+            np.concatenate([t.frames for t in self.trajectories]),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class Transform4D:

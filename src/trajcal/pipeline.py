@@ -39,6 +39,7 @@ from .errors import (
     TooFewPairs,
 )
 from .features import extract_features
+from .join import window_join
 from .matching import (
     COUNT_TOLERANCE,
     HIST_TOLERANCE,
@@ -473,41 +474,63 @@ def _pooled_alignment(db_p, db_q, traj_pairs, tf: Transform4D) -> float:
 
 
 def _reassociate(db_p, db_q, traj_pairs, tf: Transform4D, gate: float, time_gate: float):
-    """Fresh position pairs: time-nearest samples inside each matched
-    trajectory's overlap, gated by spatial residual. Returns them as a
-    correspondence set (raw Q coordinates and times) and as
-    ``(ti, pi, tj, pj)`` index rows."""
-    rows, p_xyz, q_xyz, p_t, q_t = [], [], [], [], []
-    for ti, tj in traj_pairs:
-        traj_p = db_p.trajectories[ti]
-        traj_q = db_q.trajectories[tj]
-        tq = traj_q.times + tf.time_offset
-        q_mapped = tf.apply_points(traj_q.xyz)
-        j = np.searchsorted(tq, traj_p.times)
-        j_lo = np.clip(j - 1, 0, len(tq) - 1)
-        j_hi = np.clip(j, 0, len(tq) - 1)
-        nearer = np.where(
-            np.abs(tq[j_hi] - traj_p.times) < np.abs(tq[j_lo] - traj_p.times), j_hi, j_lo
-        )
-        dt_ok = np.abs(tq[nearer] - traj_p.times) <= time_gate
-        res = np.linalg.norm(traj_p.xyz - q_mapped[nearer], axis=1)
-        (pi,) = np.nonzero(dt_ok & (res <= gate))
-        if len(pi) == 0:
+    """Fresh position pairs: for every matched trajectory pair (the pairs
+    distinct), each P position with the time-nearest sample of the Q track
+    under ``tf`` (the earlier one on a tie), kept when that sample is within
+    ``time_gate`` of it and within ``gate`` meters once mapped. Returns them
+    as a correspondence set (raw Q coordinates and times) and as ``(ti, pi,
+    tj, pj)`` index rows, in ``traj_pairs`` order and then by ``pi``.
+
+    Every pair is served by one window join of the P positions against the
+    paired tracks' Q samples sorted by mapped time, a block at a time: the
+    window is ``time_gate`` widened by a few ulps of the timestamps, so it
+    holds each track's nearest sample whenever that one passes the time
+    gate, and the exact tests run on what it holds."""
+    traj_pairs = np.asarray(traj_pairs, dtype=np.int64).reshape(-1, 2)
+    p_starts, p_xyz, p_t, _ = db_p.stack()
+    q_starts, q_xyz, q_t, _ = db_q.stack()
+    pair_of = np.full((len(db_p.trajectories), len(db_q.trajectories)), -1)
+    pair_of[traj_pairs[:, 0], traj_pairs[:, 1]] = np.arange(len(traj_pairs))
+    p_track = np.repeat(np.arange(len(db_p.trajectories)), np.diff(p_starts))
+    q_track = np.repeat(np.arange(len(db_q.trajectories)), np.diff(q_starts))
+    (p_rows,) = np.nonzero((pair_of >= 0).any(axis=1)[p_track])
+    (q_rows,) = np.nonzero((pair_of >= 0).any(axis=0)[q_track])
+    tq = q_t[q_rows] + tf.time_offset
+    by_time = np.argsort(tq, kind="stable")
+    q_rows, tq = q_rows[by_time], tq[by_time]
+    scale = max(np.abs(tq).max(initial=0.0), np.abs(p_t).max(initial=0.0))
+    reach = time_gate + 4.0 * np.spacing(scale)
+    kept = [np.empty((3, 0), dtype=np.int64)]  # (pair, P row, Q row) of each position pair
+    for i, j in window_join(p_t[p_rows], tq, reach):
+        pid = pair_of[p_track[p_rows[i]], q_track[q_rows[j]]]
+        i, j, pid = i[pid >= 0], j[pid >= 0], pid[pid >= 0]
+        if not len(i):
             continue
-        pj = nearer[pi]
-        rows.append(np.column_stack([np.full(len(pi), ti), pi, np.full(len(pi), tj), pj]))
-        p_xyz.append(traj_p.xyz[pi])
-        q_xyz.append(traj_q.xyz[pj])
-        p_t.append(traj_p.times[pi])
-        q_t.append(traj_q.times[pj])
-    if not rows:
-        empty = np.empty((0, 3))
-        return (estimator.CorrespondenceSet(empty, empty, np.empty(0), np.empty(0)),
-                np.empty((0, 4), dtype=np.int64))
-    corr = estimator.CorrespondenceSet(
-        np.vstack(p_xyz), np.vstack(q_xyz), np.concatenate(p_t), np.concatenate(q_t)
-    )
-    return corr, np.vstack(rows)
+        # one group per (P position, paired Q track), its samples in time order
+        group = np.argsort(i * len(traj_pairs) + pid, kind="stable")
+        i, j, pid = i[group], j[group], pid[group]
+        delta = tq[j] - p_t[p_rows[i]]
+        starts = np.flatnonzero(np.append(True, (i[1:] != i[:-1]) | (pid[1:] != pid[:-1])))
+        ends = np.append(starts[1:], len(i))
+        # as a searchsorted on the one track: its first sample at or after the
+        # P instant, then the nearer of that one and the one before, the
+        # earlier on a tie
+        k = starts + np.add.reduceat(delta < 0, starts, dtype=np.int64)
+        lo, hi = np.maximum(k - 1, starts), np.minimum(k, ends - 1)
+        gap = np.abs(delta)
+        near = np.where(gap[hi] < gap[lo], hi, lo)
+        near = near[gap[near] <= time_gate]
+        p_row, q_row = p_rows[i[near]], q_rows[j[near]]
+        res = np.linalg.norm(p_xyz[p_row] - tf.apply_points(q_xyz[q_row]), axis=1)
+        ok = res <= gate
+        kept.append(np.stack([pid[near][ok], p_row[ok], q_row[ok]]))
+    pid, p_row, q_row = np.concatenate(kept, axis=1)
+    order = np.lexsort((p_row, pid))
+    pid, p_row, q_row = pid[order], p_row[order], q_row[order]
+    rows = np.column_stack([traj_pairs[pid, 0], p_row - p_starts[p_track[p_row]],
+                            traj_pairs[pid, 1], q_row - q_starts[q_track[q_row]]])
+    corr = estimator.CorrespondenceSet(p_xyz[p_row], q_xyz[q_row], p_t[p_row], q_t[q_row])
+    return corr, rows
 
 
 def _run_loop(db_p, db_q, max_iterations: int, tf0: Transform4D, halfwidth: float):
@@ -689,17 +712,16 @@ def derive_position_pairs(
     transform: Transform4D,
     spatial_gate: float = 1.0,
 ) -> estimator.CorrespondenceSet:
-    """Same-instant position pairs implied by a calibration: for each P
-    position, the time-nearest Q position (mapped through the transform)
-    within half a frame and ``spatial_gate`` meters."""
+    """Same-instant position pairs implied by a calibration: each P position
+    paired with the time-nearest position of *every* class-compatible Q
+    track (mapped through the transform), where that one lies within half a
+    frame and ``spatial_gate`` meters. One P position can so pair with
+    several Q tracks."""
     corr, _ = _reassociate(
         db_p, db_q, _class_pairs(db_p, db_q), transform,
         gate=spatial_gate, time_gate=0.5 * db_p.frame_period + 1e-9,
     )
     return corr
-
-
-_SCORE_BLOCK = 512  # P positions per block of score_session's window pairs
 
 
 def score_session(
@@ -718,15 +740,8 @@ def score_session(
     r_p, r_q = db_p.sensing_range, db_q.sensing_range
     q_origin_in_p = transform.translation
 
-    def _stack(db):
-        if db.n_positions == 0:
-            return np.empty((0, 3)), np.empty(0)
-        xyz = np.vstack([t.xyz for t in db.trajectories])
-        times = np.concatenate([t.times for t in db.trajectories])
-        return xyz, times
-
-    p_xyz, p_t = _stack(db_p)
-    q_xyz, q_t = _stack(db_q)
+    _, p_xyz, p_t, _ = db_p.stack()
+    _, q_xyz, q_t, _ = db_q.stack()
     q_in_p = transform.apply_points(q_xyz) if len(q_xyz) else q_xyz
     q_t_in_p = q_t + transform.time_offset
 
@@ -750,18 +765,11 @@ def score_session(
         qx_sorted = q_in_p[order]
         half_frame = 0.5 * db_p.frame_period + 1e-9
         idx = np.nonzero(p_overlap)[0]
-        lo = np.searchsorted(qt_sorted, p_t[idx] - half_frame, side="left")
-        hi = np.searchsorted(qt_sorted, p_t[idx] + half_frame, side="right")
-        # every (P position, Q position in its +-half-frame window) pair,
-        # flat, for a block of P positions at a time so the working memory
-        # stays a block's worth of windows whatever the recording's length
-        for b in range(0, len(idx), _SCORE_BLOCK):
-            block = slice(b, b + _SCORE_BLOCK)
-            width = hi[block] - lo[block]
-            owner = np.repeat(np.arange(len(width)), width)
-            shift = np.cumsum(width) - width - lo[block]  # flat position - Q index, per window
-            d = qx_sorted[np.arange(len(owner)) - np.repeat(shift, width)]
-            d -= p_xyz[idx[block]][owner]
+        # every (P position, Q position in its +-half-frame window) pair, a
+        # block at a time; a block holds whole windows, so counting each
+        # block's distinct owners counts each P position once
+        for owner, j in window_join(p_t[idx], qt_sorted, half_frame):
+            d = qx_sorted[j] - p_xyz[idx[owner]]
             n_pp += len(np.unique(owner[np.linalg.norm(d, axis=1) <= match_radius]))
     score = min(1.0, 2.0 * n_pp / n_po) if n_po > 0 else 0.0
     return score, n_pp, n_po

@@ -122,3 +122,122 @@ def feature_distance(a, b, w) -> float:
         + w.lambda_alpha * abs(a.velocity_mean - b.velocity_mean)
         + w.lambda_sigma * abs(np.sqrt(a.velocity_variance) - np.sqrt(b.velocity_variance))
     )
+
+
+# ---------------------------------------------------------------------------
+# per-frame, per-match and per-pair reference implementations of the
+# neighbour filters and the nearest-in-time association
+
+
+def oracle_neighbor_count_table(db, radius):
+    counts = [np.zeros(len(t), dtype=np.int64) for t in db.trajectories]
+    by_frame = {}
+    for ti, traj in enumerate(db.trajectories):
+        for pi, f in enumerate(traj.frames):
+            by_frame.setdefault(int(f), []).append((ti, pi))
+    r2 = radius * radius
+    for entries in by_frame.values():
+        if len(entries) < 2:
+            continue
+        pts = np.array([db.trajectories[ti].xyz[pi] for ti, pi in entries])
+        tids = np.array([ti for ti, _ in entries])
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        within = (d2 <= r2) & (tids[:, None] != tids[None, :])
+        frame_counts = within.sum(axis=1)
+        for k, (ti, pi) in enumerate(entries):
+            counts[ti][pi] = frame_counts[k]
+    return counts
+
+
+def oracle_filter_mutual_nn(matches, fp, fq, w):
+    from scipy.spatial import cKDTree
+
+    p_traj, p_pos, p_feats = fp.flat
+    q_traj, q_pos, q_feats = fq.flat
+    if not matches:
+        return []
+    p_index = {(int(t), int(i)): k for k, (t, i) in enumerate(zip(p_traj, p_pos))}
+    q_index = {(int(t), int(i)): k for k, (t, i) in enumerate(zip(q_traj, q_pos))}
+    _, nn_of_q = cKDTree(p_feats * w.scale).query(q_feats * w.scale, k=1, p=1)
+    return [m for m in matches if int(nn_of_q[q_index[m.cand]]) == p_index[m.ref]]
+
+
+def oracle_filter_neighbor_count(matches, db_p, db_q, radius, count_tolerance):
+    counts_p = oracle_neighbor_count_table(db_p, radius)
+    counts_q = oracle_neighbor_count_table(db_q, radius)
+    return [m for m in matches
+            if abs(int(counts_p[m.ref[0]][m.ref[1]]) - int(counts_q[m.cand[0]][m.cand[1]]))
+            <= count_tolerance]
+
+
+def oracle_count_histogram(db, counts, ti, pi, k_frames):
+    traj = db.trajectories[ti]
+    frame_to_pos = {int(f): i for i, f in enumerate(traj.frames)}
+    f0 = int(traj.frames[pi])
+    hist = np.zeros(2 * k_frames + 1, dtype=np.int64)
+    for d in range(-k_frames, k_frames + 1):
+        j = frame_to_pos.get(f0 + d)
+        if j is not None:
+            hist[d + k_frames] = counts[ti][j]
+    return hist
+
+
+def oracle_filter_neighborhood_distribution(matches, db_p, db_q, radius, k_frames,
+                                            hist_tolerance):
+    counts_p = oracle_neighbor_count_table(db_p, radius)
+    counts_q = oracle_neighbor_count_table(db_q, radius)
+    out = []
+    for m in matches:
+        hp = oracle_count_histogram(db_p, counts_p, m.ref[0], m.ref[1], k_frames)
+        hq = oracle_count_histogram(db_q, counts_q, m.cand[0], m.cand[1], k_frames)
+        if int(np.abs(hp - hq).sum()) <= hist_tolerance:
+            out.append(m)
+    return out
+
+
+def oracle_reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate):
+    """``(p_xyz, q_xyz, p_times, q_times)`` and the ``(ti, pi, tj, pj)`` rows."""
+    rows, p_xyz, q_xyz, p_t, q_t = [], [], [], [], []
+    for ti, tj in traj_pairs:
+        traj_p = db_p.trajectories[ti]
+        traj_q = db_q.trajectories[tj]
+        tq = traj_q.times + tf.time_offset
+        q_mapped = tf.apply_points(traj_q.xyz)
+        j = np.searchsorted(tq, traj_p.times)
+        j_lo = np.clip(j - 1, 0, len(tq) - 1)
+        j_hi = np.clip(j, 0, len(tq) - 1)
+        nearer = np.where(
+            np.abs(tq[j_hi] - traj_p.times) < np.abs(tq[j_lo] - traj_p.times), j_hi, j_lo
+        )
+        dt_ok = np.abs(tq[nearer] - traj_p.times) <= time_gate
+        res = np.linalg.norm(traj_p.xyz - q_mapped[nearer], axis=1)
+        (pi,) = np.nonzero(dt_ok & (res <= gate))
+        if len(pi) == 0:
+            continue
+        pj = nearer[pi]
+        rows.append(np.column_stack([np.full(len(pi), ti), pi, np.full(len(pi), tj), pj]))
+        p_xyz.append(traj_p.xyz[pi])
+        q_xyz.append(traj_q.xyz[pj])
+        p_t.append(traj_p.times[pi])
+        q_t.append(traj_q.times[pj])
+    if not rows:
+        empty = np.empty((0, 3))
+        return (empty, empty, np.empty(0), np.empty(0)), np.empty((0, 4), dtype=np.int64)
+    return ((np.vstack(p_xyz), np.vstack(q_xyz), np.concatenate(p_t), np.concatenate(q_t)),
+            np.vstack(rows))
+
+
+def assert_same_association(db_p, db_q, traj_pairs, tf, gate, time_gate):
+    """``pipeline._reassociate`` equals the per-pair oracle bitwise; returns
+    its rows."""
+    from trajcal.pipeline import _reassociate
+
+    corr, rows = _reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate)
+    want_arrays, want = oracle_reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate)
+    assert rows.dtype == want.dtype and rows.shape == want.shape
+    np.testing.assert_array_equal(rows, want)
+    assert corr.weights is None
+    for got, old in zip((corr.p_xyz, corr.q_xyz, corr.p_times, corr.q_times), want_arrays):
+        assert got.shape == old.shape
+        np.testing.assert_array_equal(got, old)
+    return rows

@@ -189,6 +189,69 @@ class TestCalibrate:
         assert (tmp_path / "feat.q.csv").exists()
         assert (tmp_path / "matches.csv").exists()
 
+    @pytest.mark.parametrize("option,value", [
+        ("--out", "missing/s.json"),
+        ("--dump-features", "missing/feat"),
+        ("--dump-matches", "missing/matches.csv"),
+    ])
+    def test_output_in_missing_directory_exits_one_before_calibrating(
+            self, runner, tmp_path, monkeypatch, option, value):
+        from trajcal import pipeline
+
+        scene = simulate(runner, tmp_path / "scene")
+
+        def never(*a, **k):
+            raise AssertionError("calibrated before checking the output path")
+
+        monkeypatch.setattr(pipeline, "calibrate", never)
+        monkeypatch.setattr("trajcal.cli.extract_features", never)
+        target = tmp_path / value
+        result = runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+             "--input-q", str(scene / "dbQ.jsonl"), option, str(target)],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {option} {target}: {target.parent} is not a directory" in result.output
+
+    def test_store_dir_that_is_a_file_exits_one(self, runner, tmp_path, monkeypatch):
+        scene = simulate(runner, tmp_path / "scene")
+        not_a_dir = tmp_path / "store"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("TRAJCAL_STORE_DIR", str(not_a_dir))
+        result = runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+             "--input-q", str(scene / "dbQ.jsonl"), "--continuous"],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: session store {not_a_dir}" in result.output
+        result = runner.invoke(main, ["fuse-sessions"])
+        assert result.exit_code == 1
+        assert f"error: session store {not_a_dir}" in result.output
+
+    def test_failed_write_exits_one(self, runner, tmp_path, monkeypatch):
+        import errno
+
+        from trajcal import io
+
+        def full(session, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(io, "write_session_json", full)
+        scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
+        out = tmp_path / "s.json"
+        result = runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+             "--input-q", str(scene / "dbQ.jsonl"), "--out", str(out)],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {out}: No space left on device" in result.output
+
     def test_dump_columns_are_solo_filter_survivors(self, runner, tmp_path):
         import csv
 

@@ -2,9 +2,9 @@
 
 The oracles below are the earlier per-pair implementations of the polish
 objective, the interpolated correspondences, the consensus solve at one
-candidate offset, the 12-round polish loop, the session score's window loop
-and the nearest-time re-association with its per-row gather, kept here
-verbatim in behaviour. Every vectorized path must reproduce
+candidate offset, the 12-round polish loop and the session score's window
+loop, kept here verbatim in behaviour (the per-pair re-association oracle
+lives in ``conftest.py``). Every vectorized path must reproduce
 them: same sample counts and inlier sets, the same arrays, values equal to
 rounding."""
 
@@ -31,7 +31,7 @@ from trajcal.estimator import (
 from trajcal.model import Transform4D
 from trajcal.simulator import default_scenario, make_pair
 
-from conftest import make_database, make_trajectory
+from conftest import assert_same_association, make_database, make_trajectory
 
 # ---------------------------------------------------------------------------
 # oracles: the per-pair loops
@@ -251,40 +251,6 @@ def oracle_score_session(transform, db_p, db_q, match_radius=1.0):
                 n_pp += 1
     score = min(1.0, 2.0 * n_pp / n_po) if n_po > 0 else 0.0
     return score, n_pp, n_po
-
-
-def oracle_reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate):
-    rows = []
-    for ti, tj in traj_pairs:
-        traj_p = db_p.trajectories[ti]
-        traj_q = db_q.trajectories[tj]
-        tq = traj_q.times + tf.time_offset
-        q_xyz = tf.apply_points(traj_q.xyz)
-        j = np.searchsorted(tq, traj_p.times)
-        j_lo = np.clip(j - 1, 0, len(tq) - 1)
-        j_hi = np.clip(j, 0, len(tq) - 1)
-        nearer = np.where(
-            np.abs(tq[j_hi] - traj_p.times) < np.abs(tq[j_lo] - traj_p.times), j_hi, j_lo
-        )
-        dt_ok = np.abs(tq[nearer] - traj_p.times) <= time_gate
-        res = np.linalg.norm(traj_p.xyz - q_xyz[nearer], axis=1)
-        ok = dt_ok & (res <= gate)
-        for pi in np.nonzero(ok)[0]:
-            rows.append((ti, int(pi), tj, int(nearer[pi])))
-    if not rows:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
-
-
-def oracle_gather(rows, db_p, db_q):
-    if len(rows) == 0:
-        return np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0)
-    return (
-        np.array([db_p.trajectories[ti].xyz[pi] for ti, pi in rows[:, :2]]),
-        np.array([db_q.trajectories[tj].xyz[pj] for tj, pj in rows[:, 2:]]),
-        np.array([db_p.trajectories[ti].times[pi] for ti, pi in rows[:, :2]]),
-        np.array([db_q.trajectories[tj].times[pj] for tj, pj in rows[:, 2:]]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -608,16 +574,7 @@ class TestEdgeCases:
 
 class TestReassociateParity:
     def assert_same(self, db_p, db_q, traj_pairs, tf, gate, time_gate):
-        corr, rows = pl._reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate)
-        want = oracle_reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate)
-        assert rows.dtype == want.dtype and rows.shape == want.shape
-        np.testing.assert_array_equal(rows, want)
-        assert corr.weights is None
-        for got, old in zip((corr.p_xyz, corr.q_xyz, corr.p_times, corr.q_times),
-                            oracle_gather(want, db_p, db_q)):
-            assert got.shape == old.shape
-            np.testing.assert_array_equal(got, old)
-        return rows
+        return assert_same_association(db_p, db_q, traj_pairs, tf, gate, time_gate)
 
     def test_seeded_scene(self, scene):
         db_p, db_q, truth = scene["db_p"], scene["db_q"], scene["truth"]
