@@ -242,11 +242,8 @@ def evaluate(session_path, truth_path, out_path):
         _fail(str(exc))
     report = evaluation.make_report(session.transform, truth)
     if out_path:
-        import json
-
-        with open(out_path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _check_parent(out_path, "--out")
+        _write(io.write_json, report, out_path)
     _echo_report(report)
 
 

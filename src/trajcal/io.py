@@ -119,10 +119,16 @@ def read_database_jsonl(path) -> TrajectoryDatabase:
 # transforms, sessions, metric reports
 
 
-def write_transform_json(tf: Transform4D, path) -> None:
+def write_json(obj, path) -> None:
+    """``obj.to_dict()`` as indented JSON: a transform, a session or a
+    metric report."""
     with open(path, "w") as fh:
-        json.dump(tf.to_dict(), fh, indent=2)
+        json.dump(obj.to_dict(), fh, indent=2)
         fh.write("\n")
+
+
+def write_transform_json(tf: Transform4D, path) -> None:
+    write_json(tf, path)
 
 
 def read_transform_json(path) -> Transform4D:
@@ -135,9 +141,7 @@ def read_transform_json(path) -> Transform4D:
 
 
 def write_session_json(session: CalibrationSession, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(session.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(session, path)
 
 
 def read_session_json(path) -> CalibrationSession:

@@ -206,10 +206,10 @@ class TrajectoryDatabase:
 
     def __post_init__(self):
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        if self.frame_period <= 0:
-            raise ValueError(f"frame_period must be positive, got {self.frame_period}")
-        if self.sensing_range <= 0:
-            raise ValueError(f"sensing_range must be positive, got {self.sensing_range}")
+        for name in ("frame_period", "sensing_range"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         ids = [t.track_id for t in self.trajectories]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate track ids in database {self.sensor_id!r}")

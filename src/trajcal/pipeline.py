@@ -1,18 +1,21 @@
 """The iterative calibration loop, session scoring, and cross-session fusion.
 
 One calibration session: match positions by motion features, prune with the
-semantic filters, vote whole-trajectory pairs, then alternate between solving
-the space-time transform from the current pairs and re-deriving the pairs
-from the matched trajectories, until matched trajectories agree to within a
-distance threshold, re-association repeats itself, or iterations run out.
+semantic filters, then run the S1-S3 loop from one initial hypothesis after
+another until a session self-scores well enough. Each step of the loop
+associates position pairs under the current iterate, solves the space-time
+transform from them and re-votes the trajectory pairs; the loop stops when
+the matched trajectories agree to within a distance threshold, when
+re-association repeats itself, or when iterations run out. The association
+made under the last iterate goes to the estimator's polish.
 
-Initialization is the fragile part: raw feature matches are temporally
-scrambled along feature-flat (straight, constant-speed) tracks, so the first
-transform comes from a scan over candidate clock offsets with a consensus
-spatial refit at each one; genuinely paired trajectories agree on a
-transform only at the true offset, and offsets are ranked by how many pairs
-agree. If the finished session still self-scores poorly, the remaining scan
-candidates are retried.
+Hypotheses come as a stream. A stored prior comes first. Initialization
+from scratch is the fragile part and runs only when a hypothesis is still
+needed: raw feature matches are temporally scrambled along feature-flat
+(straight, constant-speed) tracks, so further transforms come from a scan
+over candidate clock offsets with a consensus spatial refit at each one;
+genuinely paired trajectories agree on a transform only at the true offset,
+and offsets are ranked by how many pairs agree.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .matching import (
     COUNT_TOLERANCE,
     HIST_TOLERANCE,
     MatchWeights,
+    _match_rows,
     apply_semantic_filters,
     motion_match,
 )
@@ -128,26 +132,34 @@ def _trimmed_solve(corr: estimator.CorrespondenceSet, max_rounds: int = 5):
 
 def _vote_trajectory_pairs(pairs: np.ndarray, scores: np.ndarray, min_votes: int, top_k: int = 1):
     """Each Q trajectory pairs with the P trajectory holding the plurality of
-    its matched positions; ties break toward the smaller mean pair score.
-    Every pair handed in is already class-matched (by ``filter_bbox``, or by
-    association over ``_class_pairs``). ``top_k`` > 1 also returns runner-up
-    candidates (for hypothesis seeding)."""
-    tally: dict[int, dict[int, list]] = {}
-    for (ti, _, tj, _), s in zip(pairs, scores):
-        by_p = tally.setdefault(int(tj), {})
-        entry = by_p.setdefault(int(ti), [0, 0.0])
-        entry[0] += 1
-        entry[1] += float(s)
-    out = []
-    for tj in sorted(tally):
-        candidates = sorted(
-            ((cnt, total / cnt, ti) for ti, (cnt, total) in tally[tj].items()),
-            key=lambda c: (-c[0], c[1], c[2]),
-        )
-        for cnt, _, ti in candidates[:top_k]:
-            if cnt >= min_votes:
-                out.append((ti, tj))
-    return out
+    its matched positions; ties break toward the smaller mean pair score,
+    then the smaller P index. Every pair handed in is already class-matched
+    (by ``filter_bbox``, or by association over ``_class_pairs``). ``top_k``
+    > 1 also returns runner-up candidates (for hypothesis seeding). Returns
+    ``(ti, tj)`` ints by ``tj``, then best first."""
+    ti, tj = pairs[:, 0], pairs[:, 2]
+    n = int(ti.max(initial=0)) + 1
+    cells, inverse = np.unique(tj * n + ti, return_inverse=True)
+    count = np.bincount(inverse)
+    # bincount adds each cell's scores in row order, as a running sum would
+    mean = np.bincount(inverse, weights=scores) / count
+    cell_ti, cell_tj = cells % n, cells // n
+    order = np.lexsort((cell_ti, mean, -count, cell_tj))
+    by_tj = cell_tj[order]
+    rank = np.arange(len(order)) - np.searchsorted(by_tj, by_tj)
+    pick = order[(rank < top_k) & (count[order] >= min_votes)]
+    return list(zip(cell_ti[pick].tolist(), cell_tj[pick].tolist()))
+
+
+def _loose_vote(matches):
+    """The matches as ``(ti, pi, tj, pj)`` rows, and the trajectory pairs
+    they vote for at initialization: runner-up candidates included, two
+    supporting matches suffice. The offset scan's consensus solve is built
+    to ignore the wrong candidates, so recall matters more than precision
+    here."""
+    rows = _match_rows(matches)
+    scores = np.array([m.feature_distance for m in matches])
+    return rows, _vote_trajectory_pairs(rows, scores, max(2, _MIN_TRAJECTORY_VOTES - 1), top_k=2)
 
 
 def _matched_objects(db_p, db_q, traj_pairs):
@@ -461,12 +473,10 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, fra
     return chosen
 
 
-def _pooled_alignment(db_p, db_q, traj_pairs, tf: Transform4D) -> float:
+def _pooled_alignment(matched, tf: Transform4D) -> float:
     """Mean point-to-interpolated-point distance over every matched
     trajectory pair under the candidate transform (inf without overlap)."""
-    tracks = estimator.PairedTracks(
-        _matched_objects(db_p, db_q, traj_pairs), tf.matrix, tf.translation
-    )
+    tracks = estimator.PairedTracks(matched, tf.matrix, tf.translation)
     idx, _, q, _ = tracks.interpolate(tf.time_offset)
     if len(idx) == 0:
         return math.inf
@@ -533,29 +543,38 @@ def _reassociate(db_p, db_q, traj_pairs, tf: Transform4D, gate: float, time_gate
     return corr, rows
 
 
-def _run_loop(db_p, db_q, max_iterations: int, tf0: Transform4D, halfwidth: float):
-    """S1/S2/S3 iterations from one initial transform hypothesis.
+def _run_hypothesis(db_p, db_q, tf0: Transform4D, class_pairs, max_iterations: int):
+    """One initial transform hypothesis to a scored session: S1-S3 steps,
+    then the polish.
 
-    Returns (transform, traj_pairs, rms, iterations, converged) for the last
-    completed iterate, or None when the hypothesis collapses before one
-    completes (too few pairs to go on). The loop also stops when
-    re-association returns the previous iteration's position pairs: the
-    iteration would only repeat the last one.
+    Each step associates once: position pairs from the trajectory pairs
+    under the current iterate (the first one over every class-compatible
+    pair under ``tf0``). It then solves space from them (S1) and re-votes
+    the trajectory pairs and the clock offset (S2), which completes an
+    iterate. The loop stops when the matched trajectories align to within
+    ``_TRAJECTORY_DISTANCE_THRESHOLD`` (converged), after ``max_iterations``
+    steps, or when a step cannot complete an iterate: too few pairs,
+    degenerate geometry, an empty vote, or the previous step's pairs again
+    (a repeat). The polish hands the association made under the last
+    completed iterate to ``estimator.solve``; a step that stopped early has
+    just made it, and after a converged or a last step it is made once.
+
+    Returns None when the hypothesis collapses before an iterate completes.
     """
-    time_gate = 0.6 * db_p.frame_period
-    tf = tf0
-    last = None
-    converged = False
-    iterations = 0
-    pairs = None
-    traj_pairs = _class_pairs(db_p, db_q)
+    time_gate, halfwidth = 0.6 * db_p.frame_period, 2.0 * db_p.frame_period
+    tf, traj_pairs = tf0, class_pairs
     # first association casts a wide net over every class-compatible pair;
     # the residual gate keeps only tracks that actually lie on each other
     gate = max(4.0 * _TRAJECTORY_DISTANCE_THRESHOLD, 2.0)
-    for it in range(1, max_iterations + 1):
-        iterations = it
+    matched = None  # the last completed iterate's trajectory pairs
+    pairs = None
+    steps, converged = 0, False
+    while True:
         # S3 (and initial association): position pairs from trajectory pairs
         corr, new_pairs = _reassociate(db_p, db_q, traj_pairs, tf, gate, time_gate)
+        if converged or steps == max_iterations:
+            break
+        steps += 1
         if len(new_pairs) < 3 or (pairs is not None and np.array_equal(new_pairs, pairs)):
             break
         pairs = new_pairs
@@ -564,45 +583,39 @@ def _run_loop(db_p, db_q, max_iterations: int, tf0: Transform4D, halfwidth: floa
             sol, keep, res = _trimmed_solve(corr)
         except (DegenerateGeometry, TooFewPairs):
             break
-        gate = 3.0 * sol.rms_residual + 1e-9
         # S2: trajectory pairing by majority vote + alignment distance
         voted = _vote_trajectory_pairs(pairs[keep], res[keep], _MIN_TRAJECTORY_VOTES)
         if not voted:
             break
+        voted_tracks = _matched_objects(db_p, db_q, voted)
         dt0 = float(np.median(corr.p_times[keep] - corr.q_times[keep]))
-        matched = _matched_objects(db_p, db_q, voted)
         try:
             dt = estimator.refine_time_offset(
-                matched, sol.rotation, sol.translation, dt0, halfwidth, tol=1e-7
+                voted_tracks, sol.rotation, sol.translation, dt0, halfwidth, tol=1e-7
             )
         except InsufficientOverlap:
             dt = dt0
         tf = Transform4D.from_matrix(sol.rotation, sol.translation, dt)
-        traj_pairs = voted
-        last = (tf, traj_pairs, sol.rms_residual)
-        if _pooled_alignment(db_p, db_q, voted, tf) < _TRAJECTORY_DISTANCE_THRESHOLD:
-            converged = True
-            break
-    if last is None:
+        traj_pairs, matched = voted, voted_tracks
+        gate = 3.0 * sol.rms_residual + 1e-9
+        converged = _pooled_alignment(matched, tf) < _TRAJECTORY_DISTANCE_THRESHOLD
+    if matched is None:
         return None
-    return (*last, iterations, converged)
-
-
-def _polish(db_p, db_q, tf, traj_pairs, rms, halfwidth):
-    """Final pass: re-associate under the loop's last iterate and hand the pairs to
-    the estimator's alternating interpolated solve."""
-    corr, _ = _reassociate(
-        db_p, db_q, traj_pairs, tf,
-        gate=3.0 * rms + 1e-9, time_gate=0.6 * db_p.frame_period,
-    )
     if len(corr) >= 3:
         try:
-            return estimator.solve(
-                corr, _matched_objects(db_p, db_q, traj_pairs), search_halfwidth=halfwidth
-            )
+            tf = estimator.solve(corr, matched, search_halfwidth=halfwidth)
         except (DegenerateGeometry, TooFewPairs, InsufficientOverlap):
             pass
-    return tf
+    score, n_pp, n_po = score_session(tf, db_p, db_q)
+    return CalibrationSession(
+        transform=tf,
+        score=score,
+        n_pp=n_pp,
+        n_po=n_po,
+        iterations_used=steps,
+        converged=converged,
+        created_at=time.time(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +631,18 @@ def calibrate(
     """Run one full calibration session; the returned transform maps Q-frame
     positions and timestamps into P's frame and clock.
 
-    ``prior`` (a stored session or transform from earlier passes) is tried as
-    the first initialization hypothesis: a continuous-calibration system that
-    already holds a decent estimate should not have to re-earn it from
-    scratch, and a bad prior costs nothing because every hypothesis is
-    score-checked.
+    Hypotheses are tried in turn until a session scores at least
+    ``_RETRY_SCORE_THRESHOLD``; the best-scoring session is returned.
+    ``prior`` (a stored session or transform from earlier passes) is tried
+    first: a continuous-calibration system that already holds a decent
+    estimate should not have to re-earn it from scratch, so the offset scan
+    runs only when the prior does not hold, and a bad prior costs nothing
+    because every hypothesis is score-checked.
 
     Raises NoCandidateMatches when fewer than 3 pairs survive the filters,
-    and NoViableHypothesis when enough do but the offset scan finds no
-    hypothesis (and there is no prior) or every hypothesis collapses.
+    and NoViableHypothesis (with the number of hypotheses tried) when
+    enough do but every hypothesis collapses, or there is none: no prior,
+    and the offset scan finds no offset.
     Non-convergence is not an error: the session comes back with
     ``converged=False`` and its honest score.
     """
@@ -639,71 +655,45 @@ def calibrate(
     if len(kept) < 3:
         raise NoCandidateMatches(len(raw), len(kept))
 
-    frame_period = db_p.frame_period
-    halfwidth = 2.0 * frame_period
+    def hypotheses():
+        nonlocal kept
+        if prior is not None:
+            yield prior.transform if isinstance(prior, CalibrationSession) else prior
+        # initialization: a loose trajectory vote straight off the filtered
+        # matches, then candidate clock offsets from the consensus scan
+        rows, candidates = _loose_vote(kept)
+        if len(candidates) < 3:
+            # dense traffic makes neighbor counts flicker and the neighborhood
+            # filters starve the vote; retry them with relaxed tolerances
+            # before giving up on a structured initialization
+            relaxed = apply_semantic_filters(
+                raw, fp, fq, db_p, db_q, weights=w,
+                count_tolerance=COUNT_TOLERANCE + 2, hist_tolerance=3 * HIST_TOLERANCE,
+            )
+            if len(relaxed) > len(kept):
+                kept = relaxed
+                rows, candidates = _loose_vote(kept)
+        if candidates:
+            p_starts, _, p_t, _ = db_p.stack()
+            q_starts, _, q_t, _ = db_q.stack()
+            raw_gaps = (p_t[p_starts[rows[:, 0]] + rows[:, 1]]
+                        - q_t[q_starts[rows[:, 2]] + rows[:, 3]])
+            tracks = estimator.PairedTracks(_matched_objects(db_p, db_q, candidates))
+            yield from _offset_hypotheses(tracks, raw_gaps, db_p.frame_period)
 
-    def _index_pairs(matches):
-        idx = np.array(
-            [(m.ref[0], m.ref[1], m.cand[0], m.cand[1]) for m in matches], dtype=np.int64
-        )
-        return idx, np.array([m.feature_distance for m in matches])
-
-    pairs, scores = _index_pairs(kept)
-
-    # initialization: a loose trajectory vote (runner-up candidates included,
-    # two supporting matches suffice) straight off the filtered matches, then
-    # candidate clock offsets from the consensus scan; the consensus solve is
-    # built to ignore the wrong candidates, so recall matters more than
-    # precision here
-    loose_votes = max(2, _MIN_TRAJECTORY_VOTES - 1)
-    candidates = _vote_trajectory_pairs(pairs, scores, loose_votes, top_k=2)
-    if len(candidates) < 3:
-        # dense traffic makes neighbor counts flicker and the neighborhood
-        # filters starve the vote; retry them with relaxed tolerances before
-        # giving up on a structured initialization
-        relaxed = apply_semantic_filters(
-            raw, fp, fq, db_p, db_q, weights=w,
-            count_tolerance=COUNT_TOLERANCE + 2, hist_tolerance=3 * HIST_TOLERANCE,
-        )
-        if len(relaxed) > len(kept):
-            kept = relaxed
-            pairs, scores = _index_pairs(kept)
-            candidates = _vote_trajectory_pairs(pairs, scores, loose_votes, top_k=2)
-    hypotheses: list[Transform4D] = []
-    if prior is not None:
-        hypotheses.append(prior.transform if isinstance(prior, CalibrationSession) else prior)
-    if candidates:
-        raw_gaps = np.array([db_p.trajectories[ti].times[pi] - db_q.trajectories[tj].times[pj]
-                             for ti, pi, tj, pj in pairs])
-        tracks0 = estimator.PairedTracks(_matched_objects(db_p, db_q, candidates))
-        hypotheses += _offset_hypotheses(tracks0, raw_gaps, frame_period)
-    if not hypotheses:
-        raise NoViableHypothesis(len(raw), len(kept), 0)
-
-    best_session = None
-    for tf0 in hypotheses:
-        outcome = _run_loop(db_p, db_q, cfg.max_iterations, tf0, halfwidth)
-        if outcome is None:
+    class_pairs = _class_pairs(db_p, db_q)
+    best, tried = None, 0
+    for tried, tf0 in enumerate(hypotheses(), start=1):
+        session = _run_hypothesis(db_p, db_q, tf0, class_pairs, cfg.max_iterations)
+        if session is None:
             continue
-        tf, traj_pairs, rms, iterations, converged = outcome
-        tf = _polish(db_p, db_q, tf, traj_pairs, rms, halfwidth)
-        score, n_pp, n_po = score_session(tf, db_p, db_q)
-        session = CalibrationSession(
-            transform=tf,
-            score=score,
-            n_pp=n_pp,
-            n_po=n_po,
-            iterations_used=iterations,
-            converged=converged,
-            created_at=time.time(),
-        )
-        if best_session is None or session.score > best_session.score:
-            best_session = session
+        if best is None or session.score > best.score:
+            best = session
         if session.score >= _RETRY_SCORE_THRESHOLD:
             break
-    if best_session is None:
-        raise NoViableHypothesis(len(raw), len(kept), len(hypotheses))
-    return best_session
+    if best is None:
+        raise NoViableHypothesis(len(raw), len(kept), tried)
+    return best
 
 
 def derive_position_pairs(

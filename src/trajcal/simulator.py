@@ -202,12 +202,13 @@ class ScenarioConfig:
             raise ValueError(f"unknown layout {self.layout!r}; expected one of {LAYOUTS}")
         if self.n_vehicles < 0:
             raise ValueError("n_vehicles must be non-negative")
-        if self.duration <= 0 or self.frame_period <= 0:
-            raise ValueError("duration and frame_period must be positive")
-        if self.sensing_range_p <= 0 or self.sensing_range_q <= 0:
-            raise ValueError("sensing ranges must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        for name in ("duration", "frame_period", "sensing_range_p", "sensing_range_q"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
 

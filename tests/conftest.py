@@ -241,3 +241,24 @@ def assert_same_association(db_p, db_q, traj_pairs, tf, gate, time_gate):
         assert got.shape == old.shape
         np.testing.assert_array_equal(got, old)
     return rows
+
+
+def oracle_vote_trajectory_pairs(pairs, scores, min_votes, top_k=1):
+    """``pipeline._vote_trajectory_pairs`` as a per-row tally: votes and a
+    running score sum per (Q trajectory, P trajectory)."""
+    tally: dict[int, dict[int, list]] = {}
+    for (ti, _, tj, _), s in zip(pairs, scores):
+        by_p = tally.setdefault(int(tj), {})
+        entry = by_p.setdefault(int(ti), [0, 0.0])
+        entry[0] += 1
+        entry[1] += float(s)
+    out = []
+    for tj in sorted(tally):
+        candidates = sorted(
+            ((cnt, total / cnt, ti) for ti, (cnt, total) in tally[tj].items()),
+            key=lambda c: (-c[0], c[1], c[2]),
+        )
+        for cnt, _, ti in candidates[:top_k]:
+            if cnt >= min_votes:
+                out.append((ti, tj))
+    return out

@@ -52,6 +52,14 @@ class TestSimulate:
         )
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("flag", ["--noise", "--duration"])
+    def test_nan_setting_exits_one(self, runner, tmp_path, flag):
+        result = runner.invoke(main, ["simulate", "--out", str(tmp_path / "s"), flag, "nan"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "must be finite" in result.output
+        assert not (tmp_path / "s").exists()
+
     def test_bad_config_exits_one(self, runner, tmp_path):
         cfg = tmp_path / "scene.cfg"
         cfg.write_text("unknown_thing = 1\n")
@@ -134,6 +142,24 @@ class TestCalibrate:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"error: {bad}" in result.output
+
+    @pytest.mark.parametrize("key,value", [("frame_period", "NaN"),
+                                           ("sensing_range", "Infinity")])
+    def test_non_finite_header_exits_one(self, runner, tmp_path, key, value):
+        scene = simulate(runner, tmp_path / "scene")
+        db_path = scene / "dbP.jsonl"
+        lines = db_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["meta"][key] = float(value.lower().replace("infinity", "inf"))
+        lines[0] = json.dumps(header)
+        db_path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(db_path), "--input-q", str(scene / "dbQ.jsonl")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {db_path}: {key} must be finite and positive" in result.output
 
     def test_no_candidates_exits_two_with_counts(self, runner, tmp_path):
         a = simulate(runner, tmp_path / "a", "--vehicles", "2")
@@ -334,6 +360,24 @@ class TestEvaluate:
         report = json.loads(report_path.read_text())
         assert report["success"] is True
         assert report["rte_m"] < 1e-5
+
+
+    def test_report_in_missing_directory_exits_one(self, runner, tmp_path):
+        scene = simulate(runner, tmp_path / "scene")
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps({
+            "transform": json.loads((scene / "ground_truth.json").read_text()), "score": 1.0,
+            "n_pp": 1, "n_po": 1, "iterations_used": 1, "converged": True, "created_at": 0.0,
+        }))
+        target = tmp_path / "missing" / "report.json"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--session", str(session),
+             "--truth", str(scene / "ground_truth.json"), "--out", str(target)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: --out {target}" in result.output
 
 
 class TestSweep:

@@ -31,7 +31,12 @@ from trajcal.estimator import (
 from trajcal.model import Transform4D
 from trajcal.simulator import default_scenario, make_pair
 
-from conftest import assert_same_association, make_database, make_trajectory
+from conftest import (
+    assert_same_association,
+    make_database,
+    make_trajectory,
+    oracle_vote_trajectory_pairs,
+)
 
 # ---------------------------------------------------------------------------
 # oracles: the per-pair loops
@@ -624,20 +629,59 @@ class TestReassociateParity:
                                     1.0, 0.06)) == 0
 
 
+class TestVoteParity:
+    def assert_same(self, pairs, scores):
+        for top_k in (1, 2):
+            for min_votes in (1, 2, 3):
+                got = pl._vote_trajectory_pairs(pairs, scores, min_votes, top_k=top_k)
+                want = oracle_vote_trajectory_pairs(pairs, scores, min_votes, top_k=top_k)
+                assert got == want
+                assert all(type(ti) is int and type(tj) is int for ti, tj in got)
+
+    def test_seeded_scene(self, scene):
+        db_p, db_q, truth = scene["db_p"], scene["db_q"], scene["truth"]
+        corr, rows = pl._reassociate(db_p, db_q, pl._class_pairs(db_p, db_q), truth, 2.0, 0.06)
+        residuals = np.linalg.norm(corr.p_xyz - truth.apply_points(corr.q_xyz), axis=1)
+        assert len(rows) > 50
+        self.assert_same(rows, residuals)
+        # feature matches, rows and scores as calibrate()'s loose vote takes them
+        raw = pl.motion_match(pl.extract_features(db_p), pl.extract_features(db_q))
+        self.assert_same(pl._match_rows(raw), np.array([m.feature_distance for m in raw]))
+
+    def test_tied_counts_and_means(self):
+        #  tj 0: ti 3 and ti 1 both 2 votes, mean 0.5 -> the smaller ti first
+        #  tj 1: ti 2 and ti 0 both 3 votes, ti 0 with the smaller mean
+        #  tj 4: one vote for ti 5; rows out of order throughout
+        table = [(3, 0, 0.5), (2, 1, 0.4), (1, 0, 0.25), (0, 1, 0.1), (5, 4, 0.9),
+                 (2, 1, 0.4), (3, 0, 0.5), (0, 1, 0.2), (1, 0, 0.75), (2, 1, 0.4),
+                 (0, 1, 0.3), (4, 0, 0.1)]
+        pairs = np.array([(ti, 7, tj, 9) for ti, tj, _ in table], dtype=np.int64)
+        scores = np.array([s for _, _, s in table])
+        got = pl._vote_trajectory_pairs(pairs, scores, 2, top_k=2)
+        assert got == [(1, 0), (3, 0), (0, 1), (2, 1)]
+        self.assert_same(pairs, scores)
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, 4, size=(300, 4))
+        self.assert_same(pairs, rng.integers(0, 3, size=300) * 0.25)
+
+    def test_no_rows(self):
+        self.assert_same(np.empty((0, 4), dtype=np.int64), np.empty(0))
+
+
 class TestAlignmentParity:
     def test_pooled_mean(self, scene):
         db_p, db_q, truth = scene["db_p"], scene["db_q"], scene["truth"]
         traj_pairs = [(ti, tj) for ti in range(len(db_p.trajectories))
                       for tj in range(len(db_q.trajectories))][::7]
+        matched = pl._matched_objects(db_p, db_q, traj_pairs)
         for tf in (truth, Transform4D(truth.rotation, truth.translation + 0.3,
                                       truth.time_offset - 0.04)):
             want = oracle_pooled_alignment(db_p, db_q, traj_pairs, tf)
             assert math.isfinite(want)
-            assert pl._pooled_alignment(db_p, db_q, traj_pairs, tf) == \
-                pytest.approx(want, rel=1e-9)
+            assert pl._pooled_alignment(matched, tf) == pytest.approx(want, rel=1e-9)
         far = Transform4D(truth.rotation, truth.translation, truth.time_offset + 1e4)
-        assert pl._pooled_alignment(db_p, db_q, traj_pairs, far) == math.inf
-        assert pl._pooled_alignment(db_p, db_q, [], truth) == math.inf
+        assert pl._pooled_alignment(matched, far) == math.inf
+        assert pl._pooled_alignment([], truth) == math.inf
 
 
 class TestPolishStop:
@@ -682,7 +726,7 @@ class TestScoreParity:
 
 class TestNoViableHypothesis:
     def test_collapse_is_not_reported_as_too_few_matches(self, scene, monkeypatch):
-        monkeypatch.setattr(pl, "_run_loop", lambda *a, **k: None)
+        monkeypatch.setattr(pl, "_run_hypothesis", lambda *a, **k: None)
         with pytest.raises(NoViableHypothesis) as info:
             pl.calibrate(scene["db_p"], scene["db_q"])
         err = info.value
@@ -706,7 +750,7 @@ class TestNoViableHypothesis:
         args = ["simulate", "--out", str(out), "--vehicles", "10", "--duration", "25",
                 "--seed", "3"]
         assert runner.invoke(main, args).exit_code == 0
-        monkeypatch.setattr(pl, "_run_loop", lambda *a, **k: None)
+        monkeypatch.setattr(pl, "_run_hypothesis", lambda *a, **k: None)
         result = runner.invoke(
             main,
             ["calibrate", "--input-p", str(out / "dbP.jsonl"),

@@ -65,6 +65,20 @@ class TestDatabaseJsonl:
         with pytest.raises(io.FileFormatError, match=":3:"):
             io.read_database_jsonl(path)
 
+    @pytest.mark.parametrize("key,value", [("frame_period", "NaN"), ("frame_period", "Infinity"),
+                                           ("sensing_range", "NaN"), ("sensing_range", "Infinity")])
+    def test_non_finite_header_value_rejected(self, sample_db, tmp_path, key, value):
+        path = tmp_path / "db.jsonl"
+        io.write_database_jsonl(sample_db, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["meta"][key] = float(value.lower().replace("infinity", "inf"))
+        lines[0] = json.dumps(header)
+        assert value in lines[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(io.FileFormatError, match=f"{key} must be finite and positive"):
+            io.read_database_jsonl(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -215,6 +215,85 @@ class TestCalibrate:
         assert kept == defaults, f"calibrate kept {len(kept)}, defaults keep {len(defaults)}"
 
 
+def _counting(monkeypatch, name):
+    """Wrap ``pipeline.<name>`` to append one entry per call to the returned list."""
+    from trajcal import pipeline as pl
+
+    calls, original = [], getattr(pl, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pl, name, spy)
+    return calls
+
+
+def _fields(session):
+    d = session.to_dict()
+    del d["created_at"]
+    return d
+
+
+class TestHypothesisStream:
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cfg = default_scenario(n_vehicles=10, duration=25.0, noise_sigma=0.2, seed=3)
+        db_p, db_q, truth = make_pair(cfg)
+        return db_p, db_q, truth, calibrate(db_p, db_q)
+
+    def test_warm_pass_whose_prior_holds_skips_the_scan(self, scene, monkeypatch):
+        db_p, db_q, truth, cold = scene
+        scans = _counting(monkeypatch, "_offset_hypotheses")
+        warm = calibrate(db_p, db_q, prior=cold)
+        assert scans == []
+        assert warm.score >= 0.5 and make_report(warm.transform, truth).success
+
+    def test_far_off_prior_still_reaches_the_scan(self, scene, monkeypatch):
+        db_p, db_q, truth, cold = scene
+        scans = _counting(monkeypatch, "_offset_hypotheses")
+        far = Transform4D.from_yaw_deg(90.0, (40.0, -30.0, 0.0), truth.time_offset + 7.0)
+        session = calibrate(db_p, db_q, prior=far)
+        assert len(scans) == 1
+        assert _fields(session) == _fields(cold)
+
+    def test_collapsing_prior_and_empty_scan_count_one_hypothesis(self, scene, monkeypatch):
+        from trajcal import pipeline as pl
+
+        db_p, db_q, truth, _ = scene
+        monkeypatch.setattr(pl, "_offset_hypotheses", lambda *a, **k: [])
+        gone = Transform4D(truth.rotation, truth.translation, truth.time_offset + 1e4)
+        with pytest.raises(NoViableHypothesis) as info:
+            calibrate(db_p, db_q, prior=gone)
+        assert info.value.hypotheses_tried == 1
+        assert "all 1 initial hypotheses collapsed" in str(info.value)
+
+    def test_stalled_loop_associates_once_per_step(self, monkeypatch):
+        # sigma 0.25 sits at the convergence test's noise floor: the loop
+        # stops on a repeated association, which the polish then reuses
+        from trajcal import pipeline as pl
+
+        associations = _counting(monkeypatch, "_reassociate")
+        sessions = []
+        run = pl._run_hypothesis
+
+        def per_hypothesis(*args, **kwargs):
+            before = len(associations)
+            session = run(*args, **kwargs)
+            sessions.append((session, len(associations) - before))
+            return session
+
+        monkeypatch.setattr(pl, "_run_hypothesis", per_hypothesis)
+        cfg = default_scenario(n_vehicles=24, duration=45.0, noise_sigma=0.25,
+                               time_offset=0.5, seed=0)
+        db_p, db_q, _ = make_pair(cfg)
+        calibrate(db_p, db_q)
+        [(session, n_associations)] = sessions
+        assert not session.converged
+        assert session.iterations_used < PipelineConfig().max_iterations
+        assert n_associations == session.iterations_used
+
+
 class TestScoreSession:
     def test_perfect_calibration_scores_one(self):
         cfg = default_scenario(n_vehicles=10, duration=30.0, seed=4)
@@ -511,6 +590,7 @@ class TestAlignmentMonotonicity:
             if db_p.trajectories[i].class_label == db_q.trajectories[j].class_label
         ]
         # the returned transform aligns matched content essentially exactly
-        pair_means = [pl._pooled_alignment(db_p, db_q, [pair], session.transform)
+        pair_means = [pl._pooled_alignment(pl._matched_objects(db_p, db_q, [pair]),
+                                           session.transform)
                       for pair in all_pairs]
         assert min(m for m in pair_means if math.isfinite(m)) < 1e-6

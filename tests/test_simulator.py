@@ -1,6 +1,7 @@
 """Synthetic scenario generator and the sensor observation model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,6 +258,14 @@ class TestScenarioConfig:
             default_scenario(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             default_scenario(dropout_rate=1.0)
+
+    @pytest.mark.parametrize("field", ["duration", "frame_period", "sensing_range_p",
+                                       "sensing_range_q", "noise_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # nan slips through a plain sign test (nan <= 0 is False)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(default_scenario(), **{field: value})
 
     def test_all_layouts_generate(self):
         for layout in LAYOUTS:
