@@ -13,10 +13,18 @@ pairs there are. The pipeline's offset scan goes one step further: it
 evaluates a whole block of candidate offsets on one stacked layout (one
 overlap mask, one ``searchsorted`` and one blend per block), and its
 per-pair and per-offset fits are stacks for ``_rigid_fit``.
+
+The polish's offset search (``refine_time_offset``: a grid, then golden
+section) searches each P instant's Q segment only until the golden bracket
+is knot-free, i.e. no P instant crosses a Q sample or a Q track's end
+anywhere inside it. The bracket only shrinks, so from then on every
+evaluation uses the same segments, gathered once (``_FixedSegments``), and
+costs a few elementwise passes.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -134,14 +142,42 @@ def estimate_time_offset_coarse(c: CorrespondenceSet) -> float:
     return float(gaps[order[min(k, len(gaps) - 1)]])
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
+def _check_halfwidth(search_halfwidth: float) -> None:
+    if not (math.isfinite(search_halfwidth) and search_halfwidth >= 0):
+        raise ValueError(
+            f"search_halfwidth must be finite and non-negative, got {search_halfwidth}"
+        )
+
+
 def golden_section(
-    f: Callable[[float], float], a: float, b: float, tol: float = _OFFSET_TOL
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float = _OFFSET_TOL,
+    *,
+    freeze: Callable[[float, float], Callable[[float], float] | None] | None = None,
 ) -> float:
-    """Minimize a unimodal function on [a, b]."""
+    """Minimize a unimodal function on [a, b], until the bracket is no wider
+    than ``tol`` or rounding stops it shrinking.
+
+    ``freeze`` is ``refine_time_offset``'s hook: asked with each bracket, it
+    may return a cheaper callable equal to ``f`` on that bracket, which then
+    replaces ``f`` for the rest of the search (the bracket only shrinks)."""
+    _check_tol(tol)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
+    width = abs(b - a)
+    while width > tol:
+        if freeze is not None:
+            fixed = freeze(a, b)
+            if fixed is not None:
+                f, freeze = fixed, None
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -150,7 +186,19 @@ def golden_section(
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
+        width, last = abs(b - a), width
+        if width >= last:
+            break
     return 0.5 * (a + b)
+
+
+def _mapped_columns(q_xyz: np.ndarray, rotation, translation) -> np.ndarray:
+    """Q rows mapped through the transform (when given), coordinate-major so
+    that gathers are contiguous."""
+    if rotation is not None:
+        q_xyz = q_xyz @ np.asarray(rotation).T
+        q_xyz += np.asarray(translation)
+    return np.ascontiguousarray(q_xyz.T)
 
 
 class PairedTracks:
@@ -167,7 +215,9 @@ class PairedTracks:
     whose Q track has fewer than 2 samples cannot interpolate and never
     yields a sample. With
     ``rotation``/``translation`` the Q track is mapped into P's frame once,
-    here, instead of once per evaluation."""
+    here, instead of once per evaluation; ``mapped`` maps a stack built
+    without them, so a caller that tries many transforms stacks the pairs
+    only once."""
 
     def __init__(
         self,
@@ -182,13 +232,11 @@ class PairedTracks:
         q_counts = np.array([len(t) for t in tq], dtype=np.int64)
         self.p_times = np.concatenate([t.times for t in tp] or [np.empty(0)])
         self.p_xyz = np.vstack([t.xyz for t in tp] or [np.empty((0, 3))])
+        self.p_cols = np.ascontiguousarray(self.p_xyz.T)
         self.p_pair = np.repeat(np.arange(self.n_pairs), p_counts)
         self.q_times = np.concatenate([t.times for t in tq] or [np.empty(0)])
         q_xyz = np.vstack([t.xyz for t in tq] or [np.empty((0, 3))])
-        if rotation is not None:
-            q_xyz = q_xyz @ np.asarray(rotation).T
-            q_xyz += np.asarray(translation)
-        self._q_cols = np.ascontiguousarray(q_xyz.T)  # coordinate-major: gathers are contiguous
+        self._q_cols = _mapped_columns(q_xyz, rotation, translation)
         self.q_stop = np.cumsum(q_counts)
         self.q_start = self.q_stop - q_counts
         # complex numbers order lexicographically (real, then imaginary)
@@ -202,6 +250,14 @@ class PairedTracks:
         self._span_first = q_first[self.p_pair]
         self._span_last = q_last[self.p_pair]
         self.n_usable = int(usable.sum())
+
+    def mapped(self, rotation: np.ndarray, translation: np.ndarray) -> "PairedTracks":
+        """This stack with its Q coordinates mapped through
+        ``rotation``/``translation``: P's frame when the stack was built
+        without a transform. Every other array is shared."""
+        out = copy.copy(self)
+        out._q_cols = _mapped_columns(np.ascontiguousarray(self._q_cols.T), rotation, translation)
+        return out
 
     def q_steps(self) -> np.ndarray:
         """Sampling intervals inside every Q track."""
@@ -220,14 +276,20 @@ class PairedTracks:
         at, idx = np.nonzero((s >= self._span_first) & (s <= self._span_last))
         return at, idx, s[at, idx]
 
+    def segments(self, idx: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The Q segment each P sample ``idx`` falls in at shifted time ``s``
+        (inside its pair's Q span): the index of the segment's first Q
+        sample, the last segment for a time on the track's end."""
+        pair = self.p_pair[idx]
+        j = np.searchsorted(self._q_key, pair + 1j * s, side="right") - 1
+        return np.minimum(j, self.q_stop[pair] - 2)
+
     def blend(self, idx: np.ndarray, s: np.ndarray):
         """Q interpolated at the shifted times ``s`` of the P samples
         ``idx``, rows as ``overlap`` returns them: ``(q, var_factor)``, with
         ``q`` coordinate-major (3, n) and ``var_factor`` as in
         ``interpolate``."""
-        pair = self.p_pair[idx]
-        j = np.searchsorted(self._q_key, pair + 1j * s, side="right") - 1
-        j = np.minimum(j, self.q_stop[pair] - 2)
+        j = self.segments(idx, s)
         t0 = self.q_times[j]
         u = (s - t0) / (self.q_times[j + 1] - t0)
         q = self._q_cols.take(j, axis=1)
@@ -251,18 +313,85 @@ class PairedTracks:
         return idx, s, np.ascontiguousarray(q.T), var_factor
 
 
+class _FixedSegments:
+    """The polish objective (``_offset_objective``) with every P sample's Q
+    segment fixed: the P samples ``idx`` are blended on the segments
+    starting at ``j``. Everything but the offset is gathered here, once.
+
+    It equals the full objective at every offset where the overlap and the
+    segments are those ones, which ``_OffsetSearch.freeze`` certifies for a
+    bracket."""
+
+    def __init__(self, tracks: PairedTracks, idx, j):
+        self.p_t = tracks.p_times[idx]
+        self.t0 = tracks.q_times[j]
+        self.step = tracks.q_times[j + 1] - self.t0
+        self.qa = tracks._q_cols.take(j, axis=1)
+        self.qb = tracks._q_cols.take(j + 1, axis=1)
+        self.p = tracks.p_cols.take(idx, axis=1)
+
+    def __call__(self, d: float) -> float:
+        n = len(self.p_t)
+        if n == 0:
+            return math.inf
+        u = (self.p_t - d - self.t0) / self.step
+        q = self.qa * (1.0 - u)
+        q += self.qb * u
+        diff = self.p - q
+        diff *= diff
+        # summed left to right per row, as np.sum(..., axis=1) sums a row of 3
+        return float(np.sum((diff[0] + diff[1] + diff[2]) / (1.0 + (1.0 - u) ** 2 + u**2))) / n
+
+
+def _layout(tracks: PairedTracks, d: float):
+    """The segment layout at offset ``d``: per P sample its two overlap
+    tests (shifted time not before / not after its pair's Q span), then the
+    samples inside the span and their Q segments."""
+    s = tracks.p_times - d
+    ge = s >= tracks._span_first
+    le = s <= tracks._span_last
+    idx = np.flatnonzero(ge & le)
+    return ge, le, idx, tracks.segments(idx, s[idx])
+
+
 def _offset_objective(tracks: PairedTracks, d: float) -> tuple[float, int]:
     """Mean variance-normalized squared distance between P samples and the
     (mapped) Q track interpolated at t_p - d, over samples inside the Q span."""
-    idx, _, q, var_factor = tracks.interpolate(d)
-    if len(idx) == 0:
-        return math.inf, 0
-    diff = tracks.p_xyz[idx] - q
-    return float(np.sum(np.sum(diff * diff, axis=1) / var_factor)) / len(idx), len(idx)
+    _, _, idx, j = _layout(tracks, d)
+    return _FixedSegments(tracks, idx, j)(d), len(idx)
+
+
+class _OffsetSearch:
+    """The polish objective over offsets on one mapped stack, keeping each
+    evaluated layout's signature: how many P samples pass each overlap
+    test, and the sum of the segments inside the overlap.
+
+    The shifted time ``t_p - d`` is monotone in ``d`` even after rounding,
+    and so are both overlap tests and each sample's segment. Layouts at
+    ``a <= b`` are therefore equal exactly when their signatures are, and
+    then so is every layout in between: ``freeze(a, b)`` hands golden
+    section the objective on those fixed segments. Golden section's later
+    points stay inside the bracket, 0.38 of its width from the nearer end."""
+
+    def __init__(self, tracks: PairedTracks):
+        self.tracks = tracks
+        self._signatures = {}
+
+    def __call__(self, d: float) -> float:
+        ge, le, idx, j = _layout(self.tracks, d)
+        self._signatures[d] = (np.count_nonzero(ge), np.count_nonzero(le), int(j.sum()))
+        return _FixedSegments(self.tracks, idx, j)(d)
+
+    def freeze(self, a: float, b: float):
+        # both ends of a bracket are offsets already evaluated
+        if self._signatures[a] != self._signatures[b]:
+            return None
+        _, _, idx, j = _layout(self.tracks, a)
+        return _FixedSegments(self.tracks, idx, j)
 
 
 def refine_time_offset(
-    matched_trajectories: Sequence[TrajectoryPair],
+    matched_trajectories: Sequence[TrajectoryPair] | PairedTracks,
     rotation: np.ndarray,
     translation: np.ndarray,
     coarse: float,
@@ -271,27 +400,42 @@ def refine_time_offset(
     tol: float = _OFFSET_TOL,
 ) -> float:
     """Sub-frame time offset: grid scan over [coarse - hw, coarse + hw] in
-    half the median Q sampling interval, followed by golden-section around
-    the best cell."""
-    if not matched_trajectories:
+    half the median Q sampling interval, followed by golden section around
+    the best cell, to a bracket of ``tol``. ``matched_trajectories`` may be
+    a ``PairedTracks`` of the pairs built without a transform (``solve``
+    stacks them once for all its rounds).
+
+    Golden section searches every P instant's Q segment only until its
+    bracket holds no knot (a P instant crossing a Q sample or a Q track's
+    end); from then on it evaluates on those fixed segments, with the same
+    floating-point operations, so the result is what a full search gives."""
+    if not math.isfinite(coarse):
+        raise ValueError(f"coarse must be finite, got {coarse}")
+    _check_halfwidth(search_halfwidth)
+    _check_tol(tol)
+    if isinstance(matched_trajectories, PairedTracks):
+        tracks = matched_trajectories.mapped(rotation, translation)
+    else:
+        tracks = PairedTracks(matched_trajectories, rotation, translation)
+    if tracks.n_pairs == 0:
         raise InsufficientOverlap("no matched trajectories to refine against")
-    tracks = PairedTracks(matched_trajectories, rotation, translation)
     if tracks.n_usable == 0:
         raise InsufficientOverlap("matched trajectories are too short to interpolate")
     grid_step = min(0.5 * float(np.median(tracks.q_steps())), max(search_halfwidth, 1e-12))
     grid = np.arange(coarse - search_halfwidth, coarse + search_halfwidth + 0.5 * grid_step, grid_step)
-    values = [_offset_objective(tracks, float(d))[0] for d in grid]
+    search = _OffsetSearch(tracks)
+    values = [search(float(d)) for d in grid]
     if all(math.isinf(v) for v in values):
         raise InsufficientOverlap("no temporal overlap anywhere in the search window")
     best = int(np.argmin(values))
     lo = grid[max(0, best - 1)]
     hi = grid[min(len(grid) - 1, best + 1)]
-    refined = golden_section(lambda d: _offset_objective(tracks, d)[0], float(lo), float(hi), tol)
+    refined = golden_section(search, float(lo), float(hi), tol, freeze=search.freeze)
     return float(np.clip(refined, coarse - search_halfwidth, coarse + search_halfwidth))
 
 
 def interpolated_correspondences(
-    matched_trajectories: Sequence[TrajectoryPair],
+    matched_trajectories: Sequence[TrajectoryPair] | PairedTracks,
     rotation: np.ndarray,
     translation: np.ndarray,
     time_offset: float,
@@ -299,8 +443,12 @@ def interpolated_correspondences(
     residual_gate: float | None = None,
 ) -> CorrespondenceSet:
     """Pair each P sample with the Q track linearly interpolated at its
-    instant (raw Q coordinates, so the result feeds a fresh spatial solve)."""
-    tracks = PairedTracks(matched_trajectories)
+    instant (raw Q coordinates, so the result feeds a fresh spatial solve).
+    ``matched_trajectories`` may be a ``PairedTracks`` of the pairs built
+    without a transform."""
+    tracks = matched_trajectories
+    if not isinstance(tracks, PairedTracks):
+        tracks = PairedTracks(tracks)
     idx, s, q_raw, var_factor = tracks.interpolate(time_offset)
     p_sel = tracks.p_xyz[idx]
     if residual_gate is not None:
@@ -325,35 +473,54 @@ def solve(
     """Full 4D solve: spatial fit, coarse offset, then alternate sub-frame
     offset refinement with interpolated re-solves until they agree.
 
-    Each polish round refines the offset under the current spatial fit
-    (``refine_time_offset``, golden section to ``_OFFSET_TOL``), then re-solves
-    space from Q interpolated at that offset. Polish stops once a round moves
-    the offset by no more than ``_POLISH_STOP`` (ten search resolutions:
-    rounds past that only re-sample the search's rounding), or after
-    ``_POLISH_ROUNDS`` rounds."""
+    The matched pairs are stacked once (``PairedTracks``). Each polish round
+    refines the offset under the current spatial fit (``refine_time_offset``,
+    golden section to ``_OFFSET_TOL``, searching Q segments only until its
+    bracket is knot-free), then re-solves space from Q interpolated at that
+    offset. Polish stops once a round moves the offset by no more than
+    ``_POLISH_STOP`` (ten search resolutions: rounds past that only
+    re-sample the search's rounding), after ``_POLISH_ROUNDS`` rounds, or
+    on a 2-cycle: a round that returns within ``_POLISH_STOP`` of the offset
+    of the round before last. An offset on a frame-grid knot can alternate
+    between two states for good; the polish then keeps the one with the
+    lower objective, each evaluated at its own transform and offset."""
+    if search_halfwidth is not None:
+        _check_halfwidth(search_halfwidth)
     sol = solve_spatial(c)
     dt = estimate_time_offset_coarse(c)
     if matched_trajectories:
+        tracks = PairedTracks(matched_trajectories)
         if search_halfwidth is None:
-            gaps = [np.diff(tq.times) for _, tq in matched_trajectories if len(tq) >= 2]
-            if gaps:
-                search_halfwidth = 2.0 * float(np.median(np.concatenate(gaps)))
+            steps = tracks.q_steps()
+            if len(steps):
+                search_halfwidth = 2.0 * float(np.median(steps))
         if search_halfwidth:
+            ended = []  # the offsets earlier rounds ended at
             for _ in range(_POLISH_ROUNDS):
                 dt_new = refine_time_offset(
-                    matched_trajectories, sol.rotation, sol.translation, dt, search_halfwidth
+                    tracks, sol.rotation, sol.translation, dt, search_halfwidth
                 )
                 corr = interpolated_correspondences(
-                    matched_trajectories,
+                    tracks,
                     sol.rotation,
                     sol.translation,
                     dt_new,
                     residual_gate=max(3.0 * sol.rms_residual, 1e-9),
                 )
                 moved = abs(dt_new - dt)
+                previous = sol, dt
                 dt = dt_new
                 if len(corr) >= 3:
                     sol = solve_spatial(corr)
                 if moved <= _POLISH_STOP:
                     break
+                if len(ended) >= 2 and abs(dt - ended[-2]) <= _POLISH_STOP:
+                    if _state_objective(tracks, *previous) < _state_objective(tracks, sol, dt):
+                        sol, dt = previous
+                    break
+                ended.append(dt)
     return Transform4D.from_matrix(sol.rotation, sol.translation, dt)
+
+
+def _state_objective(tracks: PairedTracks, sol: SpatialSolution, dt: float) -> float:
+    return _offset_objective(tracks.mapped(sol.rotation, sol.translation), dt)[0]

@@ -418,9 +418,8 @@ def _solve_at_offsets(tracks: estimator.PairedTracks, offsets, gate: float = _IN
     numpy call, with bounded memory."""
     offsets = np.asarray(offsets, dtype=float)
     out = [None] * len(offsets)
-    p_cols = np.ascontiguousarray(tracks.p_xyz.T)
     for first, count, at, idx, s in _overlap_blocks(tracks, offsets):
-        out[first:first + count] = _ScanBlock(tracks, p_cols, at, idx, s, count).solve(gate)
+        out[first:first + count] = _ScanBlock(tracks, tracks.p_cols, at, idx, s, count).solve(gate)
     return out
 
 

@@ -157,6 +157,26 @@ class TestGoldenSection:
             math.pi, abs=1e-7
         )
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            golden_section(lambda x: (x - 1.3) ** 2, -5, 5, tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            golden_section(lambda x: (x - 1.3) ** 2, -5, 5, tol=tol)
+
+    def test_tol_below_float_spacing_stops_when_bracket_stops_shrinking(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (x - 1.3) ** 2
+
+        assert golden_section(f, -5, 5, tol=1e-17) == pytest.approx(1.3, abs=1e-8)
+        assert len(calls) < 200
+
 
 def linear_pair(offset, n=60, speed=7.0, dt=0.1, noise=0.0, rng=None, curved=False):
     """P and Q observe the same motion; Q's clock lags P's by ``offset``."""
@@ -207,8 +227,34 @@ class TestRefineOffset:
         with pytest.raises(InsufficientOverlap):
             refine_time_offset([(traj_p, traj_q)], np.eye(3), np.zeros(3), 0.0, 0.5)
 
+    @pytest.mark.parametrize("coarse, halfwidth, tol, name", [
+        (0.5, -0.2, 1e-9, "search_halfwidth"),
+        (0.5, math.nan, 1e-9, "search_halfwidth"),
+        (0.5, math.inf, 1e-9, "search_halfwidth"),
+        (math.nan, 0.2, 1e-9, "coarse"),
+        (0.5, 0.2, 0.0, "tol"),
+        (0.5, 0.2, math.nan, "tol"),
+    ])
+    def test_bad_argument_is_named(self, coarse, halfwidth, tol, name):
+        traj_p, traj_q = linear_pair(0.537)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            refine_time_offset([(traj_p, traj_q)], np.eye(3), np.zeros(3), coarse, halfwidth,
+                               tol=tol)
+
+    def test_tol_checked_before_overlap(self):
+        traj_p, traj_q = linear_pair(500.0, n=20)
+        with pytest.raises(ValueError, match="^tol must be finite"):
+            refine_time_offset([(traj_p, traj_q)], np.eye(3), np.zeros(3), 0.0, 0.5, tol=-1.0)
+
 
 class TestFullSolve:
+    @pytest.mark.parametrize("halfwidth", [-0.2, math.nan, math.inf])
+    def test_bad_search_halfwidth_is_named(self, halfwidth):
+        traj_p, traj_q = linear_pair(0.537, curved=True)
+        c = corr_from_points(traj_p.xyz, traj_q.xyz, traj_p.times, traj_q.times)
+        with pytest.raises(ValueError, match="^search_halfwidth must be finite"):
+            solve(c, [(traj_p, traj_q)], search_halfwidth=halfwidth)
+
     def test_exact_correspondences_recover_ground_truth(self, rng):
         truth = Transform4D.from_yaw_deg(63.0, (12.0, -7.0, 0.4), 0.8)
         pairs = []

@@ -4,10 +4,12 @@ The oracles below are the earlier per-pair implementations of the polish
 objective, the interpolated correspondences, the consensus solve at one
 candidate offset, the 12-round polish loop and the session score's window
 loop, kept here verbatim in behaviour (the per-pair re-association oracle
-lives in ``conftest.py``). Every vectorized path must reproduce
+lives in ``conftest.py``), and the offset search that evaluates the full
+objective at every golden step. Every vectorized path must reproduce
 them: same sample counts and inlier sets, the same arrays, values equal to
-rounding."""
+rounding; the offset search bit for bit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from trajcal import pipeline as pl
 from trajcal.errors import (
     CalibrationError,
     DegenerateGeometry,
+    InsufficientOverlap,
     NoCandidateMatches,
     NoViableHypothesis,
     TooFewPairs,
@@ -28,7 +31,7 @@ from trajcal.estimator import (
     interpolated_correspondences,
     solve_spatial,
 )
-from trajcal.model import Transform4D
+from trajcal.model import Trajectory, Transform4D
 from trajcal.simulator import default_scenario, make_pair
 
 from conftest import (
@@ -199,6 +202,87 @@ def oracle_polish(c, matched, search_halfwidth, polish_rounds=12):
         if moved < 1e-11:
             break
     return Transform4D.from_matrix(sol.rotation, sol.translation, dt)
+
+
+def oracle_full_objective(tracks, d):
+    """The polish objective as every golden step evaluated it before the
+    search froze segments: overlap mask, segment search and blend each time."""
+    idx, _, q, var_factor = tracks.interpolate(d)
+    if len(idx) == 0:
+        return math.inf
+    diff = tracks.p_xyz[idx] - q
+    return float(np.sum(np.sum(diff * diff, axis=1) / var_factor)) / len(idx)
+
+
+def oracle_golden_section(f, a, b, tol):
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = f(c), f(d)
+    while abs(b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def oracle_refine_time_offset(matched, rotation, translation, coarse, halfwidth, tol=1e-9):
+    tracks = PairedTracks(matched, rotation, translation)
+    grid_step = min(0.5 * float(np.median(tracks.q_steps())), max(halfwidth, 1e-12))
+    grid = np.arange(coarse - halfwidth, coarse + halfwidth + 0.5 * grid_step, grid_step)
+    values = [oracle_full_objective(tracks, float(d)) for d in grid]
+    if all(math.isinf(v) for v in values):
+        raise InsufficientOverlap("no temporal overlap anywhere in the search window")
+    best = int(np.argmin(values))
+    lo = grid[max(0, best - 1)]
+    hi = grid[min(len(grid) - 1, best + 1)]
+    refined = oracle_golden_section(lambda d: oracle_full_objective(tracks, d),
+                                    float(lo), float(hi), tol)
+    return float(np.clip(refined, coarse - halfwidth, coarse + halfwidth))
+
+
+def oracle_layout(matched, d):
+    """Per P sample, pair by pair: both overlap tests at offset ``d`` and,
+    inside the overlap, the Q segment from a per-pair search."""
+    ge, le, seg = [], [], [np.empty(0, dtype=np.int64)]
+    for tp, tq in matched:
+        s = tp.times - d
+        if len(tq) < 2:
+            ge.append(np.zeros(len(s), dtype=bool))
+            le.append(np.zeros(len(s), dtype=bool))
+            continue
+        g, l = s >= tq.times[0], s <= tq.times[-1]
+        ge.append(g)
+        le.append(l)
+        seg.append(np.minimum(np.searchsorted(tq.times, s[g & l], side="right") - 1, len(tq) - 2))
+    return np.concatenate(ge), np.concatenate(le), np.concatenate(seg)
+
+
+def oracle_polish_states(c, matched, search_halfwidth, polish_rounds=12, stop=1e-8):
+    """The polish loop without its cycle stop: the (solution, offset) every
+    round ends in, the coarse start first."""
+    sol = solve_spatial(c)
+    states = [(sol, estimate_time_offset_coarse(c))]
+    for _ in range(polish_rounds):
+        dt = states[-1][1]
+        dt_new = estimator.refine_time_offset(
+            matched, sol.rotation, sol.translation, dt, search_halfwidth
+        )
+        corr = estimator.interpolated_correspondences(
+            matched, sol.rotation, sol.translation, dt_new,
+            residual_gate=max(3.0 * sol.rms_residual, 1e-9),
+        )
+        if len(corr) >= 3:
+            sol = solve_spatial(corr)
+        states.append((sol, dt_new))
+        if abs(dt_new - dt) <= stop:
+            break
+    return states
 
 
 def oracle_pooled_alignment(db_p, db_q, traj_pairs, tf):
@@ -700,6 +784,220 @@ class TestPolishStop:
         want = oracle_polish(c, matched, halfwidth)
         assert abs(got.time_offset - want.time_offset) < 1e-8
         np.testing.assert_allclose(got.translation, want.translation, rtol=0, atol=1e-6)
+
+
+def spy_freezes(monkeypatch):
+    """Every bracket the offset search froze on: ``[lo, hi, frozen calls]``."""
+    frozen = []
+    freeze = estimator._OffsetSearch.freeze
+
+    def spy(self, a, b):
+        fixed = freeze(self, a, b)
+        if fixed is None:
+            return None
+        entry = [a, b, 0]
+        frozen.append(entry)
+
+        def counted(d):
+            entry[2] += 1
+            return fixed(d)
+
+        return counted
+
+    monkeypatch.setattr(estimator._OffsetSearch, "freeze", spy)
+    return frozen
+
+
+def assert_search_parity(frozen, matched, rotation, translation, coarse, halfwidth, tol=1e-9):
+    """``refine_time_offset`` bit for bit against the full-evaluation search,
+    from the pairs and from their stack; every bracket it froze on must have
+    the same layout at both ends by a per-pair search. Returns the freezes."""
+    want = oracle_refine_time_offset(matched, rotation, translation, coarse, halfwidth, tol)
+    frozen.clear()
+    got = estimator.refine_time_offset(matched, rotation, translation, coarse, halfwidth, tol=tol)
+    assert got == want
+    for lo, hi, _ in frozen:
+        for at_lo, at_hi in zip(oracle_layout(matched, lo), oracle_layout(matched, hi)):
+            np.testing.assert_array_equal(at_lo, at_hi)
+    freezes = list(frozen)
+    stacked = estimator.refine_time_offset(PairedTracks(matched), rotation, translation, coarse,
+                                           halfwidth, tol=tol)
+    assert stacked == want
+    return freezes
+
+
+def with_times(traj, times):
+    return Trajectory(traj.track_id, tuple(
+        dataclasses.replace(p, t=float(t)) for p, t in zip(traj.positions, times)))
+
+
+def sampled(motion, times, track, t_world=None):
+    """A trajectory stamped ``times`` observing ``motion`` at ``t_world``
+    (by default at ``times``)."""
+    times = np.asarray(times, dtype=float)
+    xyz = motion(times if t_world is None else np.asarray(t_world, dtype=float))
+    return with_times(make_trajectory(xyz, track=track), times)
+
+
+def inside(matched):
+    """Each pair's P samples that stay inside its Q span over the offsets
+    the search visits (about 0.3-0.8 s here): their overlap tests never
+    change, so only the segments tell a bracket's ends apart."""
+    out = []
+    for tp, tq in matched:
+        keep = tuple(p for p in tp.positions if tq.times[0] + 1.0 <= p.t <= tq.times[-1])
+        if len(keep) >= 5:
+            out.append((Trajectory(tp.track_id, keep), tq))
+    return out
+
+
+def circle(radius, rate, phase=0.0, centre=(0.0, 0.0)):
+    def motion(t):
+        a = rate * t + phase
+        return np.column_stack([centre[0] + radius * np.cos(a), centre[1] + radius * np.sin(a),
+                                np.ones(len(t))])
+    return motion
+
+
+class TestOffsetSearchParity:
+    """The golden search evaluates on fixed segments once its bracket is
+    knot-free; its result must be the full search's, bit for bit."""
+
+    def polish_start(self, scene):
+        c, matched, halfwidth = scene["polish"]
+        sol = solve_spatial(c)
+        return matched, sol.rotation, sol.translation, estimate_time_offset_coarse(c), halfwidth
+
+    def test_off_grid_scene(self, scene, monkeypatch):
+        frozen = spy_freezes(monkeypatch)
+        matched, rot, trans, coarse, halfwidth = self.polish_start(scene)
+        truth = scene["truth"]
+        assert len(inside(matched)) > 10
+        for pairs in (matched, inside(matched)):
+            for args, tol in (((rot, trans, coarse, halfwidth), 1e-9),
+                              ((rot, trans, coarse, halfwidth), 1e-7),
+                              ((truth.matrix, truth.translation, truth.time_offset, 0.2), 1e-9)):
+                freezes = assert_search_parity(frozen, pairs, *args, tol=tol)
+                assert len(freezes) == 1 and freezes[0][2] > 10
+
+    def test_jittered_q_times(self, scene, monkeypatch):
+        frozen = spy_freezes(monkeypatch)
+        matched, rot, trans, coarse, halfwidth = self.polish_start(scene)
+        rng = np.random.default_rng(17)
+        jittered = [(tp, with_times(tq, tq.times + rng.uniform(-0.01, 0.01, len(tq))))
+                    for tp, tq in matched]
+        for pairs in (jittered, inside(jittered)):
+            freezes = assert_search_parity(frozen, pairs, rot, trans, coarse, halfwidth)
+            assert len(freezes) == 1 and freezes[0][2] > 10
+
+    @pytest.mark.parametrize("coarse, halfwidth", [(0.5, 0.2), (0.45, 0.05)])
+    def test_knot_at_the_optimum_never_freezes(self, monkeypatch, coarse, halfwidth):
+        # on the frame grid: at 0.5 s every P instant meets a Q sample, and
+        # noiseless tracks put the minimum exactly there, so the bracket
+        # keeps that knot inside or at its end. P stays inside Q's span, so
+        # the overlap tests alone never tell the bracket's ends apart
+        frozen = spy_freezes(monkeypatch)
+        t = np.arange(60) * 0.1
+        t_p = t[10:50]
+        rot = Transform4D.from_yaw_deg(40.0).matrix
+        matched, rotated = [], []
+        for k in range(4):
+            motion = circle(15.0 + 4 * k, 0.3, phase=k)
+            p = sampled(motion, t_p, f"p{k}")
+            matched.append((p, sampled(motion, t, f"q{k}", t_world=t + 0.5)))
+            rotated.append((p, sampled(lambda w: motion(w) @ rot, t, f"q{k}", t_world=t + 0.5)))
+        for pairs, r in ((matched, np.eye(3)), (rotated, rot)):
+            assert assert_search_parity(frozen, pairs, r, np.zeros(3), coarse, halfwidth) == []
+            out = estimator.refine_time_offset(pairs, r, np.zeros(3), coarse, halfwidth)
+            assert out == pytest.approx(0.5, abs=1e-8)
+
+    def test_pair_entering_the_overlap_inside_the_bracket(self, monkeypatch):
+        # Q clock lags the world by 0.537 s. Pair A's knots sit on multiples
+        # of 0.1 s. Pair B's Q track is short and sampled 0.06 s off P's
+        # phase: near 0.54 s one P instant enters its span as another leaves
+        # it, and its segments shift with them, so only the overlap tests
+        # tell the two sides of 0.54 s apart
+        frozen = spy_freezes(monkeypatch)
+        t = np.arange(60) * 0.1
+        a, b = circle(20.0, 0.3), circle(12.0, -0.4, phase=1.0, centre=(5.0, -3.0))
+        q_b = 0.06 + np.arange(10, 30) * 0.1
+        matched = [(sampled(a, t, "pa"), sampled(a, t, "qa", t_world=t + 0.537)),
+                   (sampled(b, t, "pb"), sampled(b, q_b, "qb", t_world=q_b + 0.537))]
+        freezes = assert_search_parity(frozen, matched, np.eye(3), np.zeros(3), 0.54, 0.2)
+        assert freezes and freezes[0][2] > 10
+        lo, hi, _ = freezes[0]
+        entering = t[:, None] - q_b[[0, -1]]
+        assert not np.any((entering >= lo) & (entering <= hi))
+
+    def test_no_overlap_at_all(self, scene, monkeypatch):
+        # a pair that never overlaps rides along in the stack without
+        # blocking the freeze; with no overlap anywhere, both searches raise
+        frozen = spy_freezes(monkeypatch)
+        matched, rot, trans, coarse, halfwidth = self.polish_start(scene)
+        far = (linear(20, 500.0, track="p-far"), linear(20, 0.0, track="q-far"))
+        for pairs in (matched, inside(matched)):
+            freezes = assert_search_parity(frozen, [*pairs, far], rot, trans, coarse, halfwidth)
+            assert len(freezes) == 1 and freezes[0][2] > 10
+        frozen.clear()
+        for search in (estimator.refine_time_offset, oracle_refine_time_offset):
+            with pytest.raises(InsufficientOverlap, match="no temporal overlap"):
+                search([far], np.eye(3), np.zeros(3), 0.0, 0.5)
+        assert frozen == []
+
+
+@pytest.fixture(scope="module", params=[0.0, 30.0], ids=["rot0", "rot30"])
+def cycling_polish(request):
+    """The polish inputs of criterion 3's seed-7 scene, whose offset sits on
+    the frame grid."""
+    cfg = default_scenario(n_vehicles=25, duration=45.0, noise_sigma=0.2, time_offset=0.5,
+                           rotation_deg=request.param, seed=7)
+    db_p, db_q, _ = make_pair(cfg)
+    solves = []
+    solve = estimator.solve
+
+    def spy_solve(c, matched, **k):
+        solves.append((c, matched, k["search_halfwidth"]))
+        return solve(c, matched, **k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "solve", spy_solve)
+        pl.calibrate(db_p, db_q)
+    return solves[0]
+
+
+class TestPolishCycle:
+    def test_two_cycle_stops_on_the_lower_objective(self, cycling_polish, monkeypatch):
+        c, matched, halfwidth = cycling_polish
+        states = oracle_polish_states(c, matched, halfwidth)
+        offsets = [dt for _, dt in states]
+        # without the stop, the polish alternates between two offsets ~2 ms
+        # apart for all 12 rounds
+        assert len(states) == 13
+        assert abs(offsets[-1] - offsets[-2]) > 1e-3 and abs(offsets[-1] - offsets[-3]) < 1e-8
+        k = next(k for k in range(3, 13) if abs(offsets[k] - offsets[k - 2]) <= 1e-8)
+
+        def objective(state):
+            sol, dt = state
+            return oracle_offset_objective(oracle_pairs(matched, sol.rotation, sol.translation),
+                                           dt)[0]
+
+        before, last = objective(states[k - 1]), objective(states[k])
+        assert abs(before - last) > 1e-6 * last
+        sol, dt = states[k - 1] if before < last else states[k]
+        rounds = []
+        refine = estimator.refine_time_offset
+
+        def counting(*a, **kw):
+            rounds.append(1)
+            return refine(*a, **kw)
+
+        monkeypatch.setattr(estimator, "refine_time_offset", counting)
+        got = estimator.solve(c, matched, search_halfwidth=halfwidth)
+        assert len(rounds) == k
+        want = Transform4D.from_matrix(sol.rotation, sol.translation, dt)
+        assert got.time_offset == want.time_offset
+        assert got.rotation.tobytes() == want.rotation.tobytes()
+        assert got.translation.tobytes() == want.translation.tobytes()
 
 
 class TestScoreParity:
