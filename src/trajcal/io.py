@@ -13,9 +13,11 @@ import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .features import FeatureDatabase
 from .matching import PositionMatch
-from .model import Position, Trajectory, TrajectoryDatabase, Transform4D
+from .model import Trajectory, TrajectoryDatabase, Transform4D
 from .pipeline import CalibrationSession
 from .simulator import LAYOUTS, ScenarioConfig, default_scenario
 
@@ -44,26 +46,37 @@ def write_database_jsonl(db: TrajectoryDatabase, path) -> None:
         }
         fh.write(json.dumps(header) + "\n")
         for traj in db.trajectories:
-            for p in traj.positions:
-                record = {
-                    "sensor_id": db.sensor_id,
-                    "track_id": p.track_id,
-                    "frame": p.frame_index,
-                    "t": p.t,
-                    "x": p.x,
-                    "y": p.y,
-                    "z": p.z,
-                    "l": p.bbox[0],
-                    "w": p.bbox[1],
-                    "h": p.bbox[2],
-                    "class": p.class_label,
-                }
+            for (x, y, z), t, frame, (l, w, h) in zip(
+                traj.xyz.tolist(), traj.times.tolist(), traj.frames.tolist(), traj.bbox.tolist()
+            ):
+                record = {"sensor_id": db.sensor_id, "track_id": traj.track_id, "frame": frame,
+                          "t": t, "x": x, "y": y, "z": z, "l": l, "w": w, "h": h,
+                          "class": traj.class_label}
                 fh.write(json.dumps(record) + "\n")
+
+
+def _frame(value) -> int:
+    """A record's frame number: a 64-bit JSON integer, or a float with an
+    integral value; ``true``, ``"7"``, ``12.9`` and ``Infinity`` are not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or not -2**63 <= value < 2**63:
+        raise ValueError(f"frame must be a 64-bit integer, got {value!r}")
+    return value
+
+
+def _track(track_id: str, rows: list) -> Trajectory:
+    """One track's ``(line, x, y, z, t, frame, l, w, h, class)`` rows."""
+    _, x, y, z, t, frames, l, w, h, labels = zip(*rows)
+    if len(set(labels)) > 1:
+        raise ValueError(f"mixed class labels in trajectory {track_id!r}")
+    return Trajectory.from_columns(
+        track_id, labels[0], np.transpose((x, y, z)), t, frames, np.transpose((l, w, h)))
 
 
 def read_database_jsonl(path) -> TrajectoryDatabase:
     path = Path(path)
-    tracks: dict[str, list[Position]] = {}
+    tracks: dict[str, list] = {}
     meta = None
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -83,26 +96,26 @@ def read_database_jsonl(path) -> TrajectoryDatabase:
                     raise FileFormatError(f"{path}:1: meta missing keys {sorted(missing)}")
                 continue
             try:
-                p = Position(
-                    x=float(record["x"]),
-                    y=float(record["y"]),
-                    z=float(record["z"]),
-                    t=float(record["t"]),
-                    frame_index=int(record["frame"]),
-                    bbox=(float(record["l"]), float(record["w"]), float(record["h"])),
-                    class_label=str(record["class"]),
-                    track_id=str(record["track_id"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                row = (line_no, float(record["x"]), float(record["y"]), float(record["z"]),
+                       float(record["t"]), _frame(record["frame"]), float(record["l"]),
+                       float(record["w"]), float(record["h"]), str(record["class"]))
+                tracks.setdefault(str(record["track_id"]), []).append(row)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FileFormatError(f"{path}:{line_no}: bad position record: {exc}") from exc
-            tracks.setdefault(p.track_id, []).append(p)
     if meta is None:
         raise FileFormatError(f"{path}: file is empty; expected a meta header line")
     trajectories = []
-    for track_id, positions in tracks.items():
+    for track_id, rows in tracks.items():
         try:
-            trajectories.append(Trajectory(track_id, tuple(positions)))
+            trajectories.append(_track(track_id, rows))
         except ValueError as exc:
+            # name the first line that is bad on its own, if one is
+            for row in rows:
+                try:
+                    _track(track_id, [row])
+                except ValueError as row_exc:
+                    raise FileFormatError(
+                        f"{path}:{row[0]}: bad position record: {row_exc}") from row_exc
             raise FileFormatError(f"{path}: track {track_id!r}: {exc}") from exc
     try:
         return TrajectoryDatabase(
@@ -217,18 +230,12 @@ def write_features_csv(db: TrajectoryDatabase, fdb: FeatureDatabase, path) -> No
         writer = csv.writer(fh)
         writer.writerow(["sensor_id", "track_id", "frame", "c", "alpha", "sigma2", "valid"])
         for traj, feats in zip(db.trajectories, fdb.per_trajectory):
-            for i, p in enumerate(traj.positions):
-                writer.writerow(
-                    [
-                        db.sensor_id,
-                        p.track_id,
-                        p.frame_index,
-                        repr(float(feats.curvature[i])),
-                        repr(float(feats.velocity_mean[i])),
-                        repr(float(feats.velocity_variance[i])),
-                        int(feats.valid[i]),
-                    ]
-                )
+            for frame, c, alpha, sigma2, valid in zip(
+                traj.frames.tolist(), feats.curvature.tolist(), feats.velocity_mean.tolist(),
+                feats.velocity_variance.tolist(), feats.valid.tolist(),
+            ):
+                writer.writerow([db.sensor_id, traj.track_id, frame, repr(c), repr(alpha),
+                                 repr(sigma2), int(valid)])
 
 
 def write_matches_csv(
@@ -245,15 +252,8 @@ def write_matches_csv(
         writer = csv.writer(fh)
         writer.writerow(["p_track", "p_frame", "q_track", "q_frame", "dist", *kept])
         for m in matches:
-            p = db_p.trajectories[m.ref[0]].positions[m.ref[1]]
-            q = db_q.trajectories[m.cand[0]].positions[m.cand[1]]
-            writer.writerow(
-                [
-                    p.track_id,
-                    p.frame_index,
-                    q.track_id,
-                    q.frame_index,
-                    repr(m.feature_distance),
-                    *(int(m in out) for out in kept.values()),
-                ]
-            )
+            traj_p = db_p.trajectories[m.ref[0]]
+            traj_q = db_q.trajectories[m.cand[0]]
+            writer.writerow([traj_p.track_id, int(traj_p.frames[m.ref[1]]), traj_q.track_id,
+                             int(traj_q.frames[m.cand[1]]), repr(m.feature_distance),
+                             *(int(m in out) for out in kept.values())])

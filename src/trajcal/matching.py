@@ -78,18 +78,13 @@ def motion_match(
         return []
     tree = cKDTree(_scaled(q_feats, w))
     dist, idx = tree.query(_scaled(p_feats, w), k=1, p=1)
-    out = []
-    for i in range(p_feats.shape[0]):
-        if dist[i] < w.d_th:
-            j = int(idx[i])
-            out.append(
-                PositionMatch(
-                    ref=(int(p_traj[i]), int(p_pos[i])),
-                    cand=(int(q_traj[j]), int(q_pos[j])),
-                    feature_distance=float(dist[i]),
-                )
-            )
-    return out
+    keep = dist < w.d_th
+    j = idx[keep]
+    return [
+        PositionMatch((ti, pi), (tj, pj), d)
+        for ti, pi, tj, pj, d in zip(p_traj[keep].tolist(), p_pos[keep].tolist(),
+                                     q_traj[j].tolist(), q_pos[j].tolist(), dist[keep].tolist())
+    ]
 
 
 def _match_rows(matches: Sequence[PositionMatch]) -> np.ndarray:
@@ -137,14 +132,19 @@ def filter_bbox(
 ) -> list[PositionMatch]:
     """Keep pairs whose bounding boxes agree within the tolerance (L1 over
     length/width/height) and whose class labels are identical."""
-    out = []
-    for m in matches:
-        p = db_p.trajectories[m.ref[0]].positions[m.ref[1]]
-        q = db_q.trajectories[m.cand[0]].positions[m.cand[1]]
-        size_gap = sum(abs(a - b) for a, b in zip(p.bbox, q.bbox))
-        if size_gap <= box_tolerance and p.class_label == q.class_label:
-            out.append(m)
-    return out
+    if not matches:
+        return []
+
+    def box_and_label(db: TrajectoryDatabase, traj: np.ndarray, pos: np.ndarray):
+        starts = np.cumsum([0] + [len(t) for t in db.trajectories])
+        boxes = np.concatenate([t.bbox for t in db.trajectories])
+        return boxes[starts[traj] + pos], np.array([t.class_label for t in db.trajectories])[traj]
+
+    rows = _match_rows(matches)
+    box_p, label_p = box_and_label(db_p, rows[:, 0], rows[:, 1])
+    box_q, label_q = box_and_label(db_q, rows[:, 2], rows[:, 3])
+    size_gap = np.abs(box_p - box_q).sum(axis=1)
+    return _kept(matches, (size_gap <= box_tolerance) & (label_p == label_q))
 
 
 def _neighbor_counts(db: TrajectoryDatabase, radius: float):

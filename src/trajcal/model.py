@@ -1,6 +1,8 @@
 """Domain types and the rigid space-time transform linking two sensor frames.
 
-Positions, trajectories and trajectory databases are immutable value objects.
+A trajectory is read-only columns (positions, times, frames and boxes) plus
+its track id and class; ``Position`` is the record type for building one by
+hand. Trajectories and trajectory databases are immutable value objects.
 The 4D transform stores its rotation as a canonical unit quaternion
 (non-negative scalar part) and its clock shift as a plain scalar offset:
 time never rotates, so the temporal part of the transform is exactly one
@@ -10,7 +12,7 @@ additive constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -107,10 +109,12 @@ def quat_from_axis_angle(axis: Sequence[float], angle_rad: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Position:
-    """One timestamped 3D observation of one tracked object.
+    """One timestamped 3D observation of one tracked object: the record for
+    building a trajectory by hand, ``Trajectory(track_id, positions)``.
 
     Coordinates are meters in the owning sensor's frame, ``t`` is seconds on
-    the owning sensor's clock, ``bbox`` is (length, width, height).
+    the owning sensor's clock, ``bbox`` is (length, width, height). It is
+    checked as a one-row trajectory is.
     """
 
     x: float
@@ -123,76 +127,87 @@ class Position:
     track_id: str
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z, self.t)):
-            raise ValueError("position coordinates and timestamp must be finite")
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be non-negative, got {self.frame_index}")
-        box = tuple(float(v) for v in self.bbox)
-        if len(box) != 3 or any(not math.isfinite(v) or v <= 0 for v in box):
-            raise ValueError(f"bbox dimensions must be strictly positive: {self.bbox!r}")
-        object.__setattr__(self, "bbox", box)
-        if self.class_label not in CLASS_LABELS:
-            raise ValueError(f"unknown class label {self.class_label!r}")
+        object.__setattr__(self, "bbox", tuple(float(v) for v in self.bbox))
+        _checked_columns(self.track_id, self.class_label,
+                         [self.xyz], [self.t], [self.frame_index], [self.bbox])
 
     @property
     def xyz(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
 
-@dataclass(frozen=True)
+def _checked_columns(track_id, class_label, xyz, times, frames, bbox):
+    """The columns as read-only C-ordered arrays, once they are non-empty and
+    agree in shape, with finite values, positive boxes, a known class, and
+    non-negative, strictly increasing frames and strictly increasing times."""
+    xyz, times, bbox = (np.array(c, dtype=float, order="C") for c in (xyz, times, bbox))
+    frames = np.array(frames, dtype=np.int64)
+    n = times.size
+    if n == 0:
+        raise ValueError("trajectory must contain at least one position")
+    if (xyz.shape, times.shape, frames.shape, bbox.shape) != ((n, 3), (n,), (n,), (n, 3)):
+        raise ValueError(f"xyz, times, frames and bbox columns disagree in shape: "
+                         f"{xyz.shape}, {times.shape}, {frames.shape}, {bbox.shape}")
+    if not (np.isfinite(xyz).all() and np.isfinite(times).all()):
+        raise ValueError("position coordinates and timestamp must be finite")
+    if frames.min() < 0:
+        raise ValueError(f"frame_index must be non-negative, got {frames.min()}")
+    bad_box = ~(np.isfinite(bbox) & (bbox > 0)).all(axis=1)
+    if bad_box.any():
+        raise ValueError(f"bbox dimensions must be strictly positive: {bbox[bad_box][0]}")
+    if class_label not in CLASS_LABELS:
+        raise ValueError(f"unknown class label {class_label!r}")
+    if (np.diff(times) <= 0).any() or (np.diff(frames) <= 0).any():
+        raise ValueError(f"timestamps/frames must strictly increase in trajectory {track_id!r}")
+    for column in (xyz, times, frames, bbox):
+        column.setflags(write=False)
+    return xyz, times, frames, bbox
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
-    """Chronologically ordered positions of one tracked object."""
+    """One tracked object's observations in time order, as read-only
+    columns: ``xyz`` (n, 3), ``times`` (n,), ``frames`` (n,) and ``bbox``
+    (n, 3), in the units of ``Position``."""
 
     track_id: str
-    positions: tuple[Position, ...]
+    class_label: str
+    xyz: np.ndarray
+    times: np.ndarray
+    frames: np.ndarray
+    bbox: np.ndarray
 
-    def __post_init__(self):
-        positions = tuple(self.positions)
-        object.__setattr__(self, "positions", positions)
-        if not positions:
-            raise ValueError("trajectory must contain at least one position")
-        label = positions[0].class_label
-        prev = None
-        for p in positions:
-            if p.track_id != self.track_id:
-                raise ValueError(
-                    f"position track_id {p.track_id!r} differs from trajectory {self.track_id!r}"
-                )
-            if p.class_label != label:
-                raise ValueError(f"mixed class labels in trajectory {self.track_id!r}")
-            if prev is not None and (p.t <= prev.t or p.frame_index <= prev.frame_index):
-                raise ValueError(
-                    f"timestamps/frames must strictly increase in trajectory {self.track_id!r}"
-                )
-            prev = p
+    def __init__(self, track_id: str, positions: Sequence[Position]):
+        """The trajectory of hand-built ``Position`` records."""
+        positions = tuple(positions)
+        label = positions[0].class_label if positions else None
+        if any(p.track_id != track_id or p.class_label != label for p in positions):
+            raise ValueError(f"positions differ in track_id or class label from trajectory "
+                             f"{track_id!r}")
+        self._fill(track_id, label, [(p.x, p.y, p.z) for p in positions],
+                   [p.t for p in positions], [p.frame_index for p in positions],
+                   [p.bbox for p in positions])
+
+    @classmethod
+    def from_columns(cls, track_id, class_label, xyz, times, frames, bbox) -> "Trajectory":
+        """The trajectory of copies of the given columns."""
+        traj = object.__new__(cls)
+        traj._fill(track_id, class_label, xyz, times, frames, bbox)
+        return traj
+
+    def _fill(self, track_id, class_label, *columns) -> None:
+        values = (track_id, class_label, *_checked_columns(track_id, class_label, *columns))
+        for field, value in zip(fields(self), values):
+            object.__setattr__(self, field.name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     def __len__(self) -> int:
-        return len(self.positions)
-
-    def __iter__(self) -> Iterator[Position]:
-        return iter(self.positions)
-
-    @property
-    def class_label(self) -> str:
-        return self.positions[0].class_label
-
-    @cached_property
-    def xyz(self) -> np.ndarray:
-        a = np.array([[p.x, p.y, p.z] for p in self.positions])
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        a = np.array([p.t for p in self.positions])
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def frames(self) -> np.ndarray:
-        a = np.array([p.frame_index for p in self.positions], dtype=np.int64)
-        a.setflags(write=False)
-        return a
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -361,15 +376,13 @@ class Transform4D:
 
 
 def transform_database(tf: Transform4D, db: TrajectoryDatabase) -> TrajectoryDatabase:
-    return TrajectoryDatabase(
-        sensor_id=db.sensor_id,
-        trajectories=tuple(
-            Trajectory(t.track_id, tuple(tf.apply(p) for p in t.positions))
-            for t in db.trajectories
-        ),
-        frame_period=db.frame_period,
-        sensing_range=db.sensing_range,
-    )
+    """``db`` mapped through ``tf``, each point rounded as ``apply`` rounds it."""
+    return replace(db, trajectories=tuple(
+        Trajectory.from_columns(
+            t.track_id, t.class_label,
+            np.matmul(tf.matrix, t.xyz[:, :, None])[:, :, 0] + tf.translation,
+            t.times + tf.time_offset, t.frames, t.bbox)
+        for t in db.trajectories))
 
 
 def blend_transforms(a: Transform4D, b: Transform4D, wa: float, wb: float) -> Transform4D:

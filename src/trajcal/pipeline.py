@@ -92,9 +92,12 @@ class CalibrationSession:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationSession":
+        score = float(d["score"])
+        if not 0.0 <= score <= 1.0:  # NaN fails too
+            raise ValueError(f"session score must be in [0, 1], got {score}")
         return cls(
             transform=Transform4D.from_dict(d["transform"]),
-            score=float(d["score"]),
+            score=score,
             n_pp=int(d["n_pp"]),
             n_po=int(d["n_po"]),
             iterations_used=int(d["iterations_used"]),

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Position, Trajectory, TrajectoryDatabase, Transform4D
+from .model import Trajectory, TrajectoryDatabase, Transform4D
 
 LAYOUTS = ("four_way", "three_way", "sidewalk")
 
@@ -160,7 +160,7 @@ class PolylineTrack:
         return cls(
             track_id=traj.track_id,
             class_label=traj.class_label,
-            bbox=traj.positions[0].bbox,
+            bbox=tuple(traj.bbox[0].tolist()),
             times=traj.times,
             xyz=traj.xyz,
         )
@@ -365,21 +365,9 @@ def generate_world_trajectories(cfg: ScenarioConfig) -> list[Trajectory]:
             continue
         ks = np.arange(k0, k1 + 1)
         times = ks * cfg.frame_period
-        xyz = track.sample(times)
-        positions = tuple(
-            Position(
-                x=float(x),
-                y=float(y),
-                z=float(z),
-                t=float(t),
-                frame_index=int(k),
-                bbox=track.bbox,
-                class_label=track.class_label,
-                track_id=track.track_id,
-            )
-            for (x, y, z), t, k in zip(xyz, times, ks)
-        )
-        out.append(Trajectory(track.track_id, positions))
+        out.append(Trajectory.from_columns(
+            track.track_id, track.class_label, track.sample(times), times, ks,
+            np.broadcast_to(track.bbox, (len(ks), 3))))
     return out
 
 
@@ -448,20 +436,9 @@ def observe(
                 continue
             track_id = f"{track.track_id}#{seg_no}" if multi else track.track_id
             seg_no += 1
-            positions = tuple(
-                Position(
-                    x=float(kept_xyz[j, 0]),
-                    y=float(kept_xyz[j, 1]),
-                    z=float(kept_xyz[j, 2]),
-                    t=float(kept_t[j]),
-                    frame_index=int(kept_ks[j] - k_min),
-                    bbox=track.bbox,
-                    class_label=track.class_label,
-                    track_id=track_id,
-                )
-                for j in run
-            )
-            trajectories.append(Trajectory(track_id, positions))
+            trajectories.append(Trajectory.from_columns(
+                track_id, track.class_label, kept_xyz[run], kept_t[run], kept_ks[run] - k_min,
+                np.broadcast_to(track.bbox, (len(run), 3))))
     return TrajectoryDatabase(
         sensor_id=sensor_id,
         trajectories=tuple(trajectories),

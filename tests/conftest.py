@@ -149,6 +149,36 @@ def oracle_neighbor_count_table(db, radius):
     return counts
 
 
+def oracle_motion_match(fp, fq, w):
+    from scipy.spatial import cKDTree
+
+    from trajcal.matching import PositionMatch
+
+    p_traj, p_pos, p_feats = fp.flat
+    q_traj, q_pos, q_feats = fq.flat
+    if p_feats.shape[0] == 0 or q_feats.shape[0] == 0:
+        return []
+    dist, idx = cKDTree(q_feats * w.scale).query(p_feats * w.scale, k=1, p=1)
+    out = []
+    for i in range(p_feats.shape[0]):
+        if dist[i] < w.d_th:
+            j = int(idx[i])
+            out.append(PositionMatch((int(p_traj[i]), int(p_pos[i])),
+                                     (int(q_traj[j]), int(q_pos[j])), float(dist[i])))
+    return out
+
+
+def oracle_filter_bbox(matches, db_p, db_q, box_tolerance):
+    out = []
+    for m in matches:
+        tp, tq = db_p.trajectories[m.ref[0]], db_q.trajectories[m.cand[0]]
+        box_p, box_q = tp.bbox[m.ref[1]].tolist(), tq.bbox[m.cand[1]].tolist()
+        size_gap = sum(abs(a - b) for a, b in zip(box_p, box_q))
+        if size_gap <= box_tolerance and tp.class_label == tq.class_label:
+            out.append(m)
+    return out
+
+
 def oracle_filter_mutual_nn(matches, fp, fq, w):
     from scipy.spatial import cKDTree
 

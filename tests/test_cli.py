@@ -69,6 +69,38 @@ class TestSimulate:
         assert result.exit_code == 1
 
 
+# sha256 of the files of one small sidewalk scene and of its debug dumps: a
+# change here is a change to a file format or to the simulated numbers (the
+# walks are straight, so no vectorised sine or cosine enters the positions)
+PINNED = {
+    "scene/dbP.jsonl": "f2cbdfef2b9496979147fb66836038e5812ee0e8669d0314e000b075b0f9faf9",
+    "scene/dbQ.jsonl": "611ca14175c8981914d2c94253dd1dd0cdbbe826ad483212a8e306bc9ddcfcfa",
+    "scene/ground_truth.json": "09dc0be4e61a0de1b91ef8ed3f4d99a591b5f5c4ed03a4594fab4c7d19be6dc1",
+    "feat.p.csv": "ea12d0c30cd017fb88e5c458076d7b3407cdc6eeaf12b821ad701683d5217ae9",
+    "feat.q.csv": "cf5849bf10f0928938710ed9b464d0f0f88773f7410711c02bf0b2f16b0094bf",
+    "matches.csv": "9516eb96c2594440b114c77a2f2a81a38ca1d67e8818692c8f4a2f11367c494c",
+}
+
+
+class TestPinnedOutput:
+    def test_simulate_and_dumps_keep_their_bytes(self, runner, tmp_path):
+        import hashlib
+
+        result = runner.invoke(main, [
+            "simulate", "--out", str(tmp_path / "scene"), "--layout", "sidewalk",
+            "--vehicles", "6", "--duration", "20", "--noise", "0.2", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [
+            "calibrate", "--input-p", str(tmp_path / "scene" / "dbP.jsonl"),
+            "--input-q", str(tmp_path / "scene" / "dbQ.jsonl"),
+            "--dump-features", str(tmp_path / "feat"),
+            "--dump-matches", str(tmp_path / "matches.csv")])
+        assert result.exit_code == 0, result.output
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED}
+        assert got == PINNED
+
+
 class TestCalibrate:
     def test_end_to_end_with_truth(self, runner, tmp_path):
         scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
@@ -100,6 +132,22 @@ class TestCalibrate:
         )
         assert result.exit_code == 1
         assert ":7:" in result.output
+
+    @pytest.mark.parametrize("raw", ["Infinity", "1e400", "12.9", "true"])
+    def test_frame_that_is_not_an_integer_exits_one_with_line(self, runner, tmp_path, raw):
+        scene = simulate(runner, tmp_path / "scene")
+        db_path = scene / "dbQ.jsonl"
+        lines = db_path.read_text().splitlines()
+        frame = json.loads(lines[3])["frame"]
+        lines[3] = lines[3].replace(f'"frame": {frame},', f'"frame": {raw},')
+        db_path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(scene / "dbP.jsonl"), "--input-q", str(db_path)],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{db_path}:4:" in result.output and "frame" in result.output
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--max-iter", "0", "max_iterations must be >= 1"),
@@ -197,6 +245,22 @@ class TestCalibrate:
         assert got.transform.approx_equal(want.transform, tol=1e-12)
         assert got.score == want.score
         assert not (store / "fused.json").exists()
+
+    def test_continuous_skips_a_stored_session_with_nan_score(self, runner, tmp_path):
+        scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
+        store = tmp_path / "store"
+        args = ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+                "--input-q", str(scene / "dbQ.jsonl"), "--continuous", "--store-dir", str(store)]
+        assert runner.invoke(main, args).exit_code == 0
+        log = store / "sessions.jsonl"
+        damaged = dict(json.loads(log.read_text()), score=float("nan"))
+        log.write_text(log.read_text() + json.dumps(damaged) + "\n")
+        for _ in range(2):
+            with pytest.warns(UserWarning, match=r"sessions\.jsonl:2: skipped damaged"):
+                result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert result.exception is None
+        assert len(log.read_text().splitlines()) == 4
 
     def test_dump_debug_csvs(self, runner, tmp_path):
         scene = simulate(runner, tmp_path / "scene")
@@ -320,9 +384,9 @@ class TestCalibrate:
             return (track_p, int(frame_p), track_q, int(frame_q))
 
         def key_of(m):
-            p = db_p.trajectories[m.ref[0]].positions[m.ref[1]]
-            q = db_q.trajectories[m.cand[0]].positions[m.cand[1]]
-            return key(p.track_id, p.frame_index, q.track_id, q.frame_index)
+            tp = db_p.trajectories[m.ref[0]]
+            tq = db_q.trajectories[m.cand[0]]
+            return key(tp.track_id, tp.frames[m.ref[1]], tq.track_id, tq.frames[m.cand[1]])
 
         assert [key(r["p_track"], r["p_frame"], r["q_track"], r["q_frame"]) for r in rows] == \
             [key_of(m) for m in raw]
@@ -433,6 +497,25 @@ class TestFuseSessions:
         fused = tio.read_session_json(store.directory / "fused.json")
         assert fused.transform.approx_equal(good_tf, tol=1e-9)
         assert fused.score == pytest.approx(0.85)
+
+    def test_skips_a_session_with_score_outside_unit_interval(self, runner, tmp_path):
+        from trajcal import io as tio
+        from trajcal.model import Transform4D
+        from trajcal.pipeline import CalibrationSession, SessionStore
+
+        store = SessionStore(tmp_path / "store")
+        good_tf = Transform4D.from_yaw_deg(10.0, (1.0, 2.0, 0.0), 0.5)
+        store.record(CalibrationSession(good_tf, 0.85, 100, 240, 3, True, created_at=0.0))
+        junk = CalibrationSession(Transform4D.from_yaw_deg(170.0), 0.9, 0, 240, 20, False, 1.0)
+        with open(store.sessions_path, "a") as fh:
+            for score in (float("nan"), 1e308):
+                fh.write(json.dumps(dict(junk.to_dict(), score=score)) + "\n")
+        with pytest.warns(UserWarning, match="skipped damaged"):
+            result = runner.invoke(main, ["fuse-sessions", "--store-dir", str(store.directory)])
+        assert result.exit_code == 0, result.output
+        fused = tio.read_session_json(store.directory / "fused.json")
+        assert fused.transform.approx_equal(good_tf, tol=1e-12)
+        assert fused.score == 0.85
 
     def test_empty_store_exits_one(self, runner, tmp_path):
         (tmp_path / "store").mkdir()

@@ -9,7 +9,6 @@ objective at every golden step. Every vectorized path must reproduce
 them: same sample counts and inlier sets, the same arrays, values equal to
 rounding; the offset search bit for bit."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -827,8 +826,8 @@ def assert_search_parity(frozen, matched, rotation, translation, coarse, halfwid
 
 
 def with_times(traj, times):
-    return Trajectory(traj.track_id, tuple(
-        dataclasses.replace(p, t=float(t)) for p, t in zip(traj.positions, times)))
+    return Trajectory.from_columns(traj.track_id, traj.class_label, traj.xyz, times,
+                                   traj.frames, traj.bbox)
 
 
 def sampled(motion, times, track, t_world=None):
@@ -845,9 +844,11 @@ def inside(matched):
     change, so only the segments tell a bracket's ends apart."""
     out = []
     for tp, tq in matched:
-        keep = tuple(p for p in tp.positions if tq.times[0] + 1.0 <= p.t <= tq.times[-1])
-        if len(keep) >= 5:
-            out.append((Trajectory(tp.track_id, keep), tq))
+        keep = (tq.times[0] + 1.0 <= tp.times) & (tp.times <= tq.times[-1])
+        if keep.sum() >= 5:
+            out.append((Trajectory.from_columns(tp.track_id, tp.class_label, tp.xyz[keep],
+                                                tp.times[keep], tp.frames[keep], tp.bbox[keep]),
+                        tq))
     return out
 
 

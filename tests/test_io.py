@@ -86,6 +86,82 @@ class TestDatabaseJsonl:
             io.read_database_jsonl(path)
 
 
+def _edit_record(path, line_no, **changes):
+    """Rewrite one position record of a database file in place."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[line_no - 1])
+    record.update(changes)
+    lines[line_no - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestDatabaseJsonlErrors:
+    @pytest.mark.parametrize("changes,message", [
+        ({"y": float("nan")}, "finite"),
+        ({"t": float("inf")}, "finite"),
+        ({"w": 0.0}, "bbox"),
+        ({"h": -1.5}, "bbox"),
+        ({"class": "boat"}, "class"),
+        ({"frame": -2}, "non-negative"),
+        ({"x": 10 ** 400}, "too large"),
+    ])
+    def test_bad_value_names_its_line(self, sample_db, tmp_path, changes, message):
+        path = tmp_path / "db.jsonl"
+        io.write_database_jsonl(sample_db, path)
+        _edit_record(path, 9, **changes)
+        with pytest.raises(io.FileFormatError, match=f"{path}:9: .*{message}"):
+            io.read_database_jsonl(path)
+
+    @pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "NaN", "1e400", "12.9", "true",
+                                     '"7"'])
+    def test_frame_that_is_not_an_integer_names_its_line(self, sample_db, tmp_path, raw):
+        path = tmp_path / "db.jsonl"
+        io.write_database_jsonl(sample_db, path)
+        lines = path.read_text().splitlines()
+        frame = json.loads(lines[5])["frame"]
+        lines[5] = lines[5].replace(f'"frame": {frame},', f'"frame": {raw},')
+        assert raw in lines[5]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(io.FileFormatError, match=f"{path}:6: .*frame"):
+            io.read_database_jsonl(path)
+
+    def test_integral_float_frame_is_read_as_that_frame(self, sample_db, tmp_path):
+        path = tmp_path / "db.jsonl"
+        io.write_database_jsonl(sample_db, path)
+        frame = json.loads(path.read_text().splitlines()[1])["frame"]
+        _edit_record(path, 2, frame=float(frame))
+        assert io.read_database_jsonl(path) == sample_db
+
+    def test_frame_beyond_64_bits_names_its_line(self, sample_db, tmp_path):
+        path = tmp_path / "db.jsonl"
+        io.write_database_jsonl(sample_db, path)
+        _edit_record(path, 4, frame=2 ** 70)
+        with pytest.raises(io.FileFormatError, match=f"{path}:4: .*64-bit"):
+            io.read_database_jsonl(path)
+
+    def test_track_level_fault_names_the_track(self, sample_db, tmp_path):
+        path = tmp_path / "db.jsonl"
+        io.write_database_jsonl(sample_db, path)
+        second = json.loads(path.read_text().splitlines()[2])
+        _edit_record(path, 3, t=second["t"] - 5.0)
+        with pytest.raises(io.FileFormatError, match=f"track {second['track_id']!r}: .*increase"):
+            io.read_database_jsonl(path)
+
+    def test_mixed_classes_in_a_track_are_named(self, sample_db, tmp_path):
+        path = tmp_path / "db.jsonl"
+        io.write_database_jsonl(sample_db, path)
+        label = json.loads(path.read_text().splitlines()[3])["class"]
+        _edit_record(path, 4, **{"class": "bicycle" if label != "bicycle" else "car"})
+        with pytest.raises(io.FileFormatError, match="mixed class labels"):
+            io.read_database_jsonl(path)
+
+    def test_rewrite_is_byte_identical(self, sample_db, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        io.write_database_jsonl(sample_db, a)
+        io.write_database_jsonl(io.read_database_jsonl(a), b)
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestTransformAndSessionJson:
     def test_transform_round_trip(self, tmp_path, rng):
         tf = random_transform(rng)
@@ -111,6 +187,16 @@ class TestTransformAndSessionJson:
         assert again.transform.approx_equal(session.transform, tol=1e-15)
         assert again.score == session.score
         assert again.converged is True
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1e308, 1.5, -0.1])
+    def test_session_file_with_a_score_outside_unit_interval(self, tmp_path, rng, score):
+        session = CalibrationSession(random_transform(rng), 0.5, 10, 20, 3, True, 1.0)
+        record = session.to_dict()
+        record["score"] = score
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(io.FileFormatError, match="score must be in \\[0, 1\\]"):
+            io.read_session_json(path)
 
     def test_invalid_transform_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -246,6 +246,111 @@ class TestValidation:
         assert q[0] > 0
 
 
+def _rows():
+    """Three valid observations as columns."""
+    return {
+        "xyz": np.array([[0.0, 0.0, 1.0], [1.0, 0.5, 1.0], [2.0, 1.0, 1.0]]),
+        "times": np.array([0.0, 0.1, 0.2]),
+        "frames": np.array([3, 4, 6]),
+        "bbox": np.array([[4.5, 1.8, 1.5], [4.5, 1.8, 1.5], [4.4, 1.8, 1.5]]),
+        "label": "car",
+    }
+
+
+def _break_row(column, row, value):
+    def edit(rows):
+        rows[column][row] = value
+    return edit
+
+
+def _drop_rows(rows):
+    for key in ("xyz", "times", "frames", "bbox"):
+        rows[key] = rows[key][:0]
+
+
+def _relabel(rows):
+    rows["label"] = "boat"
+
+
+# each check a trajectory's observations pass, as (edit to the valid rows,
+# the message it raises)
+CONSTRUCTION_CHECKS = {
+    "nan coordinate": (_break_row("xyz", 1, [np.nan, 0.0, 1.0]), "finite"),
+    "infinite time": (_break_row("times", 1, np.inf), "finite"),
+    "non-positive box": (_break_row("bbox", 2, [4.4, 0.0, 1.5]), "bbox"),
+    "non-finite box": (_break_row("bbox", 0, [np.inf, 1.8, 1.5]), "bbox"),
+    "unknown class": (_relabel, "class"),
+    "negative frame": (_break_row("frames", 0, -1), "non-negative"),
+    "repeated time": (_break_row("times", 1, 0.0), "strictly increase"),
+    "repeated frame": (_break_row("frames", 2, 4), "strictly increase"),
+    "no rows": (_drop_rows, "at least one"),
+}
+
+
+class TestColumns:
+    def test_from_columns_equals_positions(self):
+        rows = _rows()
+        by_hand = Trajectory("t0", [
+            make_position(*xyz, t, frame=f, bbox=tuple(box), label=rows["label"], track="t0")
+            for xyz, t, f, box in zip(rows["xyz"].tolist(), rows["times"].tolist(),
+                                      rows["frames"].tolist(), rows["bbox"].tolist())
+        ])
+        columns = Trajectory.from_columns("t0", "car", rows["xyz"], rows["times"],
+                                          rows["frames"], rows["bbox"])
+        assert columns == by_hand
+        assert len(columns) == 3 and columns.class_label == "car"
+        moved = Trajectory.from_columns("t0", "car", rows["xyz"] + 1e-12, rows["times"],
+                                        rows["frames"], rows["bbox"])
+        assert moved != by_hand
+
+    def test_columns_are_read_only_copies(self):
+        rows = _rows()
+        traj = Trajectory.from_columns("t0", "car", rows["xyz"], rows["times"], rows["frames"],
+                                       rows["bbox"])
+        rows["xyz"][0, 0] = 99.0
+        assert traj.xyz[0, 0] == 0.0
+        for column in (traj.xyz, traj.times, traj.frames, traj.bbox):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert traj.frames.dtype == np.int64 and traj.xyz.flags.c_contiguous
+
+    @pytest.mark.parametrize("case", sorted(CONSTRUCTION_CHECKS))
+    def test_each_check_raises_on_both_paths(self, case):
+        edit, message = CONSTRUCTION_CHECKS[case]
+        rows = _rows()
+        edit(rows)
+        with pytest.raises(ValueError, match=message):
+            Trajectory("t0", [
+                make_position(*xyz, t, frame=f, bbox=tuple(box), label=rows["label"])
+                for xyz, t, f, box in zip(rows["xyz"].tolist(), rows["times"].tolist(),
+                                          rows["frames"].tolist(), rows["bbox"].tolist())
+            ])
+        with pytest.raises(ValueError, match=message):
+            Trajectory.from_columns("t0", rows["label"], rows["xyz"], rows["times"],
+                                    rows["frames"], rows["bbox"])
+
+    def test_columns_must_agree_in_length(self):
+        rows = _rows()
+        with pytest.raises(ValueError, match="disagree in shape"):
+            Trajectory.from_columns("t0", "car", rows["xyz"], rows["times"], rows["frames"],
+                                    rows["bbox"][:2])
+
+    def test_transform_database_is_apply_per_position(self, rng):
+        trajs = [make_trajectory(rng.uniform(-80, 80, size=(25, 3)), track=f"t{k}")
+                 for k in range(3)]
+        db = TrajectoryDatabase("S", trajs, 0.1, 50.0)
+        for _ in range(20):
+            tf = random_transform(rng)
+            out = transform_database(tf, db)
+            for before, after in zip(db.trajectories, out.trajectories):
+                for i, (xyz, t) in enumerate(zip(before.xyz.tolist(), before.times.tolist())):
+                    p = tf.apply(make_position(*xyz, t, frame=i, track=before.track_id))
+                    assert after.xyz[i].tolist() == [p.x, p.y, p.z]
+                    assert after.times[i] == p.t
+                np.testing.assert_array_equal(after.frames, before.frames)
+                np.testing.assert_array_equal(after.bbox, before.bbox)
+
+
 class TestSerialization:
     def test_transform_json_round_trip(self, rng):
         tf = random_transform(rng)

@@ -460,6 +460,25 @@ class TestSessionStore:
         assert stored[0].transform.approx_equal(first.transform, tol=1e-12)
         assert stored[1].transform.approx_equal(new.transform, tol=1e-12)
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1e308, -0.5])
+    def test_line_with_a_score_outside_unit_interval_is_skipped(self, tmp_path, rng, score):
+        from conftest import random_transform
+
+        store = SessionStore(tmp_path / "store")
+        first = session_with(0.9, random_transform(rng))
+        damaged = dict(session_with(0.8, random_transform(rng)).to_dict(), score=score)
+        store.sessions_path.write_text(
+            json.dumps(first.to_dict()) + "\n" + json.dumps(damaged) + "\n")
+        with pytest.warns(UserWarning, match=r"sessions\.jsonl:2: skipped damaged .*score"):
+            fused = store.load_fused()
+        assert fused.transform.approx_equal(first.transform, tol=1e-12)
+        new = session_with(0.85, random_transform(rng))
+        with pytest.warns(UserWarning, match=r"sessions\.jsonl:2:"):
+            fused = store.record(new)
+        want = fuse_sessions([first, new], min_score=store.min_fuse_score)
+        assert fused.transform.approx_equal(want.transform, tol=1e-12)
+        assert fused.score == want.score
+
     def test_reader_never_sees_a_partial_state(self, tmp_path):
         store = SessionStore(tmp_path / "store")
         writer = _FORK.Process(target=_record_sessions, args=(store.directory, 200, 0))

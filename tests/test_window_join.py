@@ -30,9 +30,11 @@ from conftest import (
     assert_same_association,
     make_database,
     make_position,
+    oracle_filter_bbox,
     oracle_filter_mutual_nn,
     oracle_filter_neighbor_count,
     oracle_filter_neighborhood_distribution,
+    oracle_motion_match,
     oracle_neighbor_count_table,
     oracle_reassociate,
 )
@@ -148,6 +150,10 @@ class TestFilterParity:
         db_p, db_q, _, fp, fq, raw = scene
         w = MatchWeights()
         assert filter_mutual_nn(raw, fp, fq, w) == oracle_filter_mutual_nn(raw, fp, fq, w)
+        for tol in (0.0, 0.1, 0.5, 2.0):
+            got = filter_bbox(raw, db_p, db_q, tol)
+            assert got == oracle_filter_bbox(raw, db_p, db_q, tol)
+        assert 0 < len(got) < len(raw)
         for tol in (0, 1, 3):
             assert filter_neighbor_count(raw, db_p, db_q, 15.0, tol) == \
                 oracle_filter_neighbor_count(raw, db_p, db_q, 15.0, tol)
@@ -156,10 +162,20 @@ class TestFilterParity:
             assert got == oracle_filter_neighborhood_distribution(raw, db_p, db_q, 15.0, k, tol)
             assert 0 < len(got) < len(raw)
 
+    @pytest.mark.parametrize("d_th", [0.05, 0.5, 2.5, 50.0])
+    def test_motion_match(self, scene, d_th):
+        _, _, _, fp, fq, _ = scene
+        w = MatchWeights(lambda_sigma=0.3, d_th=d_th)
+        got = motion_match(fp, fq, w)
+        want = oracle_motion_match(fp, fq, w)
+        assert got == want and len(got) > 0
+        assert all(type(v) is int for m in got for v in m.ref + m.cand)
+        assert all(type(m.feature_distance) is float for m in got)
+
     def test_cascade(self, scene):
         db_p, db_q, _, fp, fq, raw = scene
         want = oracle_filter_mutual_nn(raw, fp, fq, MatchWeights())
-        want = filter_bbox(want, db_p, db_q)
+        want = oracle_filter_bbox(want, db_p, db_q, 0.5)
         want = oracle_filter_neighbor_count(want, db_p, db_q, 15.0, 1)
         want = oracle_filter_neighborhood_distribution(want, db_p, db_q, 15.0, 5, 4)
         assert apply_semantic_filters(raw, fp, fq, db_p, db_q) == want
