@@ -259,6 +259,20 @@ class PairedTracks:
         out._q_cols = _mapped_columns(np.ascontiguousarray(self._q_cols.T), rotation, translation)
         return out
 
+    def thinned(self, step: int) -> "PairedTracks":
+        """This stack with every ``step``-th P sample of each pair, counted
+        from the pair's first. Every Q array is shared."""
+        rows = np.arange(len(self.p_pair))
+        keep = (rows - np.searchsorted(self.p_pair, self.p_pair)) % step == 0
+        out = copy.copy(self)
+        out.p_times = self.p_times[keep]
+        out.p_xyz = self.p_xyz[keep]
+        out.p_cols = np.ascontiguousarray(self.p_cols[:, keep])
+        out.p_pair = self.p_pair[keep]
+        out._span_first = self._span_first[keep]
+        out._span_last = self._span_last[keep]
+        return out
+
     def q_steps(self) -> np.ndarray:
         """Sampling intervals inside every Q track."""
         steps = np.diff(self.q_times)

@@ -9,6 +9,7 @@ before any geometry is solved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -38,6 +39,10 @@ class MatchWeights:
     d_th: float = 2.5
 
     def __post_init__(self):
+        for name in ("lambda_c", "lambda_alpha", "lambda_sigma", "d_th"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         lams = (self.lambda_c, self.lambda_alpha, self.lambda_sigma)
         if any(l < 0 for l in lams):
             raise ValueError("feature weights must be non-negative")

@@ -426,22 +426,38 @@ def _solve_at_offsets(tracks: estimator.PairedTracks, offsets, gate: float = _IN
     return out
 
 
+def _thinning_step(coarse_step: float, frame_period: float) -> int:
+    """P samples per coarse offset step: the coarse scan scores about one
+    sample per step of each pair (a ratio within rounding of an integer
+    counts as that integer)."""
+    return max(1, math.ceil(coarse_step / frame_period - 1e-9))
+
+
 def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, frame_period: float):
     """Candidate clock offsets from a two-stage consensus scan (spatial refit
     + inlier count at every grid offset). The coarse range comes from the
     spread of raw timestamp gaps, so a biased median cannot push the true
     offset out of view. The coarse stage votes with a widened gate because a
     quarter-second of offset error already moves traffic by meters; fine
-    scans around the strongest cells then resolve to half a frame. Returns
+    scans around the strongest cells then resolve to half a frame. Yields
     the chosen hypotheses best first, each offset with the consensus spatial
-    solution the fine scan found there."""
+    solution the fine scan found there.
+
+    The scan does only the work its reader asks for. Coarse scores only pick
+    the fine windows, so they score about one P sample per coarse step of
+    each pair. The best coarse window is fine-scanned first and its best
+    offset yielded at once; the other windows are scanned only when the next
+    hypothesis is asked for, and the ranking then continues from the first
+    one. Whenever the first window holds the best fine offset, that is the
+    ranking an eager scan of every window gives."""
     lo = float(np.percentile(raw_gaps, 2)) - _SCAN_HALFWIDTH
     hi = float(np.percentile(raw_gaps, 98)) + _SCAN_HALFWIDTH
     coarse_step = max(0.25, frame_period)
     coarse_gate = _INLIER_GATE + 12.0 * coarse_step  # ~typical speed * step
     coarse = np.arange(lo, hi + 0.5 * coarse_step, coarse_step)
+    thinned = tracks.thinned(_thinning_step(coarse_step, frame_period))
     keys = [((-solved[1], solved[2]), float(d))
-            for d, solved in zip(coarse, _solve_at_offsets(tracks, coarse, gate=coarse_gate))
+            for d, solved in zip(coarse, _solve_at_offsets(thinned, coarse, gate=coarse_gate))
             if solved is not None]
     keys.sort()
     fine_step = 0.5 * frame_period
@@ -452,27 +468,34 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, fra
             continue
         seen.append(center)
         windows.append(np.arange(center - coarse_step, center + coarse_step + 0.5 * fine_step, fine_step))
-    fine = iter(_solve_at_offsets(tracks, np.concatenate(windows or [np.empty(0)])))
-    candidates = []
-    for window in windows:
-        best = None
-        # zip ends on the exhausted window before it takes from ``fine``
-        for d, solved in zip(window, fine):
-            if solved is None:
-                continue
-            key = (-solved[1], solved[2])
-            if best is None or key < best[0]:
-                best = (key, float(d), solved[0])
-        if best is not None:
-            candidates.append(best)
-    candidates.sort(key=lambda c: c[:2])
-    chosen: list[Transform4D] = []
+
+    def best_offsets(scanned):
+        """Each window's best fine offset: (key, offset, solution)."""
+        fine = iter(_solve_at_offsets(tracks, np.concatenate(scanned or [np.empty(0)])))
+        out = []
+        for window in scanned:
+            best = None
+            # zip ends on the exhausted window before it takes from ``fine``
+            for d, solved in zip(window, fine):
+                if solved is None:
+                    continue
+                key = (-solved[1], solved[2])
+                if best is None or key < best[0]:
+                    best = (key, float(d), solved[0])
+            if best is not None:
+                out.append(best)
+        return out
+
+    first = best_offsets(windows[:1])
+    chosen = [Transform4D.from_matrix(sol.rotation, sol.translation, dt) for _, dt, sol in first]
+    yield from chosen
+    candidates = sorted(first + best_offsets(windows[1:]), key=lambda c: c[:2])
     for _, dt, sol in candidates:
-        if all(abs(dt - c.time_offset) > 2 * fine_step for c in chosen):
-            chosen.append(Transform4D.from_matrix(sol.rotation, sol.translation, dt))
         if len(chosen) >= _MAX_HYPOTHESES:
             break
-    return chosen
+        if all(abs(dt - c.time_offset) > 2 * fine_step for c in chosen):
+            chosen.append(Transform4D.from_matrix(sol.rotation, sol.translation, dt))
+            yield chosen[-1]
 
 
 def _pooled_alignment(matched, tf: Transform4D) -> float:

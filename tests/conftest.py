@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trajcal import pipeline as pl
 from trajcal.errors import CalibrationError
 from trajcal.model import Position, Trajectory, TrajectoryDatabase, Transform4D
 
@@ -292,3 +293,56 @@ def oracle_vote_trajectory_pairs(pairs, scores, min_votes, top_k=1):
             if cnt >= min_votes:
                 out.append((ti, tj))
     return out
+
+
+def oracle_offset_hypotheses(tracks, raw_gaps, frame_period, coarse_tracks=None):
+    """``pipeline._offset_hypotheses`` as an eager scan: every fine window
+    solved before the first hypothesis is chosen, and the ranked list
+    returned whole. The coarse grid is scored on ``coarse_tracks``, by
+    default on every P sample of ``tracks``."""
+    lo = float(np.percentile(raw_gaps, 2)) - pl._SCAN_HALFWIDTH
+    hi = float(np.percentile(raw_gaps, 98)) + pl._SCAN_HALFWIDTH
+    coarse_step = max(0.25, frame_period)
+    coarse_gate = pl._INLIER_GATE + 12.0 * coarse_step
+    coarse = np.arange(lo, hi + 0.5 * coarse_step, coarse_step)
+    coarse_tracks = tracks if coarse_tracks is None else coarse_tracks
+    keys = [((-solved[1], solved[2]), float(d))
+            for d, solved in zip(coarse, pl._solve_at_offsets(coarse_tracks, coarse, gate=coarse_gate))
+            if solved is not None]
+    keys.sort()
+    fine_step = 0.5 * frame_period
+    seen, windows = [], []
+    for _, center in keys[: 3 * pl._MAX_HYPOTHESES]:
+        if any(abs(center - s) <= coarse_step for s in seen):
+            continue
+        seen.append(center)
+        windows.append(np.arange(center - coarse_step, center + coarse_step + 0.5 * fine_step, fine_step))
+    fine = iter(pl._solve_at_offsets(tracks, np.concatenate(windows or [np.empty(0)])))
+    candidates = []
+    for window in windows:
+        best = None
+        for d, solved in zip(window, fine):
+            if solved is None:
+                continue
+            key = (-solved[1], solved[2])
+            if best is None or key < best[0]:
+                best = (key, float(d), solved[0])
+        if best is not None:
+            candidates.append(best)
+    candidates.sort(key=lambda c: c[:2])
+    chosen = []
+    for _, dt, sol in candidates:
+        if all(abs(dt - c.time_offset) > 2 * fine_step for c in chosen):
+            chosen.append(Transform4D.from_matrix(sol.rotation, sol.translation, dt))
+        if len(chosen) >= pl._MAX_HYPOTHESES:
+            break
+    return chosen
+
+
+def assert_same_transforms(got, want):
+    """Two sequences of transforms, bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.rotation.tobytes() == b.rotation.tobytes()
+        assert a.translation.tobytes() == b.translation.tobytes()
+        assert a.time_offset == b.time_offset

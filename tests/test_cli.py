@@ -152,6 +152,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("flag,value,message", [
         ("--max-iter", "0", "max_iterations must be >= 1"),
         ("--d-th", "-1", "d_th must be positive"),
+        ("--d-th", "nan", "d_th must be finite"),
     ])
     def test_bad_setting_exits_one(self, runner, tmp_path, flag, value, message):
         scene = simulate(runner, tmp_path / "scene")

@@ -35,8 +35,10 @@ from trajcal.simulator import default_scenario, make_pair
 
 from conftest import (
     assert_same_association,
+    assert_same_transforms,
     make_database,
     make_trajectory,
+    oracle_offset_hypotheses,
     oracle_vote_trajectory_pairs,
 )
 
@@ -350,8 +352,8 @@ def scene():
     cfg = default_scenario(n_vehicles=25, duration=45.0, noise_sigma=0.2,
                            time_offset=0.537, seed=7)
     db_p, db_q, truth = make_pair(cfg)
-    votes, solves = [], []
-    vote, solve = pl._vote_trajectory_pairs, estimator.solve
+    votes, solves, scans = [], [], []
+    vote, solve, scan = pl._vote_trajectory_pairs, estimator.solve, pl._offset_hypotheses
 
     def spy_vote(*a, **k):
         out = vote(*a, **k)
@@ -363,9 +365,14 @@ def scene():
         solves.append((c, matched, k["search_halfwidth"]))
         return solve(c, matched, **k)
 
+    def spy_scan(*a):
+        scans.append(a)
+        return scan(*a)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pl, "_vote_trajectory_pairs", spy_vote)
         mp.setattr(estimator, "solve", spy_solve)
+        mp.setattr(pl, "_offset_hypotheses", spy_scan)
         pl.calibrate(db_p, db_q)
     return {
         "db_p": db_p,
@@ -373,6 +380,7 @@ def scene():
         "truth": truth,
         "candidates": pl._matched_objects(db_p, db_q, votes[0]),
         "polish": solves[0],
+        "scan": scans[0],  # the offset scan's inputs
     }
 
 
@@ -496,10 +504,11 @@ class TestScanBlocks:
 
     def test_block_split_invariance(self, scene, monkeypatch):
         truth, matched = scene["truth"], scene["candidates"]
-        tracks = PairedTracks(matched)
+        full = PairedTracks(matched)
         offsets = np.concatenate([np.arange(-30.0, 30.0, 0.25),
                                   np.arange(-0.25, 0.26, 0.05) + truth.time_offset])
-        for gate in (pl._INLIER_GATE, pl._INLIER_GATE + 3.0):
+        wide = pl._INLIER_GATE + 3.0  # the coarse stage's gate, which it runs on thinned P
+        for tracks, gate in ((full, pl._INLIER_GATE), (full, wide), (full.thinned(3), wide)):
             sizes = self.spy_blocks(monkeypatch)
             batched = pl._solve_at_offsets(tracks, offsets, gate=gate)
             assert max(sizes) > 1 and sum(sizes) == len(offsets)
@@ -585,6 +594,54 @@ class TestScanBlocks:
         assert medians and all(np.isfinite(m).all() for m in medians)
         assert assert_matches_oracle(matched, offsets, pl._INLIER_GATE, got) == len(offsets)
         assert got[2][1] == len(matched)
+
+
+class TestThinnedScan:
+    """The coarse stage's P grid: about one sample per coarse step of each
+    pair, from a stack that shares every Q array with the full one."""
+
+    @pytest.mark.parametrize("frame_period,step", [
+        (0.1, 3), (0.05, 5), (0.2, 2), (0.25, 1),
+        # a rounding off 20 Hz and 4 Hz: a ratio a few ulps over an integer
+        (0.05 * (1 - 1e-15), 5), (math.nextafter(0.25, 0.0), 1),
+    ])
+    def test_thinning_step(self, frame_period, step):
+        assert pl._thinning_step(max(0.25, frame_period), frame_period) == step
+
+    def test_thinned_stack(self, scene):
+        matched = scene["candidates"]
+        full = PairedTracks(matched)
+        thin = full.thinned(3)
+        for name in ("q_times", "_q_cols", "_q_key", "q_start", "q_stop"):
+            assert getattr(thin, name) is getattr(full, name)
+        assert thin.n_pairs == full.n_pairs and thin.p_cols.flags.c_contiguous
+        starts = np.cumsum([0] + [len(tp) for tp, _ in matched])
+        keep = np.concatenate([np.arange(a, b, 3) for a, b in zip(starts[:-1], starts[1:])])
+        for k, (tp, _) in enumerate(matched):
+            mine = thin.p_pair == k
+            np.testing.assert_array_equal(thin.p_times[mine], tp.times[::3])
+            np.testing.assert_array_equal(thin.p_cols[:, mine], tp.xyz[::3].T)
+        # the kept samples interpolate as they do in the full stack
+        for d in (scene["truth"].time_offset, 3.0, -12.5):
+            idx, s, q, var = thin.interpolate(d)
+            full_idx, full_s, full_q, full_var = full.interpolate(d)
+            kept = np.isin(full_idx, keep)
+            np.testing.assert_array_equal(keep[idx], full_idx[kept])
+            for got, want in ((s, full_s), (q, full_q), (var, full_var)):
+                np.testing.assert_array_equal(got, want[kept])
+
+    def test_stream_equals_the_eager_scan(self, scene):
+        tracks, raw_gaps, frame_period = scene["scan"]
+        got = list(pl._offset_hypotheses(tracks, raw_gaps, frame_period))
+        # the lazy fine stage ranks as the eager one on the same coarse scores
+        thinned = tracks.thinned(pl._thinning_step(0.25, frame_period))
+        want = oracle_offset_hypotheses(tracks, raw_gaps, frame_period, coarse_tracks=thinned)
+        assert len(want) > 1
+        assert_same_transforms(got, want)
+        # thinning moves only the coarse scores, which pick the fine windows;
+        # here it ranks a noise cell (two agreeing pairs) differently, so
+        # only the hypothesis a session reads first is the full grid's
+        assert_same_transforms(got[:1], oracle_offset_hypotheses(tracks, raw_gaps, frame_period)[:1])
 
 
 class TestEdgeCases:

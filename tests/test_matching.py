@@ -61,6 +61,12 @@ class TestFeatureDistance:
         with pytest.raises(ValueError):
             MatchWeights(d_th=0.0)
 
+    @pytest.mark.parametrize("field", ["lambda_c", "lambda_alpha", "lambda_sigma", "d_th"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            MatchWeights(**{field: value})
+
 
 def two_speed_dbs(speeds_p, speeds_q):
     dbs = []

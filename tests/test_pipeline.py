@@ -24,7 +24,12 @@ from trajcal.pipeline import (
 )
 from trajcal.simulator import default_scenario, make_nonoverlapping_pair, make_pair
 
-from conftest import make_database, straight_trajectory
+from conftest import (
+    assert_same_transforms,
+    make_database,
+    oracle_offset_hypotheses,
+    straight_trajectory,
+)
 
 
 # the store's lock is fcntl.flock, so these tests run where fork does
@@ -587,10 +592,68 @@ class TestInitialization:
         for offset in (0.8, -3.7):
             tracks = PairedTracks(self._matched_pairs_with_offset(offset))
             gaps = np.array([offset + g for g in (-2.0, -1.0, 0.0, 1.5, 4.0) for _ in range(10)])
-            hyps = pl._offset_hypotheses(tracks, gaps, 0.1)
+            hyps = list(pl._offset_hypotheses(tracks, gaps, 0.1))
             assert hyps, "scan found no candidates"
             best = hyps[0].time_offset
             assert abs(best - offset) < 0.06, f"best hypothesis {best} vs {offset}"
+
+    def test_offset_hypotheses_match_the_eager_scan(self):
+        # the thinned coarse stage and the lazy fine stage rank exactly as an
+        # eager scan on every P sample
+        from trajcal import pipeline as pl
+
+        for offset in (0.8, -3.7):
+            tracks = PairedTracks(self._matched_pairs_with_offset(offset))
+            gaps = np.array([offset + g for g in (-2.0, -1.0, 0.0, 1.5, 4.0) for _ in range(10)])
+            want = oracle_offset_hypotheses(tracks, gaps, 0.1)
+            assert len(want) > 1
+            assert_same_transforms(list(pl._offset_hypotheses(tracks, gaps, 0.1)), want)
+
+    def test_offset_scan_is_lazy(self, monkeypatch):
+        # the first hypothesis costs the coarse grid on thinned P samples and
+        # one fine window; the other windows are scanned, in one call, only
+        # when a second hypothesis is asked for
+        from trajcal import pipeline as pl
+
+        calls = []
+        solve = pl._solve_at_offsets
+
+        def spy(tracks, offsets, gate=pl._INLIER_GATE):
+            calls.append((len(tracks.p_times), np.asarray(offsets, dtype=float)))
+            return solve(tracks, offsets, gate)
+
+        monkeypatch.setattr(pl, "_solve_at_offsets", spy)
+        tracks = PairedTracks(self._matched_pairs_with_offset(0.8))
+        gaps = np.array([0.8 + g for g in (-2.0, -1.0, 0.0, 1.5, 4.0) for _ in range(10)])
+        stream = pl._offset_hypotheses(tracks, gaps, 0.1)
+        first = next(stream)
+        assert abs(first.time_offset - 0.8) < 0.06
+        assert len(calls) == 2
+        (n_coarse, coarse), (n_fine, window) = calls
+        assert n_coarse == len(tracks.thinned(3).p_times) < n_fine == len(tracks.p_times)
+        np.testing.assert_allclose(np.diff(coarse), 0.25)
+        np.testing.assert_allclose(np.diff(window), 0.05)
+        assert len(window) == 11 and np.isclose(coarse, window[5]).any()
+        rest = list(stream)
+        assert rest and len(calls) == 3
+        later = calls[2][1].reshape(-1, 11)  # the other windows, the first not again
+        assert not any(np.array_equal(w, window) for w in later)
+
+    def test_session_that_holds_scans_one_fine_window(self, monkeypatch):
+        from trajcal import pipeline as pl
+
+        sizes = []
+        solve = pl._solve_at_offsets
+
+        def spy(tracks, offsets, gate=pl._INLIER_GATE):
+            sizes.append(len(offsets))
+            return solve(tracks, offsets, gate)
+
+        monkeypatch.setattr(pl, "_solve_at_offsets", spy)
+        db_p, db_q, truth = make_pair(default_scenario(n_vehicles=10, duration=30.0, seed=17))
+        session = calibrate(db_p, db_q)
+        assert session.score >= pl._RETRY_SCORE_THRESHOLD
+        assert len(sizes) == 2 and sizes[0] > 11 and sizes[1] == 11
 
 
 class TestAlignmentMonotonicity:
