@@ -14,6 +14,7 @@ from .errors import (
 )
 from .estimator import (
     CorrespondenceSet,
+    PairedTracks,
     SpatialSolution,
     estimate_time_offset_coarse,
     refine_time_offset,
@@ -25,16 +26,13 @@ from .evaluation import (
     SweepRow,
     SweepSummary,
     make_report,
-    rre,
     rte,
     run_sweep,
-    success,
     summarize,
     toe,
 )
 from .features import (
     FeatureDatabase,
-    MotionFeature,
     extract_features,
     segment_velocities,
 )
@@ -73,7 +71,6 @@ from .simulator import (
     WorldTrack,
     default_scenario,
     generate_world_tracks,
-    generate_world_trajectories,
     make_nonoverlapping_pair,
     make_pair,
     observe,

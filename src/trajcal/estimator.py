@@ -130,16 +130,10 @@ def solve_spatial(c: CorrespondenceSet) -> SpatialSolution:
 
 
 def estimate_time_offset_coarse(c: CorrespondenceSet) -> float:
-    """(Weighted) median of the pairwise timestamp gaps t_p - t_q."""
+    """Median of the pairwise timestamp gaps t_p - t_q."""
     if len(c) < 1:
         raise TooFewPairs("coarse time offset needs at least 1 pair")
-    gaps = c.p_times - c.q_times
-    if c.weights is None:
-        return float(np.median(gaps))
-    order = np.argsort(gaps)
-    cum = np.cumsum(c.weights[order])
-    k = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(gaps[order[min(k, len(gaps) - 1)]])
+    return float(np.median(c.p_times - c.q_times))
 
 
 def _check_tol(tol: float) -> None:
@@ -192,15 +186,6 @@ def golden_section(
     return 0.5 * (a + b)
 
 
-def _mapped_columns(q_xyz: np.ndarray, rotation, translation) -> np.ndarray:
-    """Q rows mapped through the transform (when given), coordinate-major so
-    that gathers are contiguous."""
-    if rotation is not None:
-        q_xyz = q_xyz @ np.asarray(rotation).T
-        q_xyz += np.asarray(translation)
-    return np.ascontiguousarray(q_xyz.T)
-
-
 class PairedTracks:
     """Matched trajectory pairs stacked once, pair-major: every pair's P
     samples and Q track concatenated, with pair ids and segment starts.
@@ -213,18 +198,11 @@ class PairedTracks:
     offset scan evaluates its candidates; ``interpolate`` is the one-offset
     case. Pair ``k`` is the k-th entry of ``matched_trajectories``; a pair
     whose Q track has fewer than 2 samples cannot interpolate and never
-    yields a sample. With
-    ``rotation``/``translation`` the Q track is mapped into P's frame once,
-    here, instead of once per evaluation; ``mapped`` maps a stack built
-    without them, so a caller that tries many transforms stacks the pairs
+    yields a sample. Q is held in its own frame: ``mapped`` maps it through
+    a transform, so a caller that tries many transforms stacks the pairs
     only once."""
 
-    def __init__(
-        self,
-        matched_trajectories: Sequence[TrajectoryPair],
-        rotation: np.ndarray | None = None,
-        translation: np.ndarray | None = None,
-    ):
+    def __init__(self, matched_trajectories: Sequence[TrajectoryPair]):
         tp = [p for p, _ in matched_trajectories]
         tq = [q for _, q in matched_trajectories]
         self.n_pairs = len(tp)
@@ -236,7 +214,7 @@ class PairedTracks:
         self.p_pair = np.repeat(np.arange(self.n_pairs), p_counts)
         self.q_times = np.concatenate([t.times for t in tq] or [np.empty(0)])
         q_xyz = np.vstack([t.xyz for t in tq] or [np.empty((0, 3))])
-        self._q_cols = _mapped_columns(q_xyz, rotation, translation)
+        self._q_cols = np.ascontiguousarray(q_xyz.T)  # coordinate-major: contiguous gathers
         self.q_stop = np.cumsum(q_counts)
         self.q_start = self.q_stop - q_counts
         # complex numbers order lexicographically (real, then imaginary)
@@ -253,10 +231,12 @@ class PairedTracks:
 
     def mapped(self, rotation: np.ndarray, translation: np.ndarray) -> "PairedTracks":
         """This stack with its Q coordinates mapped through
-        ``rotation``/``translation``: P's frame when the stack was built
-        without a transform. Every other array is shared."""
+        ``rotation``/``translation``, into P's frame. Every other array is
+        shared."""
+        q_xyz = np.ascontiguousarray(self._q_cols.T) @ np.asarray(rotation).T
+        q_xyz += np.asarray(translation)
         out = copy.copy(self)
-        out._q_cols = _mapped_columns(np.ascontiguousarray(self._q_cols.T), rotation, translation)
+        out._q_cols = np.ascontiguousarray(q_xyz.T)
         return out
 
     def thinned(self, step: int) -> "PairedTracks":
@@ -328,7 +308,7 @@ class PairedTracks:
 
 
 class _FixedSegments:
-    """The polish objective (``_offset_objective``) with every P sample's Q
+    """The polish objective (see ``_OffsetSearch``) with every P sample's Q
     segment fixed: the P samples ``idx`` are blended on the segments
     starting at ``j``. Everything but the offset is gathered here, once.
 
@@ -368,17 +348,12 @@ def _layout(tracks: PairedTracks, d: float):
     return ge, le, idx, tracks.segments(idx, s[idx])
 
 
-def _offset_objective(tracks: PairedTracks, d: float) -> tuple[float, int]:
-    """Mean variance-normalized squared distance between P samples and the
-    (mapped) Q track interpolated at t_p - d, over samples inside the Q span."""
-    _, _, idx, j = _layout(tracks, d)
-    return _FixedSegments(tracks, idx, j)(d), len(idx)
-
-
 class _OffsetSearch:
-    """The polish objective over offsets on one mapped stack, keeping each
-    evaluated layout's signature: how many P samples pass each overlap
-    test, and the sum of the segments inside the overlap.
+    """The polish objective over offsets on one mapped stack: the mean
+    variance-normalized squared distance between P samples and the Q track
+    interpolated at t_p - d, over samples inside the Q span (inf with
+    none). It keeps each evaluated layout's signature: how many P samples
+    pass each overlap test, and the sum of the segments inside the overlap.
 
     The shifted time ``t_p - d`` is monotone in ``d`` even after rounding,
     and so are both overlap tests and each sample's segment. Layouts at
@@ -405,7 +380,7 @@ class _OffsetSearch:
 
 
 def refine_time_offset(
-    matched_trajectories: Sequence[TrajectoryPair] | PairedTracks,
+    tracks: PairedTracks,
     rotation: np.ndarray,
     translation: np.ndarray,
     coarse: float,
@@ -415,9 +390,8 @@ def refine_time_offset(
 ) -> float:
     """Sub-frame time offset: grid scan over [coarse - hw, coarse + hw] in
     half the median Q sampling interval, followed by golden section around
-    the best cell, to a bracket of ``tol``. ``matched_trajectories`` may be
-    a ``PairedTracks`` of the pairs built without a transform (``solve``
-    stacks them once for all its rounds).
+    the best cell, to a bracket of ``tol``, with ``tracks`` mapped through
+    ``rotation``/``translation``.
 
     Golden section searches every P instant's Q segment only until its
     bracket holds no knot (a P instant crossing a Q sample or a Q track's
@@ -427,10 +401,7 @@ def refine_time_offset(
         raise ValueError(f"coarse must be finite, got {coarse}")
     _check_halfwidth(search_halfwidth)
     _check_tol(tol)
-    if isinstance(matched_trajectories, PairedTracks):
-        tracks = matched_trajectories.mapped(rotation, translation)
-    else:
-        tracks = PairedTracks(matched_trajectories, rotation, translation)
+    tracks = tracks.mapped(rotation, translation)
     if tracks.n_pairs == 0:
         raise InsufficientOverlap("no matched trajectories to refine against")
     if tracks.n_usable == 0:
@@ -449,45 +420,39 @@ def refine_time_offset(
 
 
 def interpolated_correspondences(
-    matched_trajectories: Sequence[TrajectoryPair] | PairedTracks,
+    tracks: PairedTracks,
     rotation: np.ndarray,
     translation: np.ndarray,
     time_offset: float,
     *,
-    residual_gate: float | None = None,
+    residual_gate: float,
 ) -> CorrespondenceSet:
     """Pair each P sample with the Q track linearly interpolated at its
-    instant (raw Q coordinates, so the result feeds a fresh spatial solve).
-    ``matched_trajectories`` may be a ``PairedTracks`` of the pairs built
-    without a transform."""
-    tracks = matched_trajectories
-    if not isinstance(tracks, PairedTracks):
-        tracks = PairedTracks(tracks)
+    instant (raw Q coordinates, so the result feeds a fresh spatial solve),
+    keeping the pairs within ``residual_gate`` of each other once Q is
+    mapped through ``rotation``/``translation``."""
     idx, s, q_raw, var_factor = tracks.interpolate(time_offset)
     p_sel = tracks.p_xyz[idx]
-    if residual_gate is not None:
-        res = np.linalg.norm(
-            p_sel - (q_raw @ np.asarray(rotation).T + np.asarray(translation)), axis=1
-        )
-        keep = res <= residual_gate
-        p_sel, q_raw, s, var_factor = p_sel[keep], q_raw[keep], s[keep], var_factor[keep]
+    res = np.linalg.norm(
+        p_sel - (q_raw @ np.asarray(rotation).T + np.asarray(translation)), axis=1
+    )
+    keep = res <= residual_gate
+    p_sel, q_raw, s, var_factor = p_sel[keep], q_raw[keep], s[keep], var_factor[keep]
     if len(s) == 0:
-        return CorrespondenceSet(
-            np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0)
-        )
+        return CorrespondenceSet(p_sel, q_raw, s, s)
     return CorrespondenceSet(p_sel, q_raw, s + time_offset, s, weights=1.0 / var_factor)
 
 
 def solve(
     c: CorrespondenceSet,
-    matched_trajectories: Sequence[TrajectoryPair] = (),
+    tracks: PairedTracks,
     *,
-    search_halfwidth: float | None = None,
+    search_halfwidth: float,
 ) -> Transform4D:
     """Full 4D solve: spatial fit, coarse offset, then alternate sub-frame
     offset refinement with interpolated re-solves until they agree.
 
-    The matched pairs are stacked once (``PairedTracks``). Each polish round
+    ``tracks`` is the matched pairs' stack, unmapped. Each polish round
     refines the offset under the current spatial fit (``refine_time_offset``,
     golden section to ``_OFFSET_TOL``, searching Q segments only until its
     bracket is knot-free), then re-solves space from Q interpolated at that
@@ -498,43 +463,35 @@ def solve(
     of the round before last. An offset on a frame-grid knot can alternate
     between two states for good; the polish then keeps the one with the
     lower objective, each evaluated at its own transform and offset."""
-    if search_halfwidth is not None:
-        _check_halfwidth(search_halfwidth)
+    _check_halfwidth(search_halfwidth)
     sol = solve_spatial(c)
     dt = estimate_time_offset_coarse(c)
-    if matched_trajectories:
-        tracks = PairedTracks(matched_trajectories)
-        if search_halfwidth is None:
-            steps = tracks.q_steps()
-            if len(steps):
-                search_halfwidth = 2.0 * float(np.median(steps))
-        if search_halfwidth:
-            ended = []  # the offsets earlier rounds ended at
-            for _ in range(_POLISH_ROUNDS):
-                dt_new = refine_time_offset(
-                    tracks, sol.rotation, sol.translation, dt, search_halfwidth
-                )
-                corr = interpolated_correspondences(
-                    tracks,
-                    sol.rotation,
-                    sol.translation,
-                    dt_new,
-                    residual_gate=max(3.0 * sol.rms_residual, 1e-9),
-                )
-                moved = abs(dt_new - dt)
-                previous = sol, dt
-                dt = dt_new
-                if len(corr) >= 3:
-                    sol = solve_spatial(corr)
-                if moved <= _POLISH_STOP:
-                    break
-                if len(ended) >= 2 and abs(dt - ended[-2]) <= _POLISH_STOP:
-                    if _state_objective(tracks, *previous) < _state_objective(tracks, sol, dt):
-                        sol, dt = previous
-                    break
-                ended.append(dt)
+    ended = []  # the offsets earlier rounds ended at
+    for _ in range(_POLISH_ROUNDS):
+        dt_new = refine_time_offset(
+            tracks, sol.rotation, sol.translation, dt, search_halfwidth
+        )
+        corr = interpolated_correspondences(
+            tracks,
+            sol.rotation,
+            sol.translation,
+            dt_new,
+            residual_gate=max(3.0 * sol.rms_residual, 1e-9),
+        )
+        moved = abs(dt_new - dt)
+        previous = sol, dt
+        dt = dt_new
+        if len(corr) >= 3:
+            sol = solve_spatial(corr)
+        if moved <= _POLISH_STOP:
+            break
+        if len(ended) >= 2 and abs(dt - ended[-2]) <= _POLISH_STOP:
+            if _state_objective(tracks, *previous) < _state_objective(tracks, sol, dt):
+                sol, dt = previous
+            break
+        ended.append(dt)
     return Transform4D.from_matrix(sol.rotation, sol.translation, dt)
 
 
 def _state_objective(tracks: PairedTracks, sol: SpatialSolution, dt: float) -> float:
-    return _offset_objective(tracks.mapped(sol.rotation, sol.translation), dt)[0]
+    return _OffsetSearch(tracks.mapped(sol.rotation, sol.translation))(dt)

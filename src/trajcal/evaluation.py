@@ -70,13 +70,6 @@ def euler_zyx_deg(rotation_matrix: np.ndarray) -> np.ndarray:
     return np.degrees([x, y, z])
 
 
-def rre(estimated_rotation: np.ndarray, truth_rotation: np.ndarray) -> float:
-    """Sum of absolute Euler angles of the residual rotation, degrees."""
-    r_t = np.asarray(truth_rotation, dtype=float)
-    r_e = np.asarray(estimated_rotation, dtype=float)
-    return float(np.sum(np.abs(euler_zyx_deg(r_t.T @ r_e))))
-
-
 def rte(estimated_translation, truth_translation) -> float:
     """Euclidean distance between the two translation vectors, meters."""
     gap = np.asarray(truth_translation, dtype=float) - np.asarray(estimated_translation, dtype=float)
@@ -86,14 +79,6 @@ def rte(estimated_translation, truth_translation) -> float:
 def toe(estimated_offset: float, truth_offset: float) -> float:
     """Absolute clock-offset error, seconds."""
     return abs(float(truth_offset) - float(estimated_offset))
-
-
-def success(
-    report: "MetricReport",
-    rte_threshold: float = DEFAULT_RTE_THRESHOLD,
-    rre_threshold: float = DEFAULT_RRE_THRESHOLD,
-) -> bool:
-    return report.rte_m < rte_threshold and report.rre_deg < rre_threshold
 
 
 def make_report(

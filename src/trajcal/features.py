@@ -21,24 +21,14 @@ DEFAULT_WINDOW = 3
 _SEGMENT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MotionFeature:
-    """Descriptor of one trajectory position.
-
-    ``curvature`` is the cosine of the angle between the segments leading
-    into and out of the position (smooth motion approaches -1), and the
-    velocity statistics are taken over a window of segment speeds around it.
-    """
-
-    curvature: float
-    velocity_mean: float
-    velocity_variance: float
-    valid: bool
-
-
 @dataclass(frozen=True, eq=False)
 class TrajectoryFeatures:
-    """Feature arrays aligned index-for-index with one trajectory."""
+    """Feature arrays aligned index-for-index with one trajectory.
+
+    ``curvature`` is the cosine of the angle between the segments leading
+    into and out of a position (smooth motion approaches -1), and the
+    velocity statistics are taken over a window of segment speeds around it.
+    """
 
     curvature: np.ndarray
     velocity_mean: np.ndarray
@@ -56,10 +46,6 @@ class FeatureDatabase:
     sensor_id: str
     window: int
     per_trajectory: tuple[TrajectoryFeatures, ...]
-
-    @property
-    def n_valid(self) -> int:
-        return int(sum(tf.valid.sum() for tf in self.per_trajectory))
 
     @cached_property
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

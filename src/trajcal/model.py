@@ -312,21 +312,9 @@ class Transform4D:
         pts = np.asarray(xyz, dtype=float)
         return pts @ self.matrix.T + self.translation
 
-    def apply(self, p: Position) -> Position:
-        x, y, z = self.matrix @ (p.x, p.y, p.z) + self.translation
-        return Position(
-            x=float(x),
-            y=float(y),
-            z=float(z),
-            t=p.t + self.time_offset,
-            frame_index=p.frame_index,
-            bbox=p.bbox,
-            class_label=p.class_label,
-            track_id=p.track_id,
-        )
-
     def compose(self, other: "Transform4D") -> "Transform4D":
-        """self after other: self.compose(other).apply(p) == self.apply(other.apply(p))."""
+        """self after other: mapping points through ``self.compose(other)``
+        maps them through ``other``, then ``self``."""
         return Transform4D(
             quat_multiply(self.rotation, other.rotation),
             self.matrix @ other.translation + self.translation,
@@ -363,12 +351,22 @@ class Transform4D:
     @classmethod
     def from_dict(cls, d: dict) -> "Transform4D":
         try:
-            q = (d["qw"], d["qx"], d["qy"], d["qz"])
-            t = (d["tx"], d["ty"], d["tz"])
-            dt = d["dt"]
+            q = [_record_number(d, key, float) for key in ("qw", "qx", "qy", "qz")]
+            t = [_record_number(d, key, float) for key in ("tx", "ty", "tz")]
+            dt = _record_number(d, "dt", float)
         except KeyError as exc:
             raise ValueError(f"transform record missing key {exc}") from exc
-        return cls(np.array(q, dtype=float), np.array(t, dtype=float), float(dt))
+        return cls(np.array(q), np.array(t), dt)
+
+
+def _record_number(record: dict, key: str, kind):
+    """``kind(record[key])`` for a stored record, with a value ``kind``
+    cannot take (a non-finite count, a float beyond range) raised as a
+    ValueError that names ``key``."""
+    try:
+        return kind(record[key])
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +374,8 @@ class Transform4D:
 
 
 def transform_database(tf: Transform4D, db: TrajectoryDatabase) -> TrajectoryDatabase:
-    """``db`` mapped through ``tf``, each point rounded as ``apply`` rounds it."""
+    """``db`` mapped through ``tf``, each point rounded as
+    ``tf.matrix @ xyz + tf.translation`` rounds it."""
     return replace(db, trajectories=tuple(
         Trajectory.from_columns(
             t.track_id, t.class_label,

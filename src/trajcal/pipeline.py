@@ -51,7 +51,7 @@ from .matching import (
     apply_semantic_filters,
     motion_match,
 )
-from .model import TrajectoryDatabase, Transform4D, blend_transforms
+from .model import TrajectoryDatabase, Transform4D, _record_number, blend_transforms
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,17 @@ class CalibrationSession:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationSession":
-        score = float(d["score"])
+        score = _record_number(d, "score", float)
         if not 0.0 <= score <= 1.0:  # NaN fails too
             raise ValueError(f"session score must be in [0, 1], got {score}")
         return cls(
             transform=Transform4D.from_dict(d["transform"]),
             score=score,
-            n_pp=int(d["n_pp"]),
-            n_po=int(d["n_po"]),
-            iterations_used=int(d["iterations_used"]),
+            n_pp=_record_number(d, "n_pp", int),
+            n_po=_record_number(d, "n_po", int),
+            iterations_used=_record_number(d, "iterations_used", int),
             converged=bool(d["converged"]),
-            created_at=float(d["created_at"]),
+            created_at=_record_number(d, "created_at", float),
         )
 
 
@@ -110,16 +110,15 @@ class CalibrationSession:
 # internal steps of the loop
 
 
-def _trimmed_solve(corr: estimator.CorrespondenceSet, max_rounds: int = 5):
-    """Spatial solve with residual trimming; gross outliers among the pairs
-    would otherwise drag the least-squares fit. Returns the solution, the
-    kept rows and every row's residual under the solution."""
+def _trimmed_solve(corr: estimator.CorrespondenceSet):
+    """Spatial solve with up to 5 rounds of residual trimming; gross
+    outliers among the pairs would otherwise drag the least-squares fit.
+    Returns the solution, the kept rows and every row's residual under the
+    solution."""
     keep = np.ones(len(corr), dtype=bool)
-    sol = None
-    for _ in range(max_rounds):
+    for _ in range(5):
         subset = estimator.CorrespondenceSet(
-            corr.p_xyz[keep], corr.q_xyz[keep], corr.p_times[keep], corr.q_times[keep],
-            None if corr.weights is None else corr.weights[keep],
+            corr.p_xyz[keep], corr.q_xyz[keep], corr.p_times[keep], corr.q_times[keep]
         )
         sol = estimator.solve_spatial(subset)
         res = np.linalg.norm(
@@ -498,11 +497,11 @@ def _offset_hypotheses(tracks: estimator.PairedTracks, raw_gaps: np.ndarray, fra
             yield chosen[-1]
 
 
-def _pooled_alignment(matched, tf: Transform4D) -> float:
+def _pooled_alignment(tracks: estimator.PairedTracks, tf: Transform4D) -> float:
     """Mean point-to-interpolated-point distance over every matched
-    trajectory pair under the candidate transform (inf without overlap)."""
-    tracks = estimator.PairedTracks(matched, tf.matrix, tf.translation)
-    idx, _, q, _ = tracks.interpolate(tf.time_offset)
+    trajectory pair of the (unmapped) stack under the candidate transform
+    (inf without overlap)."""
+    idx, _, q, _ = tracks.mapped(tf.matrix, tf.translation).interpolate(tf.time_offset)
     if len(idx) == 0:
         return math.inf
     return float(np.linalg.norm(tracks.p_xyz[idx] - q, axis=1).mean())
@@ -580,9 +579,12 @@ def _run_hypothesis(db_p, db_q, tf0: Transform4D, class_pairs, max_iterations: i
     ``_TRAJECTORY_DISTANCE_THRESHOLD`` (converged), after ``max_iterations``
     steps, or when a step cannot complete an iterate: too few pairs,
     degenerate geometry, an empty vote, or the previous step's pairs again
-    (a repeat). The polish hands the association made under the last
-    completed iterate to ``estimator.solve``; a step that stopped early has
-    just made it, and after a converged or a last step it is made once.
+    (a repeat). A completed step stacks its voted pairs once
+    (``PairedTracks``); its offset refinement and its alignment test map
+    that stack. The polish hands the association made under the last
+    completed iterate, and that iterate's stack, to ``estimator.solve``; a
+    step that stopped early has just made the association, and after a
+    converged or a last step it is made once.
 
     Returns None when the hypothesis collapses before an iterate completes.
     """
@@ -591,7 +593,7 @@ def _run_hypothesis(db_p, db_q, tf0: Transform4D, class_pairs, max_iterations: i
     # first association casts a wide net over every class-compatible pair;
     # the residual gate keeps only tracks that actually lie on each other
     gate = max(4.0 * _TRAJECTORY_DISTANCE_THRESHOLD, 2.0)
-    matched = None  # the last completed iterate's trajectory pairs
+    matched = None  # the last completed iterate's stacked trajectory pairs
     pairs = None
     steps, converged = 0, False
     while True:
@@ -612,7 +614,7 @@ def _run_hypothesis(db_p, db_q, tf0: Transform4D, class_pairs, max_iterations: i
         voted = _vote_trajectory_pairs(pairs[keep], res[keep], _MIN_TRAJECTORY_VOTES)
         if not voted:
             break
-        voted_tracks = _matched_objects(db_p, db_q, voted)
+        voted_tracks = estimator.PairedTracks(_matched_objects(db_p, db_q, voted))
         dt0 = float(np.median(corr.p_times[keep] - corr.q_times[keep]))
         try:
             dt = estimator.refine_time_offset(
@@ -757,35 +759,29 @@ def score_session(
 
     _, p_xyz, p_t, _ = db_p.stack()
     _, q_xyz, q_t, _ = db_q.stack()
-    q_in_p = transform.apply_points(q_xyz) if len(q_xyz) else q_xyz
+    q_in_p = transform.apply_points(q_xyz)
     q_t_in_p = q_t + transform.time_offset
 
-    n_po = 0
-    p_overlap = np.zeros(len(p_xyz), dtype=bool)
-    if len(p_xyz):
-        p_overlap = (np.linalg.norm(p_xyz, axis=1) <= r_p) & (
-            np.linalg.norm(p_xyz - q_origin_in_p, axis=1) <= r_q
-        )
-        n_po += int(p_overlap.sum())
-    if len(q_xyz):
-        q_overlap = (np.linalg.norm(q_xyz, axis=1) <= r_q) & (
-            np.linalg.norm(q_in_p, axis=1) <= r_p
-        )
-        n_po += int(q_overlap.sum())
+    p_overlap = (np.linalg.norm(p_xyz, axis=1) <= r_p) & (
+        np.linalg.norm(p_xyz - q_origin_in_p, axis=1) <= r_q
+    )
+    q_overlap = (np.linalg.norm(q_xyz, axis=1) <= r_q) & (
+        np.linalg.norm(q_in_p, axis=1) <= r_p
+    )
+    n_po = int(p_overlap.sum()) + int(q_overlap.sum())
 
     n_pp = 0
-    if len(p_xyz) and len(q_xyz):
-        order = np.argsort(q_t_in_p)
-        qt_sorted = q_t_in_p[order]
-        qx_sorted = q_in_p[order]
-        half_frame = 0.5 * db_p.frame_period + 1e-9
-        idx = np.nonzero(p_overlap)[0]
-        # every (P position, Q position in its +-half-frame window) pair, a
-        # block at a time; a block holds whole windows, so counting each
-        # block's distinct owners counts each P position once
-        for owner, j in window_join(p_t[idx], qt_sorted, half_frame):
-            d = qx_sorted[j] - p_xyz[idx[owner]]
-            n_pp += len(np.unique(owner[np.linalg.norm(d, axis=1) <= match_radius]))
+    order = np.argsort(q_t_in_p)
+    qt_sorted = q_t_in_p[order]
+    qx_sorted = q_in_p[order]
+    half_frame = 0.5 * db_p.frame_period + 1e-9
+    idx = np.nonzero(p_overlap)[0]
+    # every (P position, Q position in its +-half-frame window) pair, a
+    # block at a time; a block holds whole windows, so counting each
+    # block's distinct owners counts each P position once
+    for owner, j in window_join(p_t[idx], qt_sorted, half_frame):
+        d = qx_sorted[j] - p_xyz[idx[owner]]
+        n_pp += len(np.unique(owner[np.linalg.norm(d, axis=1) <= match_radius]))
     score = min(1.0, 2.0 * n_pp / n_po) if n_po > 0 else 0.0
     return score, n_pp, n_po
 

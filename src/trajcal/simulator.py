@@ -144,41 +144,6 @@ class WorldTrack:
         return np.column_stack([xy, z])
 
 
-@dataclass(frozen=True, eq=False)
-class PolylineTrack:
-    """World track backed by recorded samples, interpolated linearly; lets
-    ``observe`` run on externally supplied trajectories."""
-
-    track_id: str
-    class_label: str
-    bbox: tuple[float, float, float]
-    times: np.ndarray
-    xyz: np.ndarray
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "PolylineTrack":
-        return cls(
-            track_id=traj.track_id,
-            class_label=traj.class_label,
-            bbox=tuple(traj.bbox[0].tolist()),
-            times=traj.times,
-            xyz=traj.xyz,
-        )
-
-    @property
-    def start_time(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def end_time(self) -> float:
-        return float(self.times[-1])
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        return np.column_stack(
-            [np.interp(times, self.times, self.xyz[:, k]) for k in range(3)]
-        )
-
-
 # ---------------------------------------------------------------------------
 # scenario configuration
 
@@ -353,24 +318,6 @@ def generate_world_tracks(cfg: ScenarioConfig) -> tuple[WorldTrack, ...]:
     return tuple(tracks)
 
 
-def generate_world_trajectories(cfg: ScenarioConfig) -> list[Trajectory]:
-    """World tracks sampled on the world frame grid (k * frame_period)."""
-    out = []
-    for track in generate_world_tracks(cfg):
-        lo = max(0.0, track.start_time)
-        hi = min(cfg.duration, track.end_time)
-        k0 = math.ceil(lo / cfg.frame_period - 1e-9)
-        k1 = math.floor(hi / cfg.frame_period + 1e-9)
-        if k1 < k0 + 1:
-            continue
-        ks = np.arange(k0, k1 + 1)
-        times = ks * cfg.frame_period
-        out.append(Trajectory.from_columns(
-            track.track_id, track.class_label, track.sample(times), times, ks,
-            np.broadcast_to(track.bbox, (len(ks), 3))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sensor observation
 
@@ -398,17 +345,15 @@ def observe(
     pose and clock, clipped to range, perturbed by Gaussian noise, thinned by
     dropout, and split into per-visibility-segment tracks.
 
-    ``world`` holds objects with ``sample(times)`` (WorldTrack/PolylineTrack);
-    plain trajectories are adapted via linear interpolation. The sensor
-    samples on its own clock grid, so its world sampling phase shifts with
-    the pose's clock offset.
+    ``world`` holds objects with ``sample(times)``, ``start_time`` and
+    ``end_time``, as ``WorldTrack``. The sensor samples on its own clock
+    grid, so its world sampling phase shifts with the pose's clock offset.
     """
     rng = np.random.default_rng(seed)
     clock = pose.time_offset
     k_min = math.ceil(clock / frame_period - 1e-9)
     trajectories = []
-    for obj in world:
-        track = PolylineTrack.from_trajectory(obj) if isinstance(obj, Trajectory) else obj
+    for track in world:
         lo = max(0.0, track.start_time)
         hi = min(duration, track.end_time)
         k0 = math.ceil((lo + clock) / frame_period - 1e-9)

@@ -3,7 +3,9 @@ import pytest
 
 from trajcal import pipeline as pl
 from trajcal.errors import CalibrationError
+from trajcal.estimator import PairedTracks
 from trajcal.model import Position, Trajectory, TrajectoryDatabase, Transform4D
+from trajcal.simulator import generate_world_tracks, observe
 
 
 def make_position(x, y, z, t, frame=0, bbox=(4.5, 1.8, 1.5), label="car", track="t0"):
@@ -73,6 +75,28 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def world_samples(cfg):
+    """Every world track of the scenario sampled on the world frame grid
+    (k * frame_period), as an ideal sensor at the world origin records it."""
+    return observe(generate_world_tracks(cfg), Transform4D.identity(), 1e9,
+                   frame_period=cfg.frame_period, duration=cfg.duration).trajectories
+
+
+def record_stacks(monkeypatch) -> list:
+    """Every ``PairedTracks`` built from here on, in order, each keeping the
+    trajectory pairs it stacked as ``.pairs``."""
+    built = []
+    init = PairedTracks.__init__
+
+    def spy(self, matched_trajectories):
+        init(self, matched_trajectories)
+        self.pairs = list(matched_trajectories)
+        built.append(self)
+
+    monkeypatch.setattr(PairedTracks, "__init__", spy)
+    return built
+
+
 # ---------------------------------------------------------------------------
 # scalar reference implementations of the vectorized feature and match code
 
@@ -114,7 +138,8 @@ def curvature(traj: Trajectory, i: int) -> float:
 
 
 def feature_distance(a, b, w) -> float:
-    """Weighted L1 distance between two MotionFeatures under MatchWeights
+    """Weighted L1 distance between two positions' features (``curvature``,
+    ``velocity_mean``, ``velocity_variance``, ``valid``) under MatchWeights
     ``w``; sigma enters as the standard deviation, not the stored variance."""
     if not (a.valid and b.valid):
         raise InvalidFeature("feature distance requires two valid features")

@@ -263,6 +263,20 @@ class TestCalibrate:
             assert result.exception is None
         assert len(log.read_text().splitlines()) == 4
 
+    def test_continuous_skips_a_stored_session_with_infinite_count(self, runner, tmp_path):
+        scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
+        store = tmp_path / "store"
+        args = ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+                "--input-q", str(scene / "dbQ.jsonl"), "--continuous", "--store-dir", str(store)]
+        assert runner.invoke(main, args).exit_code == 0
+        log = store / "sessions.jsonl"
+        damaged = dict(json.loads(log.read_text()), n_pp=float("inf"))
+        log.write_text(log.read_text() + json.dumps(damaged) + "\n")
+        with pytest.warns(UserWarning, match=r"sessions\.jsonl:2: skipped damaged .*n_pp"):
+            result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.exception is None
+
     def test_dump_debug_csvs(self, runner, tmp_path):
         scene = simulate(runner, tmp_path / "scene")
         result = runner.invoke(
@@ -443,6 +457,21 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"error: --out {target}" in result.output
+
+    def test_session_with_infinite_count_exits_one(self, runner, tmp_path):
+        scene = simulate(runner, tmp_path / "scene")
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps({
+            "transform": json.loads((scene / "ground_truth.json").read_text()), "score": 1.0,
+            "n_pp": 1, "n_po": 1, "iterations_used": 1, "converged": True, "created_at": 0.0,
+        }).replace('"n_pp": 1', '"n_pp": Infinity'))
+        result = runner.invoke(
+            main, ["evaluate", "--session", str(session),
+                   "--truth", str(scene / "ground_truth.json")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output and "n_pp" in result.output
 
 
 class TestSweep:

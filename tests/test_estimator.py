@@ -8,6 +8,7 @@ import pytest
 from trajcal.errors import DegenerateGeometry, InsufficientOverlap, TooFewPairs
 from trajcal.estimator import (
     CorrespondenceSet,
+    PairedTracks,
     estimate_time_offset_coarse,
     golden_section,
     interpolated_correspondences,
@@ -15,6 +16,7 @@ from trajcal.estimator import (
     solve,
     solve_spatial,
 )
+from trajcal.evaluation import make_report
 from trajcal.model import Transform4D
 
 from conftest import make_trajectory, random_transform
@@ -133,13 +135,6 @@ class TestCoarseOffset:
         c = corr_from_points(p, p, p_t=[0.5, 0.5, 0.5, 7.0], q_t=[0.0, 0.0, 0.0, 0.0])
         assert estimate_time_offset_coarse(c) == pytest.approx(0.5)
 
-    def test_weighted_median(self):
-        p = np.zeros((3, 3))
-        c = corr_from_points(
-            p, p, p_t=[1.0, 2.0, 3.0], q_t=[0.0, 0.0, 0.0], weights=np.array([1.0, 1.0, 10.0])
-        )
-        assert estimate_time_offset_coarse(c) == pytest.approx(3.0)
-
     def test_empty_rejected(self):
         c = corr_from_points(np.empty((0, 3)), np.empty((0, 3)))
         with pytest.raises(TooFewPairs):
@@ -200,13 +195,13 @@ class TestRefineOffset:
     def test_noiseless_linear_motion_exact(self):
         # P timestamps sit exactly 0.537 s above Q's for the same motion;
         # linear interpolation is exact on a straight constant-speed track
-        traj_p, traj_q = linear_pair(0.537)
-        out = refine_time_offset([(traj_p, traj_q)], np.eye(3), np.zeros(3), 0.5, 0.2)
+        tracks = PairedTracks([linear_pair(0.537)])
+        out = refine_time_offset(tracks, np.eye(3), np.zeros(3), 0.5, 0.2)
         assert out == pytest.approx(0.537, abs=1e-4)
 
     def test_zero_offset(self):
-        traj_p, traj_q = linear_pair(0.0)
-        out = refine_time_offset([(traj_p, traj_q)], np.eye(3), np.zeros(3), 0.0, 0.2)
+        tracks = PairedTracks([linear_pair(0.0)])
+        out = refine_time_offset(tracks, np.eye(3), np.zeros(3), 0.0, 0.2)
         assert out == pytest.approx(0.0, abs=1e-4)
 
     def test_noisy_curved_within_10ms(self, rng):
@@ -214,18 +209,18 @@ class TestRefineOffset:
         for k in range(6):
             traj_p, traj_q = linear_pair(1.25, n=80, noise=0.05, rng=rng, curved=(k % 2 == 0))
             pairs.append((traj_p, traj_q))
-        out = refine_time_offset(pairs, np.eye(3), np.zeros(3), 1.2, 0.2)
+        out = refine_time_offset(PairedTracks(pairs), np.eye(3), np.zeros(3), 1.2, 0.2)
         assert out == pytest.approx(1.25, abs=0.010)
 
     def test_result_within_halfwidth(self):
-        traj_p, traj_q = linear_pair(0.537)
-        out = refine_time_offset([(traj_p, traj_q)], np.eye(3), np.zeros(3), 0.4, 0.05)
+        tracks = PairedTracks([linear_pair(0.537)])
+        out = refine_time_offset(tracks, np.eye(3), np.zeros(3), 0.4, 0.05)
         assert 0.35 - 1e-12 <= out <= 0.45 + 1e-12
 
     def test_no_overlap_raises(self):
-        traj_p, traj_q = linear_pair(500.0, n=20)
+        tracks = PairedTracks([linear_pair(500.0, n=20)])
         with pytest.raises(InsufficientOverlap):
-            refine_time_offset([(traj_p, traj_q)], np.eye(3), np.zeros(3), 0.0, 0.5)
+            refine_time_offset(tracks, np.eye(3), np.zeros(3), 0.0, 0.5)
 
     @pytest.mark.parametrize("coarse, halfwidth, tol, name", [
         (0.5, -0.2, 1e-9, "search_halfwidth"),
@@ -236,15 +231,14 @@ class TestRefineOffset:
         (0.5, 0.2, math.nan, "tol"),
     ])
     def test_bad_argument_is_named(self, coarse, halfwidth, tol, name):
-        traj_p, traj_q = linear_pair(0.537)
+        tracks = PairedTracks([linear_pair(0.537)])
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            refine_time_offset([(traj_p, traj_q)], np.eye(3), np.zeros(3), coarse, halfwidth,
-                               tol=tol)
+            refine_time_offset(tracks, np.eye(3), np.zeros(3), coarse, halfwidth, tol=tol)
 
     def test_tol_checked_before_overlap(self):
-        traj_p, traj_q = linear_pair(500.0, n=20)
+        tracks = PairedTracks([linear_pair(500.0, n=20)])
         with pytest.raises(ValueError, match="^tol must be finite"):
-            refine_time_offset([(traj_p, traj_q)], np.eye(3), np.zeros(3), 0.0, 0.5, tol=-1.0)
+            refine_time_offset(tracks, np.eye(3), np.zeros(3), 0.0, 0.5, tol=-1.0)
 
 
 class TestFullSolve:
@@ -253,7 +247,7 @@ class TestFullSolve:
         traj_p, traj_q = linear_pair(0.537, curved=True)
         c = corr_from_points(traj_p.xyz, traj_q.xyz, traj_p.times, traj_q.times)
         with pytest.raises(ValueError, match="^search_halfwidth must be finite"):
-            solve(c, [(traj_p, traj_q)], search_halfwidth=halfwidth)
+            solve(c, PairedTracks([(traj_p, traj_q)]), search_halfwidth=halfwidth)
 
     def test_exact_correspondences_recover_ground_truth(self, rng):
         truth = Transform4D.from_yaw_deg(63.0, (12.0, -7.0, 0.4), 0.8)
@@ -278,7 +272,7 @@ class TestFullSolve:
         c = CorrespondenceSet(
             np.vstack(p_list), np.vstack(q_list), np.concatenate(pt_list), np.concatenate(qt_list)
         )
-        tf = solve(c, pairs)
+        tf = solve(c, PairedTracks(pairs), search_halfwidth=0.2)
         assert np.max(np.abs(tf.matrix - truth.matrix)) < 1e-8
         assert np.max(np.abs(tf.translation - truth.translation)) < 1e-6
         assert abs(tf.time_offset - truth.time_offset) < 1e-4
@@ -290,8 +284,8 @@ class TestFullSolve:
         sigma = 0.2
         q = random_cloud(rng, n=n)
         p = truth.apply_points(q) + rng.normal(0, sigma, size=(n, 3))
-        tf = solve(corr_from_points(p, q), ())
-        err = np.linalg.norm(tf.translation - truth.translation)
+        sol = solve_spatial(corr_from_points(p, q))
+        err = np.linalg.norm(sol.translation - truth.translation)
         assert err < 3.0 * sigma * math.sqrt(3.0 / n)
 
     def test_paper_regime_accuracy(self, rng):
@@ -299,17 +293,17 @@ class TestFullSolve:
         truth = Transform4D.from_yaw_deg(141.0, (20.0, -9.0, 0.5), 0.0)
         q = random_cloud(rng, n=500)
         p = truth.apply_points(q) + rng.normal(0, 0.2, size=(500, 3))
-        tf = solve(corr_from_points(p, q), ())
-        from trajcal.evaluation import rre, rte
-
-        assert rte(tf.translation, truth.translation) < 0.05
-        assert rre(tf.matrix, truth.matrix) < 3.0
+        sol = solve_spatial(corr_from_points(p, q))
+        report = make_report(Transform4D.from_matrix(sol.rotation, sol.translation), truth)
+        assert report.rte_m < 0.05
+        assert report.rre_deg < 3.0
 
 
 class TestInterpolatedCorrespondences:
     def test_linear_interpolation_is_exact_on_lines(self):
         traj_p, traj_q = linear_pair(0.537)
-        corr = interpolated_correspondences([(traj_p, traj_q)], np.eye(3), np.zeros(3), 0.537)
+        corr = interpolated_correspondences(PairedTracks([(traj_p, traj_q)]), np.eye(3),
+                                            np.zeros(3), 0.537, residual_gate=1.0)
         assert len(corr) > 0
         np.testing.assert_allclose(corr.p_xyz, corr.q_xyz, atol=1e-9)
 
@@ -317,7 +311,8 @@ class TestInterpolatedCorrespondences:
         traj_p, traj_q = linear_pair(0.0)
         shifted = np.eye(3)
         corr = interpolated_correspondences(
-            [(traj_p, traj_q)], shifted, np.array([100.0, 0, 0]), 0.0, residual_gate=1.0
+            PairedTracks([(traj_p, traj_q)]), shifted, np.array([100.0, 0, 0]), 0.0,
+            residual_gate=1.0,
         )
         assert len(corr) == 0
 

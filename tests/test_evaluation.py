@@ -8,13 +8,10 @@ import pytest
 
 from trajcal import evaluation
 from trajcal.evaluation import (
-    MetricReport,
     euler_zyx_deg,
     make_report,
-    rre,
     rte,
     run_sweep,
-    success,
     summarize,
     toe,
     write_summary_csv,
@@ -25,14 +22,18 @@ from trajcal.model import Transform4D, quat_from_axis_angle
 from conftest import random_transform
 
 
+def rre(estimated: Transform4D, truth: Transform4D) -> float:
+    return make_report(estimated, truth).rre_deg
+
+
 class TestRRE:
     def test_equal_rotations_zero(self, rng):
         tf = random_transform(rng)
-        assert rre(tf.matrix, tf.matrix) == pytest.approx(0.0, abs=1e-9)
+        assert rre(tf, tf) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_axis_yaw(self):
         est = Transform4D.from_yaw_deg(1.0)
-        assert rre(est.matrix, np.eye(3)) == pytest.approx(1.0, abs=1e-9)
+        assert rre(est, Transform4D.identity()) == pytest.approx(1.0, abs=1e-9)
 
     def test_axis_angle_lower_bound_oracle(self, rng):
         # the sum of absolute Euler angles can never undercut the total
@@ -43,7 +44,7 @@ class TestRRE:
             angle = math.degrees(
                 math.acos(np.clip((np.trace(residual) - 1.0) / 2.0, -1.0, 1.0))
             )
-            assert rre(a.matrix, b.matrix) >= angle - 1e-6
+            assert rre(a, b) >= angle - 1e-6
 
     def test_invariant_under_common_left_multiplication(self, rng):
         # re-expressing both rotations in another common frame leaves the
@@ -51,15 +52,15 @@ class TestRRE:
         # R_T^-1 R_E); a common right factor would conjugate the residual and
         # scramble its Euler split instead
         a, b, c = random_transform(rng), random_transform(rng), random_transform(rng)
-        before = rre(a.matrix, b.matrix)
-        after = rre(c.matrix @ a.matrix, c.matrix @ b.matrix)
+        before = rre(a, b)
+        after = rre(c.compose(a), c.compose(b))
         assert after == pytest.approx(before, abs=1e-8)
 
     def test_right_multiplication_preserves_zero(self, rng):
         # the weaker direction that does hold: equality of rotations (hence
         # zero error) survives any common right factor
         a, c = random_transform(rng), random_transform(rng)
-        assert rre(a.matrix @ c.matrix, a.matrix @ c.matrix) == pytest.approx(0.0, abs=1e-9)
+        assert rre(a.compose(c), a.compose(c)) == pytest.approx(0.0, abs=1e-9)
 
     def test_euler_matches_scipy(self, rng):
         from scipy.spatial.transform import Rotation
@@ -73,7 +74,7 @@ class TestRRE:
     def test_gimbal_lock_still_zero_iff_equal(self):
         q = quat_from_axis_angle((0, 1, 0), math.pi / 2)
         tf = Transform4D(q, np.zeros(3), 0.0)
-        assert rre(tf.matrix, tf.matrix) == pytest.approx(0.0, abs=1e-6)
+        assert rre(tf, tf) == pytest.approx(0.0, abs=1e-6)
 
     @staticmethod
     def _rebuild(angles_deg):
@@ -124,27 +125,26 @@ class TestRTEAndTOE:
 
 
 class TestSuccess:
-    def _report(self, rte_m, rre_deg):
-        return MetricReport(
-            rre_deg=rre_deg, rte_m=rte_m, toe_s=0.0,
-            success=rte_m < 1.0 and rre_deg < 5.0,
-            rotation_errors_deg=(rre_deg, 0.0, 0.0),
-            translation_errors_m=(rte_m, 0.0, 0.0),
-        )
+    @staticmethod
+    def success(rte_m, yaw_deg, **thresholds):
+        """``make_report``'s verdict on an estimate ``rte_m`` meters and
+        ``yaw_deg`` degrees of yaw off the identity."""
+        estimated = Transform4D.from_yaw_deg(yaw_deg, (rte_m, 0.0, 0.0))
+        return make_report(estimated, Transform4D.identity(), **thresholds).success
 
     def test_paper_regime_is_success(self):
-        assert success(self._report(0.03, 0.1))
+        assert self.success(0.03, 0.1)
 
     def test_gross_failure(self):
-        assert not success(self._report(35.69, 183.9))
+        assert not self.success(35.69, 183.9)
 
     def test_boundaries(self):
-        assert success(self._report(0.99, 4.9))
-        assert not success(self._report(1.01, 4.9))
-        assert not success(self._report(0.99, 5.1))
+        assert self.success(0.99, 4.9)
+        assert not self.success(1.01, 4.9)
+        assert not self.success(0.99, 5.1)
 
     def test_custom_thresholds(self):
-        assert success(self._report(1.5, 0.1), rte_threshold=2.0)
+        assert self.success(1.5, 0.1, rte_threshold=2.0)
 
 
 class TestMakeReport:

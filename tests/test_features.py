@@ -19,6 +19,7 @@ from conftest import (
     make_trajectory,
     random_transform,
     straight_trajectory,
+    world_samples,
     velocity_stats,
 )
 
@@ -134,7 +135,7 @@ class TestExtractFeatures:
         db = make_database([make_trajectory([[1, 2, 0]], track="solo")])
         fdb = extract_features(db, 3)
         assert not fdb.per_trajectory[0].valid.any()
-        assert fdb.n_valid == 0
+        assert len(fdb.flat[0]) == 0
 
     def test_endpoints_invalid(self):
         fdb = extract_features(make_database([straight_trajectory(n=10)]), 3)
@@ -153,7 +154,7 @@ class TestExtractFeatures:
         from trajcal import simulator
 
         cfg = simulator.default_scenario(n_vehicles=50, duration=20.0, seed=4)
-        trajectories = simulator.generate_world_trajectories(cfg)
+        trajectories = world_samples(cfg)
         db = make_database(trajectories[:50])
         m = 3
         fdb = extract_features(db, m)

@@ -40,6 +40,7 @@ from conftest import (
     make_trajectory,
     oracle_offset_hypotheses,
     oracle_vote_trajectory_pairs,
+    record_stacks,
 )
 
 # ---------------------------------------------------------------------------
@@ -78,7 +79,7 @@ def oracle_offset_objective(pairs, d):
 
 
 def oracle_interpolated_correspondences(matched, rotation, translation, time_offset,
-                                        residual_gate=None):
+                                        residual_gate):
     rot, trans = np.asarray(rotation), np.asarray(translation)
     p_list, q_list, pt_list, qt_list, w_list = [], [], [], [], []
     for traj_p, traj_q in matched:
@@ -92,10 +93,9 @@ def oracle_interpolated_correspondences(matched, rotation, translation, time_off
         sm = s[mask]
         q_raw, var_factor = oracle_interp_with_variance(sm, q_t, traj_q.xyz)
         p_sel = traj_p.xyz[mask]
-        if residual_gate is not None:
-            res = np.linalg.norm(p_sel - (q_raw @ rot.T + trans), axis=1)
-            keep = res <= residual_gate
-            p_sel, q_raw, sm, var_factor = p_sel[keep], q_raw[keep], sm[keep], var_factor[keep]
+        res = np.linalg.norm(p_sel - (q_raw @ rot.T + trans), axis=1)
+        keep = res <= residual_gate
+        p_sel, q_raw, sm, var_factor = p_sel[keep], q_raw[keep], sm[keep], var_factor[keep]
         if len(sm) == 0:
             continue
         p_list.append(p_sel)
@@ -188,12 +188,13 @@ def oracle_polish(c, matched, search_halfwidth, polish_rounds=12):
     below the search's 1e-9 s resolution, so it rarely fires before the cap."""
     sol = solve_spatial(c)
     dt = estimate_time_offset_coarse(c)
+    tracks = PairedTracks(matched)
     for _ in range(polish_rounds):
         dt_new = estimator.refine_time_offset(
-            matched, sol.rotation, sol.translation, dt, search_halfwidth
+            tracks, sol.rotation, sol.translation, dt, search_halfwidth
         )
         corr = estimator.interpolated_correspondences(
-            matched, sol.rotation, sol.translation, dt_new,
+            tracks, sol.rotation, sol.translation, dt_new,
             residual_gate=max(3.0 * sol.rms_residual, 1e-9),
         )
         moved = abs(dt_new - dt)
@@ -233,7 +234,7 @@ def oracle_golden_section(f, a, b, tol):
 
 
 def oracle_refine_time_offset(matched, rotation, translation, coarse, halfwidth, tol=1e-9):
-    tracks = PairedTracks(matched, rotation, translation)
+    tracks = PairedTracks(matched).mapped(rotation, translation)
     grid_step = min(0.5 * float(np.median(tracks.q_steps())), max(halfwidth, 1e-12))
     grid = np.arange(coarse - halfwidth, coarse + halfwidth + 0.5 * grid_step, grid_step)
     values = [oracle_full_objective(tracks, float(d)) for d in grid]
@@ -269,13 +270,14 @@ def oracle_polish_states(c, matched, search_halfwidth, polish_rounds=12, stop=1e
     round ends in, the coarse start first."""
     sol = solve_spatial(c)
     states = [(sol, estimate_time_offset_coarse(c))]
+    tracks = PairedTracks(matched)
     for _ in range(polish_rounds):
         dt = states[-1][1]
         dt_new = estimator.refine_time_offset(
-            matched, sol.rotation, sol.translation, dt, search_halfwidth
+            tracks, sol.rotation, sol.translation, dt, search_halfwidth
         )
         corr = estimator.interpolated_correspondences(
-            matched, sol.rotation, sol.translation, dt_new,
+            tracks, sol.rotation, sol.translation, dt_new,
             residual_gate=max(3.0 * sol.rms_residual, 1e-9),
         )
         if len(corr) >= 3:
@@ -361,15 +363,16 @@ def scene():
             votes.append(out)
         return out
 
-    def spy_solve(c, matched, **k):
-        solves.append((c, matched, k["search_halfwidth"]))
-        return solve(c, matched, **k)
+    def spy_solve(c, tracks, **k):
+        solves.append((c, tracks.pairs, k["search_halfwidth"]))
+        return solve(c, tracks, **k)
 
     def spy_scan(*a):
         scans.append(a)
         return scan(*a)
 
     with pytest.MonkeyPatch.context() as mp:
+        record_stacks(mp)
         mp.setattr(pl, "_vote_trajectory_pairs", spy_vote)
         mp.setattr(estimator, "solve", spy_solve)
         mp.setattr(pl, "_offset_hypotheses", spy_scan)
@@ -390,6 +393,12 @@ def linear(n, t0, speed=8.0, y=0.0, track="a"):
     return make_trajectory(pts, track=track, t0=t0)
 
 
+def offset_objective(tracks, d):
+    """The polish objective at offset ``d`` as the offset search evaluates
+    it, and the number of P samples inside the overlap there."""
+    return estimator._OffsetSearch(tracks)(d), len(tracks.interpolate(d)[0])
+
+
 def assert_same_correspondences(new, old):
     if old is None:
         assert len(new) == 0 and new.weights is None
@@ -401,12 +410,12 @@ def assert_same_correspondences(new, old):
 class TestObjectiveParity:
     def test_objective_over_offset_grid(self, scene):
         truth, matched = scene["truth"], scene["polish"][1]
-        tracks = PairedTracks(matched, truth.matrix, truth.translation)
+        tracks = PairedTracks(matched).mapped(truth.matrix, truth.translation)
         pairs = oracle_pairs(matched, truth.matrix, truth.translation)
         grid = np.concatenate([np.linspace(-0.3, 0.3, 61) + truth.time_offset,
                                [truth.time_offset, 50.0]])
         for d in grid:
-            got, n_got = estimator._offset_objective(tracks, float(d))
+            got, n_got = offset_objective(tracks, float(d))
             want, n_want = oracle_offset_objective(pairs, float(d))
             assert n_got == n_want
             if math.isinf(want):
@@ -416,22 +425,23 @@ class TestObjectiveParity:
 
     def test_scan_candidates_objective(self, scene):
         truth, matched = scene["truth"], scene["candidates"]
-        tracks = PairedTracks(matched, truth.matrix, truth.translation)
+        tracks = PairedTracks(matched).mapped(truth.matrix, truth.translation)
         pairs = oracle_pairs(matched, truth.matrix, truth.translation)
         for d in np.linspace(-2.0, 3.0, 26):
-            got, n_got = estimator._offset_objective(tracks, float(d))
+            got, n_got = offset_objective(tracks, float(d))
             want, n_want = oracle_offset_objective(pairs, float(d))
             assert n_got == n_want
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestCorrespondenceParity:
-    @pytest.mark.parametrize("gate", [None, 0.5])
+    @pytest.mark.parametrize("gate", [0.5])
     def test_identical_arrays(self, scene, gate):
         truth, matched = scene["truth"], scene["polish"][1]
+        tracks = PairedTracks(matched)
         for d in (truth.time_offset, truth.time_offset + 0.033, 0.0):
             new = interpolated_correspondences(
-                matched, truth.matrix, truth.translation, d, residual_gate=gate
+                tracks, truth.matrix, truth.translation, d, residual_gate=gate
             )
             old = oracle_interpolated_correspondences(
                 matched, truth.matrix, truth.translation, d, residual_gate=gate
@@ -662,22 +672,23 @@ class TestEdgeCases:
         matched = self.edge_pairs()
         rot = Transform4D.from_yaw_deg(30.0).matrix
         trans = np.array([1.0, -2.0, 0.5])
-        tracks = PairedTracks(matched, rot, trans)
+        tracks = PairedTracks(matched)
         pairs = oracle_pairs(matched, rot, trans)
         for d in (0.0, 0.537, 0.55, -0.3):
-            got, n_got = estimator._offset_objective(tracks, d)
+            got, n_got = offset_objective(tracks.mapped(rot, trans), d)
             want, n_want = oracle_offset_objective(pairs, d)
             assert n_got == n_want
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert_same_correspondences(
-                interpolated_correspondences(matched, rot, trans, d),
-                oracle_interpolated_correspondences(matched, rot, trans, d),
-            )
+            for gate in (math.inf, 2.0):
+                assert_same_correspondences(
+                    interpolated_correspondences(tracks, rot, trans, d, residual_gate=gate),
+                    oracle_interpolated_correspondences(matched, rot, trans, d, gate),
+                )
 
     def test_endpoints_included_exactly(self):
         traj = linear(25, 0.0, track="p")
-        corr = interpolated_correspondences([(traj, linear(25, 0.0, track="q"))],
-                                            np.eye(3), np.zeros(3), 0.0)
+        corr = interpolated_correspondences(PairedTracks([(traj, linear(25, 0.0, track="q"))]),
+                                            np.eye(3), np.zeros(3), 0.0, residual_gate=1e-9)
         assert len(corr) == 25
         np.testing.assert_array_equal(corr.q_xyz, traj.xyz)
         np.testing.assert_array_equal(corr.weights, np.full(25, 0.5))
@@ -686,8 +697,9 @@ class TestEdgeCases:
         matched = self.edge_pairs()[1:3]
         tracks = PairedTracks(matched)
         assert len(tracks.interpolate(0.2)[0]) == 0
-        assert estimator._offset_objective(tracks, 0.2) == (math.inf, 0)
-        assert len(interpolated_correspondences(matched, np.eye(3), np.zeros(3), 0.2)) == 0
+        assert offset_objective(tracks, 0.2) == (math.inf, 0)
+        assert len(interpolated_correspondences(tracks, np.eye(3), np.zeros(3), 0.2,
+                                                residual_gate=math.inf)) == 0
 
     def test_scan_drops_pairs_with_one_sample_in_overlap(self):
         matched = self.edge_pairs()
@@ -712,7 +724,7 @@ class TestEdgeCases:
     def test_no_pairs(self):
         tracks = PairedTracks([])
         assert tracks.n_pairs == 0 and tracks.n_usable == 0
-        assert estimator._offset_objective(tracks, 0.0) == (math.inf, 0)
+        assert offset_objective(tracks, 0.0) == (math.inf, 0)
         assert pl._solve_at_offsets(tracks, [0.0]) == [None]
         assert pl._solve_at_offsets(tracks, []) == []
 
@@ -813,15 +825,15 @@ class TestAlignmentParity:
         db_p, db_q, truth = scene["db_p"], scene["db_q"], scene["truth"]
         traj_pairs = [(ti, tj) for ti in range(len(db_p.trajectories))
                       for tj in range(len(db_q.trajectories))][::7]
-        matched = pl._matched_objects(db_p, db_q, traj_pairs)
+        tracks = PairedTracks(pl._matched_objects(db_p, db_q, traj_pairs))
         for tf in (truth, Transform4D(truth.rotation, truth.translation + 0.3,
                                       truth.time_offset - 0.04)):
             want = oracle_pooled_alignment(db_p, db_q, traj_pairs, tf)
             assert math.isfinite(want)
-            assert pl._pooled_alignment(matched, tf) == pytest.approx(want, rel=1e-9)
+            assert pl._pooled_alignment(tracks, tf) == pytest.approx(want, rel=1e-9)
         far = Transform4D(truth.rotation, truth.translation, truth.time_offset + 1e4)
-        assert pl._pooled_alignment(matched, far) == math.inf
-        assert pl._pooled_alignment([], truth) == math.inf
+        assert pl._pooled_alignment(tracks, far) == math.inf
+        assert pl._pooled_alignment(PairedTracks([]), truth) == math.inf
 
 
 class TestPolishStop:
@@ -835,7 +847,7 @@ class TestPolishStop:
             return refine(*a, **k)
 
         monkeypatch.setattr(estimator, "refine_time_offset", counting)
-        got = estimator.solve(c, matched, search_halfwidth=halfwidth)
+        got = estimator.solve(c, PairedTracks(matched), search_halfwidth=halfwidth)
         assert len(rounds) < 12
         want = oracle_polish(c, matched, halfwidth)
         assert abs(got.time_offset - want.time_offset) < 1e-8
@@ -865,21 +877,18 @@ def spy_freezes(monkeypatch):
 
 
 def assert_search_parity(frozen, matched, rotation, translation, coarse, halfwidth, tol=1e-9):
-    """``refine_time_offset`` bit for bit against the full-evaluation search,
-    from the pairs and from their stack; every bracket it froze on must have
-    the same layout at both ends by a per-pair search. Returns the freezes."""
+    """``refine_time_offset`` bit for bit against the full-evaluation search;
+    every bracket it froze on must have the same layout at both ends by a
+    per-pair search. Returns the freezes."""
     want = oracle_refine_time_offset(matched, rotation, translation, coarse, halfwidth, tol)
     frozen.clear()
-    got = estimator.refine_time_offset(matched, rotation, translation, coarse, halfwidth, tol=tol)
+    got = estimator.refine_time_offset(PairedTracks(matched), rotation, translation, coarse,
+                                       halfwidth, tol=tol)
     assert got == want
     for lo, hi, _ in frozen:
         for at_lo, at_hi in zip(oracle_layout(matched, lo), oracle_layout(matched, hi)):
             np.testing.assert_array_equal(at_lo, at_hi)
-    freezes = list(frozen)
-    stacked = estimator.refine_time_offset(PairedTracks(matched), rotation, translation, coarse,
-                                           halfwidth, tol=tol)
-    assert stacked == want
-    return freezes
+    return list(frozen)
 
 
 def with_times(traj, times):
@@ -966,7 +975,8 @@ class TestOffsetSearchParity:
             rotated.append((p, sampled(lambda w: motion(w) @ rot, t, f"q{k}", t_world=t + 0.5)))
         for pairs, r in ((matched, np.eye(3)), (rotated, rot)):
             assert assert_search_parity(frozen, pairs, r, np.zeros(3), coarse, halfwidth) == []
-            out = estimator.refine_time_offset(pairs, r, np.zeros(3), coarse, halfwidth)
+            out = estimator.refine_time_offset(PairedTracks(pairs), r, np.zeros(3), coarse,
+                                               halfwidth)
             assert out == pytest.approx(0.5, abs=1e-8)
 
     def test_pair_entering_the_overlap_inside_the_bracket(self, monkeypatch):
@@ -997,9 +1007,10 @@ class TestOffsetSearchParity:
             freezes = assert_search_parity(frozen, [*pairs, far], rot, trans, coarse, halfwidth)
             assert len(freezes) == 1 and freezes[0][2] > 10
         frozen.clear()
-        for search in (estimator.refine_time_offset, oracle_refine_time_offset):
-            with pytest.raises(InsufficientOverlap, match="no temporal overlap"):
-                search([far], np.eye(3), np.zeros(3), 0.0, 0.5)
+        with pytest.raises(InsufficientOverlap, match="no temporal overlap"):
+            estimator.refine_time_offset(PairedTracks([far]), np.eye(3), np.zeros(3), 0.0, 0.5)
+        with pytest.raises(InsufficientOverlap, match="no temporal overlap"):
+            oracle_refine_time_offset([far], np.eye(3), np.zeros(3), 0.0, 0.5)
         assert frozen == []
 
 
@@ -1013,11 +1024,12 @@ def cycling_polish(request):
     solves = []
     solve = estimator.solve
 
-    def spy_solve(c, matched, **k):
-        solves.append((c, matched, k["search_halfwidth"]))
-        return solve(c, matched, **k)
+    def spy_solve(c, tracks, **k):
+        solves.append((c, tracks.pairs, k["search_halfwidth"]))
+        return solve(c, tracks, **k)
 
     with pytest.MonkeyPatch.context() as mp:
+        record_stacks(mp)
         mp.setattr(estimator, "solve", spy_solve)
         pl.calibrate(db_p, db_q)
     return solves[0]
@@ -1050,7 +1062,7 @@ class TestPolishCycle:
             return refine(*a, **kw)
 
         monkeypatch.setattr(estimator, "refine_time_offset", counting)
-        got = estimator.solve(c, matched, search_halfwidth=halfwidth)
+        got = estimator.solve(c, PairedTracks(matched), search_halfwidth=halfwidth)
         assert len(rounds) == k
         want = Transform4D.from_matrix(sol.rotation, sol.translation, dt)
         assert got.time_offset == want.time_offset

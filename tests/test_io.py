@@ -198,6 +198,25 @@ class TestTransformAndSessionJson:
         with pytest.raises(io.FileFormatError, match="score must be in \\[0, 1\\]"):
             io.read_session_json(path)
 
+    @pytest.mark.parametrize("field, raw", [
+        ("n_pp", "Infinity"), ("n_po", "-Infinity"), ("score", "1" * 400), ("tx", "1" * 400),
+    ], ids=["n_pp-inf", "n_po-minus-inf", "score-400-digits", "tx-400-digits"])
+    def test_session_file_with_a_number_out_of_range_names_it(self, tmp_path, rng, field, raw):
+        record = CalibrationSession(random_transform(rng), 0.5, 10, 20, 3, True, 1.0).to_dict()
+        (record["transform"] if field == "tx" else record)[field] = "@"
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(record).replace('"@"', raw))
+        with pytest.raises(io.FileFormatError, match=f"invalid session file: {field}: "):
+            io.read_session_json(path)
+
+    def test_transform_file_with_a_number_out_of_range_names_it(self, tmp_path, rng):
+        record = random_transform(rng).to_dict()
+        record["tx"] = "@"
+        path = tmp_path / "tf.json"
+        path.write_text(json.dumps(record).replace('"@"', "1" * 400))
+        with pytest.raises(io.FileFormatError, match="invalid transform file: tx: "):
+            io.read_transform_json(path)
+
     def test_invalid_transform_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -1,11 +1,12 @@
 """Feature-space matching and the semantic filter cascade."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from trajcal.features import MotionFeature, extract_features
+from trajcal.features import extract_features
 from trajcal.matching import (
     MatchWeights,
     apply_semantic_filters,
@@ -30,7 +31,7 @@ from conftest import (
 
 
 def feat(c=0.0, alpha=10.0, var=0.0, valid=True):
-    return MotionFeature(curvature=c, velocity_mean=alpha, velocity_variance=var, valid=valid)
+    return SimpleNamespace(curvature=c, velocity_mean=alpha, velocity_variance=var, valid=valid)
 
 
 class TestFeatureDistance:
@@ -85,7 +86,7 @@ class TestMotionMatch:
         fp = extract_features(db_p, 3)
         fq = extract_features(db_q, 3)
         matches = motion_match(fp, fq, MatchWeights())
-        assert len(matches) == fp.n_valid
+        assert len(matches) == len(fp.flat[0])
         for m in matches:
             assert m.feature_distance == pytest.approx(0.0, abs=1e-12)
             assert m.ref[0] == m.cand[0]  # same speed bucket

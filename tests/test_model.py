@@ -20,6 +20,13 @@ from trajcal.model import (
 from conftest import make_position, make_trajectory, random_position, random_transform
 
 
+def apply(tf, p):
+    """``p`` mapped through ``tf``: its point by ``apply_points``, its time by
+    the clock offset, as ``(x, y, z, t)``."""
+    x, y, z = tf.apply_points(p.xyz[None])[0].tolist()
+    return x, y, z, p.t + tf.time_offset
+
+
 def quat_sandwich(q, v):
     """Independent rotation route: p' = q * (0, v) * conj(q)."""
     qv = np.concatenate(([0.0], v))
@@ -30,16 +37,15 @@ def quat_sandwich(q, v):
 class TestApply:
     def test_identity(self):
         p = make_position(1.0, 2.0, 3.0, 5.0)
-        out = Transform4D.identity().apply(p)
-        assert (out.x, out.y, out.z, out.t) == (1.0, 2.0, 3.0, 5.0)
+        assert apply(Transform4D.identity(), p) == (1.0, 2.0, 3.0, 5.0)
 
     def test_quarter_turn(self):
         tf = Transform4D.from_yaw_deg(90.0)
-        out = tf.apply(make_position(1.0, 0.0, 0.0, 0.0))
-        assert out.x == pytest.approx(0.0, abs=1e-12)
-        assert out.y == pytest.approx(1.0, abs=1e-12)
-        assert out.z == pytest.approx(0.0, abs=1e-12)
-        assert out.t == 0.0
+        x, y, z, t = apply(tf, make_position(1.0, 0.0, 0.0, 0.0))
+        assert x == pytest.approx(0.0, abs=1e-12)
+        assert y == pytest.approx(1.0, abs=1e-12)
+        assert z == pytest.approx(0.0, abs=1e-12)
+        assert t == 0.0
 
     def test_yaw30_dual_formulation_oracle(self):
         # oracle 1: hand-rolled rotation matrix multiply
@@ -53,16 +59,18 @@ class TestApply:
             [10.0, -5.0, 2.0]
         )
         np.testing.assert_allclose(sandwich, expected, atol=1e-12)
-        out = tf.apply(make_position(2.0, 0.0, 0.0, 1.0))
-        np.testing.assert_allclose([out.x, out.y, out.z], expected, atol=1e-12)
-        assert out.t == pytest.approx(1.5, abs=1e-12)
+        *xyz, t = apply(tf, make_position(2.0, 0.0, 0.0, 1.0))
+        np.testing.assert_allclose(xyz, expected, atol=1e-12)
+        assert t == pytest.approx(1.5, abs=1e-12)
 
     def test_metadata_unchanged(self):
-        p = make_position(1.0, 2.0, 3.0, 5.0, frame=7, bbox=(4.0, 2.0, 1.5), track="abc")
-        out = Transform4D.from_yaw_deg(13.0, (1, 2, 3), 4.0).apply(p)
-        assert out.frame_index == 7
-        assert out.bbox == (4.0, 2.0, 1.5)
-        assert out.class_label == p.class_label
+        traj = make_trajectory([[1.0, 2.0, 3.0], [2.0, 2.0, 3.0]], track="abc",
+                               bbox=(4.0, 2.0, 1.5))
+        db = TrajectoryDatabase("S", (traj,), 0.1, 50.0)
+        (out,) = transform_database(Transform4D.from_yaw_deg(13.0, (1, 2, 3), 4.0), db).trajectories
+        np.testing.assert_array_equal(out.frames, traj.frames)
+        np.testing.assert_array_equal(out.bbox, traj.bbox)
+        assert out.class_label == traj.class_label
         assert out.track_id == "abc"
 
 
@@ -81,10 +89,9 @@ class TestComposeInvert:
         ab = a.compose(b)
         for k in range(100):
             p = random_position(rng, frame=k)
-            lhs = ab.apply(p)
-            rhs = a.apply(b.apply(p))
+            x, y, z, t = apply(b, p)
             np.testing.assert_allclose(
-                [lhs.x, lhs.y, lhs.z, lhs.t], [rhs.x, rhs.y, rhs.z, rhs.t], atol=1e-9
+                apply(ab, p), apply(a, make_position(x, y, z, t)), atol=1e-9
             )
 
     def test_invert_identity(self):
@@ -102,10 +109,8 @@ class TestComposeInvert:
         inv = tf.inverse()
         for k in range(100):
             p = random_position(rng, frame=k)
-            back = inv.apply(tf.apply(p))
-            np.testing.assert_allclose(
-                [back.x, back.y, back.z, back.t], [p.x, p.y, p.z, p.t], atol=1e-9
-            )
+            back = apply(inv, make_position(*apply(tf, p)))
+            np.testing.assert_allclose(back, [p.x, p.y, p.z, p.t], atol=1e-9)
 
 
 transforms_st = st.builds(
@@ -119,10 +124,8 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_apply_invert_recovers(self, tf, seed):
         p = random_position(np.random.default_rng(seed))
-        back = tf.inverse().apply(tf.apply(p))
-        np.testing.assert_allclose(
-            [back.x, back.y, back.z, back.t], [p.x, p.y, p.z, p.t], atol=1e-9
-        )
+        back = apply(tf.inverse(), make_position(*apply(tf, p)))
+        np.testing.assert_allclose(back, [p.x, p.y, p.z, p.t], atol=1e-9)
 
     @given(transforms_st, transforms_st, transforms_st)
     @settings(max_examples=40, deadline=None)
@@ -137,7 +140,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         a, b = random_position(rng), random_position(rng)
         d_before = np.linalg.norm(a.xyz - b.xyz)
-        d_after = np.linalg.norm(tf.apply(a).xyz - tf.apply(b).xyz)
+        d_after = np.linalg.norm(np.subtract(apply(tf, a)[:3], apply(tf, b)[:3]))
         assert d_after == pytest.approx(d_before, abs=1e-9)
 
     @given(transforms_st)
@@ -336,6 +339,7 @@ class TestColumns:
                                     rows["bbox"][:2])
 
     def test_transform_database_is_apply_per_position(self, rng):
+        # each point as ``matrix @ xyz + translation`` rounds it
         trajs = [make_trajectory(rng.uniform(-80, 80, size=(25, 3)), track=f"t{k}")
                  for k in range(3)]
         db = TrajectoryDatabase("S", trajs, 0.1, 50.0)
@@ -344,9 +348,8 @@ class TestColumns:
             out = transform_database(tf, db)
             for before, after in zip(db.trajectories, out.trajectories):
                 for i, (xyz, t) in enumerate(zip(before.xyz.tolist(), before.times.tolist())):
-                    p = tf.apply(make_position(*xyz, t, frame=i, track=before.track_id))
-                    assert after.xyz[i].tolist() == [p.x, p.y, p.z]
-                    assert after.times[i] == p.t
+                    assert after.xyz[i].tolist() == (tf.matrix @ xyz + tf.translation).tolist()
+                    assert after.times[i] == t + tf.time_offset
                 np.testing.assert_array_equal(after.frames, before.frames)
                 np.testing.assert_array_equal(after.bbox, before.bbox)
 
@@ -360,6 +363,12 @@ class TestSerialization:
     def test_from_dict_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
             Transform4D.from_dict({"qw": 1.0})
+
+    @pytest.mark.parametrize("field", ["qx", "tx", "dt"])
+    def test_from_dict_number_out_of_range_is_named(self, field):
+        record = dict(Transform4D.identity().to_dict(), **{field: 10**400})
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            Transform4D.from_dict(record)
 
     def test_transform_database_preserves_meta(self, rng):
         traj = make_trajectory([[0, 0, 0], [1, 0, 0], [2, 0, 0]])

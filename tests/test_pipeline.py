@@ -28,6 +28,7 @@ from conftest import (
     assert_same_transforms,
     make_database,
     oracle_offset_hypotheses,
+    record_stacks,
     straight_trajectory,
 )
 
@@ -298,6 +299,51 @@ class TestHypothesisStream:
         assert session.iterations_used < PipelineConfig().max_iterations
         assert n_associations == session.iterations_used
 
+    def test_one_stack_per_completed_step(self, monkeypatch):
+        # a completed S1-S3 step stacks its voted pairs once; its offset
+        # refinement and its alignment test map that stack, and the polish
+        # takes the last step's stack
+        from trajcal import estimator
+        from trajcal import pipeline as pl
+
+        stacks = record_stacks(monkeypatch)
+        aligned, polished, runs = [], [], []
+
+        def builds_no_stack(owner, name, seen=None, arg=0):
+            fn = getattr(owner, name)
+
+            def spy(*a, **k):
+                before = len(stacks)
+                out = fn(*a, **k)
+                assert len(stacks) == before, f"{name} stacked the pairs again"
+                if seen is not None:
+                    seen.append(a[arg])
+                return out
+
+            monkeypatch.setattr(owner, name, spy)
+
+        builds_no_stack(estimator, "refine_time_offset")
+        builds_no_stack(pl, "_pooled_alignment", aligned, 0)
+        builds_no_stack(estimator, "solve", polished, 1)
+        run = pl._run_hypothesis
+
+        def per_hypothesis(*args, **kwargs):
+            marks = len(stacks), len(aligned), len(polished)
+            session = run(*args, **kwargs)
+            runs.append([seen[mark:] for seen, mark in zip((stacks, aligned, polished), marks)])
+            return session
+
+        monkeypatch.setattr(pl, "_run_hypothesis", per_hypothesis)
+        cfg = default_scenario(n_vehicles=25, duration=45.0, noise_sigma=0.2, time_offset=0.537,
+                               seed=1001)
+        db_p, db_q, _ = make_pair(cfg)
+        calibrate(db_p, db_q)
+        assert runs
+        for built, steps, polish in runs:
+            # one alignment test per completed step, each on its step's stack
+            assert built and [id(t) for t in steps] == [id(t) for t in built]
+            assert [id(t) for t in polish] == [id(built[-1])]
+
 
 class TestScoreSession:
     def test_perfect_calibration_scores_one(self):
@@ -320,6 +366,16 @@ class TestScoreSession:
         empty = make_database([], sensor_id="E")
         score, n_pp, n_po = score_session(Transform4D.identity(), empty, empty)
         assert (score, n_pp, n_po) == (0.0, 0, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_empty_side_counts_only_the_other(self):
+        # empty position stacks go through numpy and the window join as they are
+        cfg = default_scenario(n_vehicles=10, duration=25.0, noise_sigma=0.2, seed=3)
+        db_p, db_q, truth = make_pair(cfg)
+        empty_p, empty_q = (replace(db, trajectories=()) for db in (db_p, db_q))
+        assert score_session(truth, empty_p, db_q) == (0.0, 0, 439)
+        assert score_session(truth, db_p, empty_q) == (0.0, 0, 437)
+        assert score_session(truth, empty_p, empty_q) == (0.0, 0, 0)
 
     def test_score_in_unit_interval(self):
         cfg = default_scenario(n_vehicles=8, duration=20.0, noise_sigma=0.3, seed=6)
@@ -483,6 +539,22 @@ class TestSessionStore:
         want = fuse_sessions([first, new], min_score=store.min_fuse_score)
         assert fused.transform.approx_equal(want.transform, tol=1e-12)
         assert fused.score == want.score
+
+    @pytest.mark.parametrize("field, raw", [
+        ("n_pp", "Infinity"), ("score", "1" * 400), ("tx", "1" * 400),
+    ], ids=["n_pp-inf", "score-400-digits", "tx-400-digits"])
+    def test_line_with_a_number_out_of_range_is_skipped(self, tmp_path, rng, field, raw):
+        from conftest import random_transform
+
+        store = SessionStore(tmp_path / "store")
+        first = session_with(0.9, random_transform(rng))
+        damaged = session_with(0.8, random_transform(rng)).to_dict()
+        (damaged["transform"] if field == "tx" else damaged)[field] = "@"
+        store.sessions_path.write_text(json.dumps(first.to_dict()) + "\n"
+                                       + json.dumps(damaged).replace('"@"', raw) + "\n")
+        with pytest.warns(UserWarning, match=f"sessions\\.jsonl:2: skipped damaged .*{field}: "):
+            fused = store.load_fused()
+        assert fused.transform.approx_equal(first.transform, tol=1e-12)
 
     def test_reader_never_sees_a_partial_state(self, tmp_path):
         store = SessionStore(tmp_path / "store")
@@ -672,7 +744,7 @@ class TestAlignmentMonotonicity:
             if db_p.trajectories[i].class_label == db_q.trajectories[j].class_label
         ]
         # the returned transform aligns matched content essentially exactly
-        pair_means = [pl._pooled_alignment(pl._matched_objects(db_p, db_q, [pair]),
+        pair_means = [pl._pooled_alignment(PairedTracks(pl._matched_objects(db_p, db_q, [pair])),
                                            session.transform)
                       for pair in all_pairs]
         assert min(m for m in pair_means if math.isfinite(m)) < 1e-6

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,30 +10,28 @@ import pytest
 from trajcal.model import Transform4D
 from trajcal.simulator import (
     LAYOUTS,
-    PolylineTrack,
     ScenarioConfig,
     default_scenario,
     generate_world_tracks,
-    generate_world_trajectories,
     make_nonoverlapping_pair,
     make_pair,
     observe,
     sensor_pose,
 )
 
-from conftest import curvature
+from conftest import curvature, world_samples
 
 
 class TestWorldGeneration:
     def test_deterministic_under_seed(self):
         cfg = default_scenario(n_vehicles=10, duration=30.0, seed=42)
-        a = generate_world_trajectories(cfg)
-        b = generate_world_trajectories(cfg)
+        a = world_samples(cfg)
+        b = world_samples(cfg)
         assert a == b  # value objects compare exactly
 
     def test_different_seeds_differ(self):
-        a = generate_world_trajectories(default_scenario(n_vehicles=10, seed=1))
-        b = generate_world_trajectories(default_scenario(n_vehicles=10, seed=2))
+        a = world_samples(default_scenario(n_vehicles=10, seed=1))
+        b = world_samples(default_scenario(n_vehicles=10, seed=2))
         assert a != b
 
     def test_straight_pass_is_collinear_constant_speed(self):
@@ -42,7 +41,7 @@ class TestWorldGeneration:
             cfg = default_scenario(n_vehicles=1, duration=40.0, seed=seed)
             (track,) = generate_world_tracks(cfg)
             if len(track.segments) == 1:  # straight route
-                trajs = generate_world_trajectories(cfg)
+                trajs = world_samples(cfg)
                 if not trajs or len(trajs[0]) < 5:
                     continue
                 traj = trajs[0]
@@ -58,7 +57,7 @@ class TestWorldGeneration:
             (track,) = generate_world_tracks(cfg)
             if len(track.segments) == 3:  # entry line, fillet arc, exit line
                 arc = track.segments[1]
-                trajs = generate_world_trajectories(cfg)
+                trajs = world_samples(cfg)
                 if not trajs:
                     continue
                 traj = trajs[0]
@@ -91,9 +90,10 @@ class TestWorldGeneration:
 
 class TestObserve:
     def test_identity_pose_reproduces_world_samples(self):
+        # every track with two or more world frames (k * frame_period) inside
+        # its span and the recording, sampled exactly there
         cfg = default_scenario(n_vehicles=6, duration=30.0, seed=7)
         tracks = generate_world_tracks(cfg)
-        world = generate_world_trajectories(cfg)
         db = observe(
             tracks,
             Transform4D.identity(),
@@ -103,10 +103,16 @@ class TestObserve:
             sensor_id="W",
         )
         by_id = {t.track_id: t for t in db.trajectories}
-        for traj in world:
-            got = by_id[traj.track_id]
-            np.testing.assert_array_equal(got.xyz, traj.xyz)
-            np.testing.assert_array_equal(got.times, traj.times)
+        for track in tracks:
+            k0 = math.ceil(max(0.0, track.start_time) / cfg.frame_period - 1e-9)
+            k1 = math.floor(min(cfg.duration, track.end_time) / cfg.frame_period + 1e-9)
+            if k1 < k0 + 1:
+                assert track.track_id not in by_id
+                continue
+            got = by_id[track.track_id]
+            np.testing.assert_array_equal(got.frames, np.arange(k0, k1 + 1))
+            np.testing.assert_array_equal(got.times, got.frames * cfg.frame_period)
+            np.testing.assert_array_equal(got.xyz, track.sample(got.times))
 
     def test_range_clipping(self):
         cfg = default_scenario(n_vehicles=10, duration=30.0, seed=9)
@@ -155,13 +161,20 @@ class TestObserve:
         ids = [t.track_id for t in thin.trajectories]
         assert len(set(ids)) == len(ids)
 
-    def test_observe_accepts_plain_trajectories(self):
-        cfg = default_scenario(n_vehicles=4, duration=20.0, seed=11)
-        world = generate_world_trajectories(cfg)
-        db = observe(
-            world, Transform4D.identity(), 1e9, frame_period=0.1, duration=20.0, sensor_id="S"
+    def test_observe_accepts_any_sampled_motion(self):
+        # world motion is anything with a track id, class, box, time span and
+        # sample(times); here a straight walk from 1 s to 9 s
+        walker = SimpleNamespace(
+            track_id="w", class_label="pedestrian", bbox=(0.6, 0.6, 1.7),
+            start_time=1.0, end_time=9.0,
+            sample=lambda t: np.column_stack([1.5 * t, np.zeros(len(t)), np.full(len(t), 0.85)]),
         )
-        assert db.n_positions > 0
+        db = observe(
+            [walker], Transform4D.identity(), 1e9, frame_period=0.1, duration=20.0, sensor_id="S"
+        )
+        (traj,) = db.trajectories
+        np.testing.assert_array_equal(traj.frames, np.arange(10, 91))
+        np.testing.assert_allclose(traj.xyz[:, 0], 1.5 * traj.times)
 
     def test_sensor_clock_offsets_sampling_grid(self):
         cfg = default_scenario(n_vehicles=4, duration=20.0, seed=11)
@@ -279,11 +292,3 @@ class TestScenarioConfig:
         db_p, db_q, truth = make_pair(cfg)
         assert len(db_p) == 0 and len(db_q) == 0
         assert truth is not None
-
-
-class TestPolylineTrack:
-    def test_round_trip_from_trajectory(self):
-        cfg = default_scenario(n_vehicles=3, duration=20.0, seed=6)
-        traj = generate_world_trajectories(cfg)[0]
-        track = PolylineTrack.from_trajectory(traj)
-        np.testing.assert_allclose(track.sample(traj.times), traj.xyz, atol=1e-12)
