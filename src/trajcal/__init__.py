@@ -1,6 +1,8 @@
 """Spatio-temporal calibration of fixed roadside sensors by matching the
 trajectories of objects both observe: no initial guess, no shared clock."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BothZeroScore,
     CalibrationError,
@@ -79,4 +81,5 @@ from .simulator import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -10,12 +10,12 @@ re-association repeats itself, or when iterations run out. The association
 made under the last iterate goes to the estimator's polish.
 
 Hypotheses come as a stream. A stored prior comes first. Initialization
-from scratch is the fragile part and runs only when a hypothesis is still
-needed: raw feature matches are temporally scrambled along feature-flat
-(straight, constant-speed) tracks, so further transforms come from a scan
-over candidate clock offsets with a consensus spatial refit at each one;
-genuinely paired trajectories agree on a transform only at the true offset,
-and offsets are ranked by how many pairs agree.
+from scratch (matching included) is the fragile part and runs only when a
+hypothesis is still needed: raw feature matches are temporally scrambled
+along feature-flat (straight, constant-speed) tracks, so further transforms
+come from a scan over candidate clock offsets with a consensus spatial
+refit at each one; genuinely paired trajectories agree on a transform only
+at the true offset, and offsets are ranked by how many pairs agree.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 import os
 import time
 import warnings
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -95,14 +96,19 @@ class CalibrationSession:
         score = _record_number(d, "score", float)
         if not 0.0 <= score <= 1.0:  # NaN fails too
             raise ValueError(f"session score must be in [0, 1], got {score}")
+        converged, created_at = d["converged"], _record_number(d, "created_at", float)
+        if not isinstance(converged, bool):
+            raise ValueError(f"converged must be true or false, got {converged!r}")
+        if not math.isfinite(created_at):
+            raise ValueError(f"created_at must be finite, got {created_at}")
         return cls(
             transform=Transform4D.from_dict(d["transform"]),
             score=score,
             n_pp=_record_number(d, "n_pp", int),
             n_po=_record_number(d, "n_po", int),
             iterations_used=_record_number(d, "iterations_used", int),
-            converged=bool(d["converged"]),
-            created_at=_record_number(d, "created_at", float),
+            converged=converged,
+            created_at=created_at,
         )
 
 
@@ -662,30 +668,32 @@ def calibrate(
     ``_RETRY_SCORE_THRESHOLD``; the best-scoring session is returned.
     ``prior`` (a stored session or transform from earlier passes) is tried
     first: a continuous-calibration system that already holds a decent
-    estimate should not have to re-earn it from scratch, so the offset scan
-    runs only when the prior does not hold, and a bad prior costs nothing
-    because every hypothesis is score-checked.
+    estimate should not have to re-earn it from scratch, so matching, its
+    filters and the offset scan run only when the prior does not hold, and
+    a bad prior costs nothing because every hypothesis is score-checked.
 
-    Raises NoCandidateMatches when fewer than 3 pairs survive the filters,
-    and NoViableHypothesis (with the number of hypotheses tried) when
-    enough do but every hypothesis collapses, or there is none: no prior,
-    and the offset scan finds no offset.
+    Raises NoCandidateMatches when fewer than 3 pairs survive the filters
+    (with a prior, once the prior does not hold), and NoViableHypothesis
+    (with the number of hypotheses tried) when enough do but every
+    hypothesis collapses, or there is none: no prior, and the offset scan
+    finds no offset.
     Non-convergence is not an error: the session comes back with
     ``converged=False`` and its honest score.
     """
     cfg = cfg or PipelineConfig()
     w = cfg.match_weights
-    fp = extract_features(db_p)
-    fq = extract_features(db_q)
-    raw = motion_match(fp, fq, w)
-    kept = apply_semantic_filters(raw, fp, fq, db_p, db_q, weights=w)
-    if len(kept) < 3:
-        raise NoCandidateMatches(len(raw), len(kept))
+    raw = kept = None  # the cascade's matches, once a hypothesis beyond the prior is needed
 
     def hypotheses():
-        nonlocal kept
+        nonlocal raw, kept
         if prior is not None:
             yield prior.transform if isinstance(prior, CalibrationSession) else prior
+        fp = extract_features(db_p)
+        fq = extract_features(db_q)
+        raw = motion_match(fp, fq, w)
+        kept = apply_semantic_filters(raw, fp, fq, db_p, db_q, weights=w)
+        if len(kept) < 3:
+            raise NoCandidateMatches(len(raw), len(kept))
         # initialization: a loose trajectory vote straight off the filtered
         # matches, then candidate clock offsets from the consensus scan
         rows, candidates = _loose_vote(kept)
@@ -718,7 +726,7 @@ def calibrate(
             best = session
         if session.score >= _RETRY_SCORE_THRESHOLD:
             break
-    if best is None:
+    if best is None:  # the stream went past the prior, so the cascade ran
         raise NoViableHypothesis(len(raw), len(kept), tried)
     return best
 
@@ -835,11 +843,16 @@ def update_continuous(
 # session persistence
 
 
+# where a log read stopped: (st_dev, st_ino), its last complete line, the fold
+_LogMark = namedtuple("_LogMark", "ident offset line_no line fold", defaults=(None, 0, 0, b"", ()))
+
+
 class SessionStore:
     """Append-only session log; the fused estimate is the fold of that log
     (``fuse_sessions``), so the log is the store's only state. Sessions
     scoring under ``min_fuse_score`` are logged but do not update the fused
-    state."""
+    state. A store resumes its last read's fold with the lines appended
+    since, unless the log was replaced, shortened or rewritten under it."""
 
     min_fuse_score = 0.5
 
@@ -847,6 +860,7 @@ class SessionStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.sessions_path = self.directory / "sessions.jsonl"
+        self._mark = _LogMark()
 
     @contextmanager
     def _locked(self):
@@ -856,31 +870,54 @@ class SessionStore:
             fcntl.flock(fh, fcntl.LOCK_EX)
             yield
 
-    def _read(self) -> list[CalibrationSession]:
+    def _read(self, mark: _LogMark):
+        """Parse the log after ``mark``, or all of it if it changed under it:
+        (start mark, complete lines' sessions, a torn last line's, end mark)."""
         if not self.sessions_path.exists():
-            return []
+            return _LogMark(), [], [], _LogMark()
+        with open(self.sessions_path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            ident = (st.st_dev, st.st_ino)
+            # a log cut short of the mark reads its last line short
+            if mark.ident != ident or os.pread(
+                    fh.fileno(), len(mark.line), mark.offset - len(mark.line)) != mark.line:
+                mark = _LogMark(ident)
+            fh.seek(mark.offset)
+            data = fh.read()
+        *lines, torn = data.split(b"\n")
+        end = _LogMark(ident, mark.offset + len(data) - len(torn), mark.line_no + len(lines),
+                       lines[-1] + b"\n" if lines else mark.line)
+        return mark, self._parse(lines, mark.line_no), self._parse([torn], end.line_no), end
+
+    def _parse(self, lines, line_no: int) -> list[CalibrationSession]:
+        """The sessions on ``lines``, numbered on from ``line_no``; a damaged line warns."""
         out = []
-        with open(self.sessions_path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
+        for line_no, line in enumerate(lines, start=line_no + 1):
+            try:
+                if line.strip():
                     out.append(CalibrationSession.from_dict(json.loads(line)))
-                except (KeyError, TypeError, ValueError) as exc:
-                    warnings.warn(
-                        f"{self.sessions_path}:{line_no}: skipped damaged session record ({exc})"
-                    )
+            except (KeyError, TypeError, ValueError) as exc:
+                warnings.warn(
+                    f"{self.sessions_path}:{line_no}: skipped damaged session record ({exc})"
+                )
         return out
+
+    def _fold(self) -> CalibrationSession | None:
+        start, complete, torn, end = self._read(self._mark)
+        fold = fuse_sessions([*start.fold, *complete], self.min_fuse_score)
+        self._mark = end._replace(fold=() if fold is None else (fold,))
+        return fuse_sessions([*self._mark.fold, *torn], self.min_fuse_score)
 
     def sessions(self) -> list[CalibrationSession]:
         """Every complete session in the log, oldest first; a damaged line
         is skipped with a warning naming it."""
         with self._locked():
-            return self._read()
+            _, complete, torn, _ = self._read(_LogMark())
+            return complete + torn
 
     def load_fused(self) -> CalibrationSession | None:
         with self._locked():
-            return fuse_sessions(self._read(), self.min_fuse_score)
+            return self._fold()
 
     def record(self, session: CalibrationSession) -> CalibrationSession:
         """Append the session and return the fold of the whole log."""
@@ -892,4 +929,4 @@ class SessionStore:
                 if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
                     line = "\n" + line
                 fh.write(line.encode())
-            return fuse_sessions(self._read(), self.min_fuse_score)
+            return self._fold()

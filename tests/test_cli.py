@@ -277,6 +277,27 @@ class TestCalibrate:
         assert result.exit_code == 0, result.output
         assert result.exception is None
 
+    def test_continuous_pass_parses_each_stored_session_once(self, runner, tmp_path,
+                                                              monkeypatch):
+        # load_fused reads the log, and record parses only the line it appends
+        from trajcal.pipeline import CalibrationSession
+
+        scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
+        store = tmp_path / "store"
+        args = ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+                "--input-q", str(scene / "dbQ.jsonl"), "--continuous", "--store-dir", str(store)]
+        assert runner.invoke(main, args).exit_code == 0
+        log = store / "sessions.jsonl"
+        log.write_text(log.read_text() * 4)
+        parsed = []
+        from_dict = CalibrationSession.from_dict
+        monkeypatch.setattr(CalibrationSession, "from_dict",
+                            staticmethod(lambda d: parsed.append(d) or from_dict(d)))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(log.read_text().splitlines()) == 5
+        assert len(parsed) == 4 + 1
+
     def test_dump_debug_csvs(self, runner, tmp_path):
         scene = simulate(runner, tmp_path / "scene")
         result = runner.invoke(

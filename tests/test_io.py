@@ -209,6 +209,18 @@ class TestTransformAndSessionJson:
         with pytest.raises(io.FileFormatError, match=f"invalid session file: {field}: "):
             io.read_session_json(path)
 
+    @pytest.mark.parametrize("field, raw", [
+        ("converged", '"false"'), ("converged", "1"),
+        ("created_at", "NaN"), ("created_at", "Infinity"),
+    ], ids=["converged-string", "converged-number", "created_at-nan", "created_at-inf"])
+    def test_session_file_with_a_bad_flag_or_time_names_it(self, tmp_path, rng, field, raw):
+        record = CalibrationSession(random_transform(rng), 0.5, 10, 20, 3, True, 1.0).to_dict()
+        record[field] = "@"
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(record).replace('"@"', raw))
+        with pytest.raises(io.FileFormatError, match=f"invalid session file: {field} must be"):
+            io.read_session_json(path)
+
     def test_transform_file_with_a_number_out_of_range_names_it(self, tmp_path, rng):
         record = random_transform(rng).to_dict()
         record["tx"] = "@"

@@ -3,6 +3,9 @@
 import json
 import math
 import multiprocessing
+import os
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +244,11 @@ def _fields(session):
     return d
 
 
+def _far(truth):
+    """A prior far enough off that its hypothesis does not hold."""
+    return Transform4D.from_yaw_deg(90.0, (40.0, -30.0, 0.0), truth.time_offset + 7.0)
+
+
 class TestHypothesisStream:
     @pytest.fixture(scope="class")
     def scene(self):
@@ -258,10 +266,37 @@ class TestHypothesisStream:
     def test_far_off_prior_still_reaches_the_scan(self, scene, monkeypatch):
         db_p, db_q, truth, cold = scene
         scans = _counting(monkeypatch, "_offset_hypotheses")
-        far = Transform4D.from_yaw_deg(90.0, (40.0, -30.0, 0.0), truth.time_offset + 7.0)
-        session = calibrate(db_p, db_q, prior=far)
+        session = calibrate(db_p, db_q, prior=_far(truth))
         assert len(scans) == 1
         assert _fields(session) == _fields(cold)
+
+    def test_warm_pass_whose_prior_holds_does_no_cold_work(self, scene, monkeypatch):
+        db_p, db_q, truth, cold = scene
+        cold_work = ("extract_features", "motion_match", "apply_semantic_filters",
+                     "_offset_hypotheses")
+        calls = {name: _counting(monkeypatch, name) for name in cold_work}
+        calibrate(db_p, db_q)
+        on_cold = {name: len(seen) for name, seen in calls.items()}
+        assert on_cold["extract_features"] == 2 and on_cold["_offset_hypotheses"] == 1
+        for seen in calls.values():
+            seen.clear()
+        calibrate(db_p, db_q, prior=cold)
+        assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(cold_work, 0)
+        calibrate(db_p, db_q, prior=_far(truth))
+        assert {name: len(seen) for name, seen in calls.items()} == on_cold
+
+    def test_prior_that_holds_needs_no_candidate_matches(self, scene):
+        # d_th 1e-3 leaves no raw match: the prior alone calibrates the scene
+        db_p, db_q, truth, _ = scene
+        cfg = PipelineConfig(match_weights=replace(PipelineConfig().match_weights, d_th=1e-3))
+        with pytest.raises(NoCandidateMatches) as info:
+            calibrate(db_p, db_q, cfg)
+        assert (info.value.raw_count, info.value.filtered_count) == (0, 0)
+        session = calibrate(db_p, db_q, cfg, prior=truth)
+        assert session.score >= 0.5 and make_report(session.transform, truth).success
+        with pytest.raises(NoCandidateMatches) as info:
+            calibrate(db_p, db_q, cfg, prior=_far(truth))
+        assert (info.value.raw_count, info.value.filtered_count) == (0, 0)
 
     def test_collapsing_prior_and_empty_scan_count_one_hypothesis(self, scene, monkeypatch):
         from trajcal import pipeline as pl
@@ -535,8 +570,16 @@ class TestSessionStore:
         assert fused.transform.approx_equal(first.transform, tol=1e-12)
         new = session_with(0.85, random_transform(rng))
         with pytest.warns(UserWarning, match=r"sessions\.jsonl:2:"):
-            fused = store.record(new)
+            fused = SessionStore(store.directory).record(new)
         want = fuse_sessions([first, new], min_score=store.min_fuse_score)
+        assert fused.transform.approx_equal(want.transform, tol=1e-12)
+        assert fused.score == want.score
+        # the instance that read line 2 parses only the lines after it
+        newer = session_with(0.95, random_transform(rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused = store.record(newer)
+        want = fuse_sessions([first, new, newer], min_score=store.min_fuse_score)
         assert fused.transform.approx_equal(want.transform, tol=1e-12)
         assert fused.score == want.score
 
@@ -553,6 +596,22 @@ class TestSessionStore:
         store.sessions_path.write_text(json.dumps(first.to_dict()) + "\n"
                                        + json.dumps(damaged).replace('"@"', raw) + "\n")
         with pytest.warns(UserWarning, match=f"sessions\\.jsonl:2: skipped damaged .*{field}: "):
+            fused = store.load_fused()
+        assert fused.transform.approx_equal(first.transform, tol=1e-12)
+
+    @pytest.mark.parametrize("field, raw", [
+        ("converged", '"false"'), ("converged", "1"),
+        ("created_at", "NaN"), ("created_at", "-Infinity"),
+    ], ids=["converged-string", "converged-number", "created_at-nan", "created_at-inf"])
+    def test_line_with_a_bad_flag_or_time_is_skipped(self, tmp_path, rng, field, raw):
+        from conftest import random_transform
+
+        store = SessionStore(tmp_path / "store")
+        first = session_with(0.9, random_transform(rng))
+        damaged = dict(session_with(0.8, random_transform(rng)).to_dict(), **{field: "@"})
+        store.sessions_path.write_text(json.dumps(first.to_dict()) + "\n"
+                                       + json.dumps(damaged).replace('"@"', raw) + "\n")
+        with pytest.warns(UserWarning, match=f"sessions\\.jsonl:2: skipped damaged .*{field} "):
             fused = store.load_fused()
         assert fused.transform.approx_equal(first.transform, tol=1e-12)
 
@@ -602,6 +661,102 @@ class TestSessionStore:
         assert again.transform.approx_equal(s.transform, tol=1e-15)
         assert again.score == s.score
         assert again.n_pp == 123 and again.n_po == 400
+
+
+def _warned_lines(action):
+    """``action()`` and the log line numbers its warnings name, in order."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = action()
+    return out, [int(re.search(r"sessions\.jsonl:(\d+):", str(w.message))[1]) for w in seen]
+
+
+def assert_fold_of_the_log(store, fused):
+    """``fused`` is bitwise ``fuse_sessions(store.sessions())``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = fuse_sessions(store.sessions(), min_score=store.min_fuse_score)
+    assert json.dumps(fused.to_dict()) == json.dumps(want.to_dict())
+
+
+class TestResumedFold:
+    """A store parses only the lines appended since its last read, and each
+    fold it returns is bitwise the fold of the whole log."""
+
+    @staticmethod
+    def filled(tmp_path, rng, scores=(0.9, 0.8, 0.7)):
+        from conftest import random_transform
+
+        store = SessionStore(tmp_path / "store")
+        for i, score in enumerate(scores):
+            store.record(replace(session_with(score, random_transform(rng)), created_at=float(i)))
+        return store
+
+    @staticmethod
+    def new(rng, score=0.85):
+        from conftest import random_transform
+
+        return replace(session_with(score, random_transform(rng)), created_at=10.0)
+
+    def test_each_pass_parses_only_the_new_lines(self, tmp_path, rng, monkeypatch):
+        store = SessionStore(self.filled(tmp_path, rng).directory)
+        parsed = []
+        from_dict = CalibrationSession.from_dict
+        monkeypatch.setattr(CalibrationSession, "from_dict",
+                            staticmethod(lambda d: parsed.append(d) or from_dict(d)))
+        loaded = store.load_fused()
+        assert len(parsed) == 3
+        recorded = store.record(self.new(rng))
+        assert len(parsed) == 3 + 1
+        assert_fold_of_the_log(store, recorded)
+        assert json.dumps(loaded.to_dict()) != json.dumps(recorded.to_dict())
+
+    def test_another_instance_records_in_between(self, tmp_path, rng):
+        store = self.filled(tmp_path, rng)
+        assert_fold_of_the_log(store, store.load_fused())
+        SessionStore(store.directory).record(self.new(rng, 0.95))
+        assert_fold_of_the_log(store, store.record(self.new(rng)))
+        assert len(store.sessions()) == 5
+
+    @pytest.mark.parametrize("change", ["replaced", "truncated", "rewritten"])
+    def test_log_changed_under_the_last_read_is_read_again(self, tmp_path, rng, change):
+        store = self.filled(tmp_path, rng)
+        assert_fold_of_the_log(store, store.load_fused())
+        path = store.sessions_path
+        first, second, last = path.read_bytes().splitlines(keepends=True)
+        if change == "replaced":  # another file, as long, with the same last line
+            other = path.with_name("other.jsonl")
+            other.write_bytes(first.replace(b'"score": 0.9', b'"score": 0.6') + second + last)
+            os.replace(other, path)
+        elif change == "truncated":
+            with open(path, "r+b") as fh:
+                fh.truncate(len(first))
+        else:  # the same file, as long, with another last line
+            with open(path, "r+b") as fh:
+                fh.seek(len(first) + len(second))
+                fh.write(last.replace(b'"score": 0.7', b'"score": 0.6'))
+        assert path.read_bytes() != first + second + last
+        assert_fold_of_the_log(store, store.record(self.new(rng)))
+
+    def test_torn_line_is_parsed_again_once_completed(self, tmp_path, rng):
+        from conftest import random_transform
+
+        store = SessionStore(tmp_path / "store")
+        full = json.dumps(session_with(0.9, random_transform(rng)).to_dict())
+        store.sessions_path.write_text(full + "\n" + full[: len(full) // 2])
+        fused, lines = _warned_lines(store.load_fused)
+        assert lines == [2]
+        assert_fold_of_the_log(store, fused)
+        # the record completes line 2 with a newline and goes on line 3
+        fused, lines = _warned_lines(lambda: store.record(self.new(rng)))
+        assert lines == [2]
+        assert_fold_of_the_log(store, fused)
+        with open(store.sessions_path, "a") as fh:
+            fh.write('{"score": 0.5}\n')
+        fused, lines = _warned_lines(lambda: store.record(self.new(rng, 0.95)))
+        assert lines == [4]
+        assert_fold_of_the_log(store, fused)
+        assert len(store.sessions_path.read_text().splitlines()) == 5
 
 
 class TestInitialization:

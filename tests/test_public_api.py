@@ -1,6 +1,7 @@
 """The public API is the documented one."""
 
 from pathlib import Path
+from types import ModuleType
 
 import trajcal
 
@@ -12,3 +13,8 @@ def test_every_export_is_in_the_readme():
     missing = [name for name in trajcal.__all__
                if f"`{name}`" not in text and f"`trajcal.{name}`" not in text]
     assert missing == []
+
+
+def test_no_export_is_a_module():
+    assert [name for name in trajcal.__all__
+            if isinstance(getattr(trajcal, name), ModuleType)] == []
