@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import FeatureDatabase
 from .matching import PositionMatch
-from .model import Trajectory, TrajectoryDatabase, Transform4D
+from .model import Trajectory, TrajectoryDatabase, Transform4D, _record_int
 from .pipeline import CalibrationSession
 from .simulator import LAYOUTS, ScenarioConfig, default_scenario
 
@@ -45,24 +45,18 @@ def write_database_jsonl(db: TrajectoryDatabase, path) -> None:
             }
         }
         fh.write(json.dumps(header) + "\n")
+        # json.dumps once per track; numbers as repr, which is what json
+        # writes for the finite numbers a trajectory holds
+        sensor = json.dumps(db.sensor_id)
         for traj in db.trajectories:
-            for (x, y, z), t, frame, (l, w, h) in zip(
-                traj.xyz.tolist(), traj.times.tolist(), traj.frames.tolist(), traj.bbox.tolist()
-            ):
-                record = {"sensor_id": db.sensor_id, "track_id": traj.track_id, "frame": frame,
-                          "t": t, "x": x, "y": y, "z": z, "l": l, "w": w, "h": h,
-                          "class": traj.class_label}
-                fh.write(json.dumps(record) + "\n")
-
-
-def _frame(value) -> int:
-    """A record's frame number: a 64-bit JSON integer, or a float with an
-    integral value; ``true``, ``"7"``, ``12.9`` and ``Infinity`` are not."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int or not -2**63 <= value < 2**63:
-        raise ValueError(f"frame must be a 64-bit integer, got {value!r}")
-    return value
+            head = f'{{"sensor_id": {sensor}, "track_id": {json.dumps(traj.track_id)}, "frame": '
+            tail = f', "class": {json.dumps(traj.class_label)}}}\n'
+            fh.writelines(
+                f'{head}{frame!r}, "t": {t!r}, "x": {x!r}, "y": {y!r}, "z": {z!r}, '
+                f'"l": {l!r}, "w": {w!r}, "h": {h!r}{tail}'
+                for (x, y, z), t, frame, (l, w, h) in zip(
+                    traj.xyz.tolist(), traj.times.tolist(), traj.frames.tolist(),
+                    traj.bbox.tolist()))
 
 
 def _track(track_id: str, rows: list) -> Trajectory:
@@ -97,8 +91,9 @@ def read_database_jsonl(path) -> TrajectoryDatabase:
                 continue
             try:
                 row = (line_no, float(record["x"]), float(record["y"]), float(record["z"]),
-                       float(record["t"]), _frame(record["frame"]), float(record["l"]),
-                       float(record["w"]), float(record["h"]), str(record["class"]))
+                       float(record["t"]), _record_int(record, "frame", -2**63, 2**63, "64-bit"),
+                       float(record["l"]), float(record["w"]), float(record["h"]),
+                       str(record["class"]))
                 tracks.setdefault(str(record["track_id"]), []).append(row)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FileFormatError(f"{path}:{line_no}: bad position record: {exc}") from exc

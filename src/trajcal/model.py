@@ -369,6 +369,17 @@ def _record_number(record: dict, key: str, kind):
         raise ValueError(f"{key}: {exc}") from exc
 
 
+def _record_int(record: dict, key: str, low, high, kind: str) -> int:
+    """``record[key]``, a JSON integer or a float with an integral value, in
+    ``[low, high)``; ``true``, ``"7"``, ``12.9`` and ``Infinity`` are not."""
+    value = record[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or not low <= value < high:
+        raise ValueError(f"{key}: must be a {kind} integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # module-level operations on the transform
 

@@ -21,12 +21,12 @@ at the true offset, and offsets are ranked by how many pairs agree.
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import math
 import os
 import time
 import warnings
-from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -52,7 +52,7 @@ from .matching import (
     apply_semantic_filters,
     motion_match,
 )
-from .model import TrajectoryDatabase, Transform4D, _record_number, blend_transforms
+from .model import TrajectoryDatabase, Transform4D, _record_int, _record_number, blend_transforms
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,9 @@ class CalibrationSession:
         return cls(
             transform=Transform4D.from_dict(d["transform"]),
             score=score,
-            n_pp=_record_number(d, "n_pp", int),
-            n_po=_record_number(d, "n_po", int),
-            iterations_used=_record_number(d, "iterations_used", int),
+            n_pp=_record_int(d, "n_pp", 0, math.inf, "non-negative"),
+            n_po=_record_int(d, "n_po", 0, math.inf, "non-negative"),
+            iterations_used=_record_int(d, "iterations_used", 0, math.inf, "non-negative"),
             converged=converged,
             created_at=created_at,
         )
@@ -843,16 +843,26 @@ def update_continuous(
 # session persistence
 
 
-# where a log read stopped: (st_dev, st_ino), its last complete line, the fold
-_LogMark = namedtuple("_LogMark", "ident offset line_no line fold", defaults=(None, 0, 0, b"", ()))
+def _restore(record: dict) -> CalibrationSession:
+    """A fold the store saved, bit for bit: normalising its unit quaternion
+    again, as ``Transform4D.from_dict`` does, can move it by an ulp."""
+    tf = Transform4D.from_dict(record["transform"])
+    q = np.array([float(record["transform"][k]) for k in ("qw", "qx", "qy", "qz")])
+    if not np.max(np.abs(tf.rotation - q)) <= 1e-12:
+        raise ValueError("the saved fold's quaternion is not a canonical unit quaternion")
+    q.setflags(write=False)
+    object.__setattr__(tf, "rotation", q)
+    return CalibrationSession(**dict(record, transform=tf))
 
 
 class SessionStore:
     """Append-only session log; the fused estimate is the fold of that log
-    (``fuse_sessions``), so the log is the store's only state. Sessions
-    scoring under ``min_fuse_score`` are logged but do not update the fused
-    state. A store resumes its last read's fold with the lines appended
-    since, unless the log was replaced, shortened or rewritten under it."""
+    (``fuse_sessions``), so the log is the store's only source of truth.
+    Sessions scoring under ``min_fuse_score`` are logged but do not update
+    the fused state. Each fold saves where it stopped beside the log
+    (``.fold``: offset, line count, SHA-256 of the log up to the offset,
+    the fold and the damaged lines so far); the next fold, in any process,
+    resumes there unless those bytes of the log changed."""
 
     min_fuse_score = 0.5
 
@@ -860,7 +870,8 @@ class SessionStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.sessions_path = self.directory / "sessions.jsonl"
-        self._mark = _LogMark()
+        self._checkpoint_path = self.directory / ".fold"
+        self._named = set()  # the damaged complete lines this store warned of
 
     @contextmanager
     def _locked(self):
@@ -870,50 +881,75 @@ class SessionStore:
             fcntl.flock(fh, fcntl.LOCK_EX)
             yield
 
-    def _read(self, mark: _LogMark):
-        """Parse the log after ``mark``, or all of it if it changed under it:
-        (start mark, complete lines' sessions, a torn last line's, end mark)."""
-        if not self.sessions_path.exists():
-            return _LogMark(), [], [], _LogMark()
-        with open(self.sessions_path, "rb") as fh:
-            st = os.fstat(fh.fileno())
-            ident = (st.st_dev, st.st_ino)
-            # a log cut short of the mark reads its last line short
-            if mark.ident != ident or os.pread(
-                    fh.fileno(), len(mark.line), mark.offset - len(mark.line)) != mark.line:
-                mark = _LogMark(ident)
-            fh.seek(mark.offset)
-            data = fh.read()
-        *lines, torn = data.split(b"\n")
-        end = _LogMark(ident, mark.offset + len(data) - len(torn), mark.line_no + len(lines),
-                       lines[-1] + b"\n" if lines else mark.line)
-        return mark, self._parse(lines, mark.line_no), self._parse([torn], end.line_no), end
+    def _log(self) -> bytes:
+        try:
+            return self.sessions_path.read_bytes()
+        except FileNotFoundError:
+            return b""
 
-    def _parse(self, lines, line_no: int) -> list[CalibrationSession]:
-        """The sessions on ``lines``, numbered on from ``line_no``; a damaged line warns."""
-        out = []
+    def _parse(self, lines, line_no: int):
+        """The sessions on ``lines``, numbered on from ``line_no``, and each
+        damaged line's ``(number, reason)``."""
+        out, damaged = [], []
         for line_no, line in enumerate(lines, start=line_no + 1):
             try:
                 if line.strip():
                     out.append(CalibrationSession.from_dict(json.loads(line)))
             except (KeyError, TypeError, ValueError) as exc:
-                warnings.warn(
-                    f"{self.sessions_path}:{line_no}: skipped damaged session record ({exc})"
-                )
-        return out
+                damaged.append((line_no, str(exc)))
+        return out, damaged
+
+    def _warn(self, damaged):
+        for line_no, reason in damaged:
+            warnings.warn(
+                f"{self.sessions_path}:{line_no}: skipped damaged session record ({reason})")
+
+    def _resume(self, log: bytes):
+        """The checkpoint's ``(offset, line_no, fold, damaged)``, the fold as
+        a tuple of at most one session, if ``log`` still starts with the
+        bytes it covers; else the log's start."""
+        try:
+            cp = json.loads(self._checkpoint_path.read_bytes())
+            if hashlib.sha256(log[:cp["offset"]]).hexdigest() != cp["sha256"]:
+                raise ValueError("the log changed under the checkpoint")
+            fold = () if cp["fold"] is None else (_restore(cp["fold"]),)
+            return cp["offset"], cp["line_no"], fold, [tuple(d) for d in cp["damaged"]]
+        except (OSError, KeyError, TypeError, ValueError):
+            return 0, 0, (), []
+
+    def _save(self, checkpoint: dict) -> None:
+        # rewritten in place: ext4 flushes a file replaced by rename or
+        # truncated to zero (auto_da_alloc), at up to tens of ms a pass;
+        # a torn write fails the JSON parse or the digest
+        with open(os.open(self._checkpoint_path, os.O_RDWR | os.O_CREAT, 0o644), "r+b") as fh:
+            fh.write(json.dumps(checkpoint).encode())
+            fh.truncate()
 
     def _fold(self) -> CalibrationSession | None:
-        start, complete, torn, end = self._read(self._mark)
-        fold = fuse_sessions([*start.fold, *complete], self.min_fuse_score)
-        self._mark = end._replace(fold=() if fold is None else (fold,))
-        return fuse_sessions([*self._mark.fold, *torn], self.min_fuse_score)
+        log = self._log()
+        offset, line_no, resumed, damaged = self._resume(log)
+        *lines, torn = log[offset:].split(b"\n")
+        complete, new_damage = self._parse(lines, line_no)
+        fold = fuse_sessions([*resumed, *complete], self.min_fuse_score)
+        damaged += new_damage
+        if lines:
+            end = len(log) - len(torn)
+            self._save({"offset": end, "line_no": line_no + len(lines),
+                        "sha256": hashlib.sha256(log[:end]).hexdigest(),
+                        "fold": None if fold is None else fold.to_dict(), "damaged": damaged})
+        self._warn([d for d in damaged if d not in self._named])
+        self._named.update(damaged)
+        torn, torn_damage = self._parse([torn], line_no + len(lines))
+        self._warn(torn_damage)  # at every read while the tail is torn
+        return fuse_sessions([*(() if fold is None else (fold,)), *torn], self.min_fuse_score)
 
     def sessions(self) -> list[CalibrationSession]:
         """Every complete session in the log, oldest first; a damaged line
         is skipped with a warning naming it."""
         with self._locked():
-            _, complete, torn, _ = self._read(_LogMark())
-            return complete + torn
+            out, damaged = self._parse(self._log().split(b"\n"), 0)
+        self._warn(damaged)
+        return out
 
     def load_fused(self) -> CalibrationSession | None:
         with self._locked():

@@ -279,7 +279,8 @@ class TestCalibrate:
 
     def test_continuous_pass_parses_each_stored_session_once(self, runner, tmp_path,
                                                               monkeypatch):
-        # load_fused reads the log, and record parses only the line it appends
+        # load_fused resumes from the first pass's checkpoint, and record
+        # parses only the line it appends
         from trajcal.pipeline import CalibrationSession
 
         scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
@@ -296,7 +297,7 @@ class TestCalibrate:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert len(log.read_text().splitlines()) == 5
-        assert len(parsed) == 4 + 1
+        assert len(parsed) == 3 + 1
 
     def test_dump_debug_csvs(self, runner, tmp_path):
         scene = simulate(runner, tmp_path / "scene")

@@ -8,7 +8,21 @@ from trajcal import io
 from trajcal.pipeline import CalibrationSession
 from trajcal.simulator import default_scenario, make_pair
 
-from conftest import random_transform
+from conftest import make_database, random_transform, straight_trajectory
+
+
+def _database_jsonl_oracle(db) -> str:
+    """The JSONL text of ``db`` with one ``json.dumps`` per record."""
+    meta = {"sensor_id": db.sensor_id, "frame_period": db.frame_period,
+            "sensing_range": db.sensing_range}
+    lines = [json.dumps({"meta": meta})]
+    for traj in db.trajectories:
+        for (x, y, z), t, frame, (l, w, h) in zip(
+                traj.xyz.tolist(), traj.times.tolist(), traj.frames.tolist(), traj.bbox.tolist()):
+            lines.append(json.dumps({"sensor_id": db.sensor_id, "track_id": traj.track_id,
+                                     "frame": frame, "t": t, "x": x, "y": y, "z": z, "l": l,
+                                     "w": w, "h": h, "class": traj.class_label}))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -155,6 +169,17 @@ class TestDatabaseJsonlErrors:
         with pytest.raises(io.FileFormatError, match="mixed class labels"):
             io.read_database_jsonl(path)
 
+    def test_write_matches_one_json_dumps_per_record(self, sample_db, tmp_path):
+        odd = make_database([
+            straight_trajectory(track='say "hi"', n=5),
+            straight_trajectory(track="back\\slash", n=4, origin=(1e-7, -3.0, 1.0 / 3.0)),
+            straight_trajectory(track="Straße-東京-\u00e9\U0001f697", n=3, speed=1e6, label="truck"),
+        ], sensor_id='L"i\\DAR-ü', frame_period=0.1, sensing_range=1e300)
+        for db in (sample_db, odd):
+            path = tmp_path / "db.jsonl"
+            io.write_database_jsonl(db, path)
+            assert path.read_bytes() == _database_jsonl_oracle(db).encode()
+
     def test_rewrite_is_byte_identical(self, sample_db, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         io.write_database_jsonl(sample_db, a)
@@ -200,7 +225,10 @@ class TestTransformAndSessionJson:
 
     @pytest.mark.parametrize("field, raw", [
         ("n_pp", "Infinity"), ("n_po", "-Infinity"), ("score", "1" * 400), ("tx", "1" * 400),
-    ], ids=["n_pp-inf", "n_po-minus-inf", "score-400-digits", "tx-400-digits"])
+        ("n_pp", "-5"), ("n_po", "2.7"), ("n_pp", "true"), ("n_po", '"12"'),
+        ("iterations_used", "-1"),
+    ], ids=["n_pp-inf", "n_po-minus-inf", "score-400-digits", "tx-400-digits",
+            "n_pp-negative", "n_po-fraction", "n_pp-true", "n_po-string", "iterations_used-negative"])
     def test_session_file_with_a_number_out_of_range_names_it(self, tmp_path, rng, field, raw):
         record = CalibrationSession(random_transform(rng), 0.5, 10, 20, 3, True, 1.0).to_dict()
         (record["transform"] if field == "tx" else record)[field] = "@"

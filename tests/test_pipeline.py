@@ -1,5 +1,6 @@
 """The calibration loop, scoring, continuous fusion, and the session store."""
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -585,7 +586,10 @@ class TestSessionStore:
 
     @pytest.mark.parametrize("field, raw", [
         ("n_pp", "Infinity"), ("score", "1" * 400), ("tx", "1" * 400),
-    ], ids=["n_pp-inf", "score-400-digits", "tx-400-digits"])
+        ("n_pp", "-5"), ("n_po", "2.7"), ("n_pp", "true"), ("n_po", '"12"'),
+        ("iterations_used", "-1"),
+    ], ids=["n_pp-inf", "score-400-digits", "tx-400-digits",
+            "n_pp-negative", "n_po-fraction", "n_pp-true", "n_po-string", "iterations_used-negative"])
     def test_line_with_a_number_out_of_range_is_skipped(self, tmp_path, rng, field, raw):
         from conftest import random_transform
 
@@ -661,6 +665,10 @@ class TestSessionStore:
         assert again.transform.approx_equal(s.transform, tol=1e-15)
         assert again.score == s.score
         assert again.n_pp == 123 and again.n_po == 400
+        # an integral float is read as that count
+        again = CalibrationSession.from_dict(dict(s.to_dict(), n_pp=123.0, iterations_used=4.0))
+        assert (again.n_pp, again.iterations_used) == (123, 4)
+        assert type(again.n_pp) is int and type(again.iterations_used) is int
 
 
 def _warned_lines(action):
@@ -680,8 +688,8 @@ def assert_fold_of_the_log(store, fused):
 
 
 class TestResumedFold:
-    """A store parses only the lines appended since its last read, and each
-    fold it returns is bitwise the fold of the whole log."""
+    """A store parses only the lines appended since the last fold, in any
+    process, and each fold it returns is bitwise the fold of the whole log."""
 
     @staticmethod
     def filled(tmp_path, rng, scores=(0.9, 0.8, 0.7)):
@@ -704,10 +712,11 @@ class TestResumedFold:
         from_dict = CalibrationSession.from_dict
         monkeypatch.setattr(CalibrationSession, "from_dict",
                             staticmethod(lambda d: parsed.append(d) or from_dict(d)))
+        # a fresh instance resumes from the checkpoint the writes left
         loaded = store.load_fused()
-        assert len(parsed) == 3
+        assert len(parsed) == 0
         recorded = store.record(self.new(rng))
-        assert len(parsed) == 3 + 1
+        assert len(parsed) == 1
         assert_fold_of_the_log(store, recorded)
         assert json.dumps(loaded.to_dict()) != json.dumps(recorded.to_dict())
 
@@ -718,7 +727,7 @@ class TestResumedFold:
         assert_fold_of_the_log(store, store.record(self.new(rng)))
         assert len(store.sessions()) == 5
 
-    @pytest.mark.parametrize("change", ["replaced", "truncated", "rewritten"])
+    @pytest.mark.parametrize("change", ["replaced", "truncated", "rewritten", "first-line"])
     def test_log_changed_under_the_last_read_is_read_again(self, tmp_path, rng, change):
         store = self.filled(tmp_path, rng)
         assert_fold_of_the_log(store, store.load_fused())
@@ -731,12 +740,62 @@ class TestResumedFold:
         elif change == "truncated":
             with open(path, "r+b") as fh:
                 fh.truncate(len(first))
+        elif change == "first-line":  # the same file, as long, with the same last line
+            with open(path, "r+b") as fh:
+                fh.write(first.replace(b'"score": 0.9', b'"score": 0.6'))
         else:  # the same file, as long, with another last line
             with open(path, "r+b") as fh:
                 fh.seek(len(first) + len(second))
                 fh.write(last.replace(b'"score": 0.7', b'"score": 0.6'))
         assert path.read_bytes() != first + second + last
         assert_fold_of_the_log(store, store.record(self.new(rng)))
+
+    def test_every_fold_through_a_fresh_store_is_the_fold_of_the_log(self, tmp_path, rng):
+        from conftest import random_transform
+
+        directory = tmp_path / "store"
+        for i in range(200):
+            session = replace(session_with(float(rng.uniform(0.0, 1.0)), random_transform(rng)),
+                              created_at=float(i))
+            store = SessionStore(directory)
+            assert_fold_of_the_log(store, store.record(session))
+            assert_fold_of_the_log(store, SessionStore(directory).load_fused())
+
+    @pytest.mark.parametrize("damage", [
+        "missing", "garbage", "cut", "torn", "wrong-digest", "non-unit-quaternion"])
+    def test_checkpoint_that_does_not_hold_is_ignored(self, tmp_path, rng, damage):
+        store = self.filled(tmp_path, rng)
+        checkpoint = store.directory / ".fold"
+        saved = checkpoint.read_bytes()
+        cp = json.loads(saved)
+        # each damaged checkpoint holds a fold that is not the log's
+        cp["fold"]["score"] = 0.5
+        if damage == "missing":
+            checkpoint.unlink()
+        elif damage == "garbage":
+            checkpoint.write_bytes(b"\x00\xffnot a checkpoint")
+        elif damage == "cut":
+            checkpoint.write_bytes(json.dumps(cp).encode()[: len(saved) // 2])
+        elif damage == "torn":  # a shorter rewrite over the saved one, not yet truncated
+            shorter = json.dumps(dict(cp, fold=None)).encode()
+            checkpoint.write_bytes(shorter + saved[len(shorter):])
+        elif damage == "wrong-digest":
+            cp["sha256"] = hashlib.sha256(b"another log").hexdigest()
+            checkpoint.write_text(json.dumps(cp))
+        else:
+            cp["fold"]["transform"]["qw"] *= 1.001
+            checkpoint.write_text(json.dumps(cp))
+        fresh = SessionStore(store.directory)
+        assert_fold_of_the_log(fresh, fresh.load_fused())
+        assert_fold_of_the_log(fresh, fresh.record(self.new(rng)))
+        assert json.loads(checkpoint.read_bytes())["line_no"] == 4
+
+    def test_checkpoint_is_rewritten_in_place(self, tmp_path, rng):
+        store = self.filled(tmp_path, rng)
+        inode = os.stat(store.directory / ".fold").st_ino
+        SessionStore(store.directory).record(self.new(rng))
+        assert os.stat(store.directory / ".fold").st_ino == inode
+        assert json.loads((store.directory / ".fold").read_bytes())["line_no"] == 4
 
     def test_torn_line_is_parsed_again_once_completed(self, tmp_path, rng):
         from conftest import random_transform
