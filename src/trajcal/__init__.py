@@ -7,7 +7,6 @@ from .errors import (
     BothZeroScore,
     CalibrationError,
     DegenerateGeometry,
-    DegenerateTimestep,
     EmptyTrajectory,
     InsufficientOverlap,
     NoCandidateMatches,

@@ -95,7 +95,7 @@ def simulate(config_path, out_dir, layout, vehicles, duration, noise, offset, ro
     db_p, db_q, truth = simulator.make_pair(cfg)
     io.write_database_jsonl(db_p, out / "dbP.jsonl")
     io.write_database_jsonl(db_q, out / "dbQ.jsonl")
-    io.write_transform_json(truth, out / "ground_truth.json")
+    io.write_json(truth, out / "ground_truth.json")
     click.echo(
         f"wrote {out / 'dbP.jsonl'} ({db_p.n_positions} positions, {len(db_p)} tracks), "
         f"{out / 'dbQ.jsonl'} ({db_q.n_positions} positions, {len(db_q)} tracks), "

@@ -9,10 +9,6 @@ class EmptyTrajectory(CalibrationError):
     """Trajectory has too few positions for the requested computation."""
 
 
-class DegenerateTimestep(CalibrationError):
-    """Non-increasing timestamps inside a trajectory."""
-
-
 class TooFewPairs(CalibrationError):
     """Not enough correspondences for the requested solve."""
 

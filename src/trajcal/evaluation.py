@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +23,6 @@ DEFAULT_RTE_THRESHOLD = 1.0  # meters
 DEFAULT_RRE_THRESHOLD = 5.0  # degrees
 
 SWEEP_AXES = ("noise", "n_vehicles", "rotation", "time_offset", "passes")
-
-_SWEEP_COLUMNS = ("axis_value", "seed", "rre_deg", "rte_m", "toe_s", "success", "score", "iterations")
-_SUMMARY_COLUMNS = ("axis_value", "n_seeds", "median_rre_deg", "median_rte_m", "median_toe_s", "success_rate")
 
 
 @dataclass(frozen=True)
@@ -229,23 +226,17 @@ def summarize(rows: Sequence[SweepRow]) -> list[SweepSummary]:
     return out
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
+def _write_csv(kind, rows, path) -> None:
+    """``kind`` rows, one column per dataclass field: floats as repr, flags as 0/1."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [r.axis_value, r.seed, repr(r.rre_deg), repr(r.rte_m), repr(r.toe_s),
-                 int(r.success), repr(r.score), r.iterations]
-            )
+        writer.writerow([f.name for f in fields(kind)])
+        writer.writerows([int(v) if type(v) is bool else v for v in astuple(r)] for r in rows)
+
+
+def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
+    _write_csv(SweepRow, rows, path)
 
 
 def write_summary_csv(summaries: Sequence[SweepSummary], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_COLUMNS)
-        for s in summaries:
-            writer.writerow(
-                [s.axis_value, s.n_seeds, repr(s.median_rre_deg), repr(s.median_rte_m),
-                 repr(s.median_toe_s), repr(s.success_rate)]
-            )
+    _write_csv(SweepSummary, summaries, path)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTimestep, EmptyTrajectory
+from .errors import EmptyTrajectory
 from .model import Trajectory, TrajectoryDatabase
 
 DEFAULT_WINDOW = 3
@@ -80,11 +80,8 @@ def segment_velocities(traj: Trajectory) -> np.ndarray:
         raise EmptyTrajectory(
             f"trajectory {traj.track_id!r} has {len(traj)} positions; need at least 2"
         )
-    dt = np.diff(traj.times)
-    if np.any(dt <= 0):
-        raise DegenerateTimestep(f"non-increasing timestamps in trajectory {traj.track_id!r}")
     dist = np.linalg.norm(np.diff(traj.xyz, axis=0), axis=1)
-    return dist / dt
+    return dist / np.diff(traj.times)
 
 
 def _trajectory_features(traj: Trajectory, window: int) -> TrajectoryFeatures:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import FeatureDatabase
 from .matching import PositionMatch
-from .model import Trajectory, TrajectoryDatabase, Transform4D, _record_int
+from .model import Trajectory, TrajectoryDatabase, Transform4D, _record_int, _record_number
 from .pipeline import CalibrationSession
 from .simulator import LAYOUTS, ScenarioConfig, default_scenario
 
@@ -59,9 +59,14 @@ def write_database_jsonl(db: TrajectoryDatabase, path) -> None:
                     traj.bbox.tolist()))
 
 
-def _track(track_id: str, rows: list) -> Trajectory:
-    """One track's ``(line, x, y, z, t, frame, l, w, h, class)`` rows."""
+def _track(track_id, rows: list) -> Trajectory:
+    """One track's ``(line, x, y, z, t, frame, l, w, h, class)`` rows, as read."""
     _, x, y, z, t, frames, l, w, h, labels = zip(*rows)
+    if type(track_id) is not str:
+        raise ValueError(f"track_id: must be a string, got {track_id!r}")
+    for key, column in zip("xyztlwh", (x, y, z, t, l, w, h)):
+        if not set(map(type, column)) <= {int, float}:  # one row's fault: the caller names it
+            raise ValueError(f"{key}: must be a number, got {column[0]!r}")
     if len(set(labels)) > 1:
         raise ValueError(f"mixed class labels in trajectory {track_id!r}")
     return Trajectory.from_columns(
@@ -70,32 +75,38 @@ def _track(track_id: str, rows: list) -> Trajectory:
 
 def read_database_jsonl(path) -> TrajectoryDatabase:
     path = Path(path)
-    tracks: dict[str, list] = {}
+    tracks: dict = {}
     meta = None
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if not line and line_no > 1:
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line) if line else None  # a blank line 1 holds no header
             except json.JSONDecodeError as exc:
                 raise FileFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
             if line_no == 1:
                 meta = record.get("meta") if isinstance(record, dict) else None
                 if not isinstance(meta, dict):
                     raise FileFormatError(f"{path}:1: first line must carry a 'meta' header")
-                missing = {"sensor_id", "frame_period", "sensing_range"} - set(meta)
-                if missing:
-                    raise FileFormatError(f"{path}:1: meta missing keys {sorted(missing)}")
+                try:  # a missing or mistyped key is named as a record's is
+                    sensor_id = meta["sensor_id"]
+                    if type(sensor_id) is not str:
+                        raise ValueError(f"sensor_id: must be a string, got {sensor_id!r}")
+                    frame_period, sensing_range = (
+                        _record_number(meta, key) for key in ("frame_period", "sensing_range"))
+                except (KeyError, ValueError) as exc:
+                    raise FileFormatError(f"{path}:1: bad meta header: {exc}") from exc
                 continue
             try:
-                row = (line_no, float(record["x"]), float(record["y"]), float(record["z"]),
-                       float(record["t"]), _record_int(record, "frame", -2**63, 2**63, "64-bit"),
-                       float(record["l"]), float(record["w"]), float(record["h"]),
-                       str(record["class"]))
-                tracks.setdefault(str(record["track_id"]), []).append(row)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                if record["sensor_id"] != sensor_id:
+                    raise ValueError(f"sensor_id: must be the header's {sensor_id!r}")
+                row = (line_no, record["x"], record["y"], record["z"], record["t"],
+                       _record_int(record, "frame", -2**63, 2**63, "64-bit"),
+                       record["l"], record["w"], record["h"], str(record["class"]))
+                tracks.setdefault(record["track_id"], []).append(row)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise FileFormatError(f"{path}:{line_no}: bad position record: {exc}") from exc
     if meta is None:
         raise FileFormatError(f"{path}: file is empty; expected a meta header line")
@@ -103,21 +114,21 @@ def read_database_jsonl(path) -> TrajectoryDatabase:
     for track_id, rows in tracks.items():
         try:
             trajectories.append(_track(track_id, rows))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             # name the first line that is bad on its own, if one is
             for row in rows:
                 try:
                     _track(track_id, [row])
-                except ValueError as row_exc:
+                except (ValueError, OverflowError) as row_exc:
                     raise FileFormatError(
                         f"{path}:{row[0]}: bad position record: {row_exc}") from row_exc
             raise FileFormatError(f"{path}: track {track_id!r}: {exc}") from exc
     try:
         return TrajectoryDatabase(
-            sensor_id=str(meta["sensor_id"]),
+            sensor_id=sensor_id,
             trajectories=tuple(trajectories),
-            frame_period=float(meta["frame_period"]),
-            sensing_range=float(meta["sensing_range"]),
+            frame_period=frame_period,
+            sensing_range=sensing_range,
         )
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
@@ -135,17 +146,16 @@ def write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def write_transform_json(tf: Transform4D, path) -> None:
-    write_json(tf, path)
+def _read_record(kind, path, what: str):
+    """``kind.from_dict`` of the JSON file at ``path``, a ``what`` file."""
+    try:
+        return kind.from_dict(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{Path(path)}: invalid {what} file: {exc}") from exc
 
 
 def read_transform_json(path) -> Transform4D:
-    path = Path(path)
-    try:
-        with open(path) as fh:
-            return Transform4D.from_dict(json.load(fh))
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: invalid transform file: {exc}") from exc
+    return _read_record(Transform4D, path, "transform")
 
 
 def write_session_json(session: CalibrationSession, path) -> None:
@@ -153,12 +163,7 @@ def write_session_json(session: CalibrationSession, path) -> None:
 
 
 def read_session_json(path) -> CalibrationSession:
-    path = Path(path)
-    try:
-        with open(path) as fh:
-            return CalibrationSession.from_dict(json.load(fh))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: invalid session file: {exc}") from exc
+    return _read_record(CalibrationSession, path, "session")
 
 
 # ---------------------------------------------------------------------------

@@ -186,19 +186,11 @@ def filter_neighbor_count(
     radius: float = NEIGHBOR_RADIUS,
     count_tolerance: int = COUNT_TOLERANCE,
 ) -> list[PositionMatch]:
-    """Keep pairs whose same-frame neighbor counts agree within tolerance.
-
-    Each side is counted at its own frame: the pair itself asserts those two
-    frames show the same instant, so no cross-clock mapping is needed.
-    """
-    if not matches:
-        return []
-    rows = _match_rows(matches)
-    counts_p, starts_p, _ = _neighbor_counts(db_p, radius)
-    counts_q, starts_q, _ = _neighbor_counts(db_q, radius)
-    cp = counts_p[starts_p[rows[:, 0]] + rows[:, 1]]
-    cq = counts_q[starts_q[rows[:, 2]] + rows[:, 3]]
-    return _kept(matches, np.abs(cp - cq) <= count_tolerance)
+    """The history test over the matched frame alone: keep pairs whose
+    same-frame neighbor counts agree within tolerance. Each side is counted
+    at its own frame: the pair itself asserts those two frames show the same
+    instant, so no cross-clock mapping is needed."""
+    return _kept(matches, _histories_agree(matches, db_p, db_q, radius, 0, count_tolerance))
 
 
 def _count_histories(db: TrajectoryDatabase, radius: float, traj, pos, k_frames: int):
@@ -219,6 +211,14 @@ def _count_histories(db: TrajectoryDatabase, radius: float, traj, pos, k_frames:
     return hist
 
 
+def _histories_agree(matches, db_p, db_q, radius: float, k_frames: int, tol: int) -> np.ndarray:
+    """Per match: do both sides' 2k+1-frame count histories agree within ``tol`` (L1)?"""
+    rows = _match_rows(matches)
+    hp = _count_histories(db_p, radius, rows[:, 0], rows[:, 1], k_frames)
+    hq = _count_histories(db_q, radius, rows[:, 2], rows[:, 3], k_frames)
+    return np.abs(hp - hq).sum(axis=1) <= tol
+
+
 def filter_neighborhood_distribution(
     matches: Sequence[PositionMatch],
     db_p: TrajectoryDatabase,
@@ -231,12 +231,7 @@ def filter_neighborhood_distribution(
     agree (L1 distance between the per-frame count histograms)."""
     if k_frames < 0:
         raise ValueError(f"k_frames must be >= 0, got {k_frames}")
-    if not matches:
-        return []
-    rows = _match_rows(matches)
-    hp = _count_histories(db_p, radius, rows[:, 0], rows[:, 1], k_frames)
-    hq = _count_histories(db_q, radius, rows[:, 2], rows[:, 3], k_frames)
-    return _kept(matches, np.abs(hp - hq).sum(axis=1) <= hist_tolerance)
+    return _kept(matches, _histories_agree(matches, db_p, db_q, radius, k_frames, hist_tolerance))
 
 
 def apply_semantic_filters(
@@ -247,10 +242,7 @@ def apply_semantic_filters(
     db_q: TrajectoryDatabase,
     *,
     weights: MatchWeights | None = None,
-    box_tolerance: float = BOX_TOLERANCE,
-    neighbor_radius: float = NEIGHBOR_RADIUS,
     count_tolerance: int = COUNT_TOLERANCE,
-    hist_frames: int = HIST_FRAMES,
     hist_tolerance: int = HIST_TOLERANCE,
 ) -> list[PositionMatch]:
     """Run the full cascade. Every filter judges each match on its own
@@ -258,8 +250,6 @@ def apply_semantic_filters(
     the cost, not the result; the history filter, the costliest per match,
     runs last."""
     out = filter_mutual_nn(matches, fp, fq, weights)
-    out = filter_bbox(out, db_p, db_q, box_tolerance)
-    out = filter_neighbor_count(out, db_p, db_q, neighbor_radius, count_tolerance)
-    return filter_neighborhood_distribution(
-        out, db_p, db_q, neighbor_radius, hist_frames, hist_tolerance
-    )
+    out = filter_bbox(out, db_p, db_q)
+    out = filter_neighbor_count(out, db_p, db_q, count_tolerance=count_tolerance)
+    return filter_neighborhood_distribution(out, db_p, db_q, hist_tolerance=hist_tolerance)

@@ -351,22 +351,24 @@ class Transform4D:
     @classmethod
     def from_dict(cls, d: dict) -> "Transform4D":
         try:
-            q = [_record_number(d, key, float) for key in ("qw", "qx", "qy", "qz")]
-            t = [_record_number(d, key, float) for key in ("tx", "ty", "tz")]
-            dt = _record_number(d, "dt", float)
+            q = [_record_number(d, key) for key in ("qw", "qx", "qy", "qz")]
+            t = [_record_number(d, key) for key in ("tx", "ty", "tz")]
+            dt = _record_number(d, "dt")
         except KeyError as exc:
             raise ValueError(f"transform record missing key {exc}") from exc
         return cls(np.array(q), np.array(t), dt)
 
 
-def _record_number(record: dict, key: str, kind):
-    """``kind(record[key])`` for a stored record, with a value ``kind``
-    cannot take (a non-finite count, a float beyond range) raised as a
-    ValueError that names ``key``."""
+def _record_number(record: dict, key: str) -> float:
+    """``record[key]``, a JSON number (``true`` and ``"0.1"`` are not), as a
+    float; a ValueError naming ``key`` otherwise. Its reader checks its range."""
+    value = record[key]
     try:
-        return kind(record[key])
-    except (OverflowError, ValueError) as exc:
+        if type(value) in (int, float):
+            return float(value)
+    except OverflowError as exc:
         raise ValueError(f"{key}: {exc}") from exc
+    raise ValueError(f"{key}: must be a number, got {value!r}")
 
 
 def _record_int(record: dict, key: str, low, high, kind: str) -> int:

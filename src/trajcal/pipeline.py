@@ -93,10 +93,10 @@ class CalibrationSession:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationSession":
-        score = _record_number(d, "score", float)
+        score = _record_number(d, "score")
         if not 0.0 <= score <= 1.0:  # NaN fails too
             raise ValueError(f"session score must be in [0, 1], got {score}")
-        converged, created_at = d["converged"], _record_number(d, "created_at", float)
+        converged, created_at = d["converged"], _record_number(d, "created_at")
         if not isinstance(converged, bool):
             raise ValueError(f"converged must be true or false, got {converged!r}")
         if not math.isfinite(created_at):
@@ -223,7 +223,7 @@ class _ScanBlock:
     ``reduceat`` over that offset's own segments, so an offset's result does
     not depend on which other offsets share its block."""
 
-    def __init__(self, tracks: estimator.PairedTracks, p_cols, at, idx, s, n_off: int):
+    def __init__(self, tracks: estimator.PairedTracks, at, idx, s, n_off: int):
         n_pairs = tracks.n_pairs
         key = at * n_pairs + tracks.p_pair[idx]
         counts = np.bincount(key, minlength=n_off * n_pairs).reshape(n_off, n_pairs)
@@ -246,7 +246,7 @@ class _ScanBlock:
         f = np.empty((17, len(idx)))
         pq, qp = f[9:15], f[:9].reshape(3, 3, -1)
         pq[:3] = q
-        p_cols.take(idx, axis=1, out=pq[3:])
+        tracks.p_cols.take(idx, axis=1, out=pq[3:])
         np.multiply(pq[3:, None], pq[None, :3], out=qp)
         f[15] = 1.0
         np.einsum("ij,ij->j", pq, pq, out=f[16])
@@ -427,7 +427,7 @@ def _solve_at_offsets(tracks: estimator.PairedTracks, offsets, gate: float = _IN
     offsets = np.asarray(offsets, dtype=float)
     out = [None] * len(offsets)
     for first, count, at, idx, s in _overlap_blocks(tracks, offsets):
-        out[first:first + count] = _ScanBlock(tracks, tracks.p_cols, at, idx, s, count).solve(gate)
+        out[first:first + count] = _ScanBlock(tracks, at, idx, s, count).solve(gate)
     return out
 
 

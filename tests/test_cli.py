@@ -210,6 +210,22 @@ class TestCalibrate:
         assert isinstance(result.exception, SystemExit)
         assert f"error: {db_path}: {key} must be finite and positive" in result.output
 
+    def test_header_number_of_the_wrong_type_exits_one_naming_line_one(self, runner, tmp_path):
+        scene = simulate(runner, tmp_path / "scene")
+        db_path = scene / "dbP.jsonl"
+        lines = db_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["meta"]["frame_period"] = True
+        lines[0] = json.dumps(header)
+        db_path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(db_path), "--input-q", str(scene / "dbQ.jsonl")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {db_path}:1: " in result.output and "frame_period" in result.output
+
     def test_no_candidates_exits_two_with_counts(self, runner, tmp_path):
         a = simulate(runner, tmp_path / "a", "--vehicles", "2")
         b = simulate(runner, tmp_path / "b", "--vehicles", "2", "--seed", "99")
@@ -273,6 +289,20 @@ class TestCalibrate:
         damaged = dict(json.loads(log.read_text()), n_pp=float("inf"))
         log.write_text(log.read_text() + json.dumps(damaged) + "\n")
         with pytest.warns(UserWarning, match=r"sessions\.jsonl:2: skipped damaged .*n_pp"):
+            result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.exception is None
+
+    def test_continuous_skips_a_stored_session_whose_score_is_true(self, runner, tmp_path):
+        scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
+        store = tmp_path / "store"
+        args = ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+                "--input-q", str(scene / "dbQ.jsonl"), "--continuous", "--store-dir", str(store)]
+        assert runner.invoke(main, args).exit_code == 0
+        log = store / "sessions.jsonl"
+        damaged = dict(json.loads(log.read_text()), score=True)
+        log.write_text(log.read_text() + json.dumps(damaged) + "\n")
+        with pytest.warns(UserWarning, match=r"sessions\.jsonl:2: skipped damaged .*score"):
             result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert result.exception is None

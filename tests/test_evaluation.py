@@ -220,6 +220,22 @@ class TestSweep:
             "median_toe_s", "success_rate",
         ]
 
+    def test_csv_bytes(self, tmp_path):
+        rows = [
+            evaluation.SweepRow(0.1, 3, 0.25, 1e-07, 0.0015, True, 0.9612345678901234, 4),
+            evaluation.SweepRow(0.2, 4, math.nan, math.nan, math.nan, False, 0.0, 0),
+        ]
+        write_sweep_csv(rows, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (
+            b"axis_value,seed,rre_deg,rte_m,toe_s,success,score,iterations\r\n"
+            b"0.1,3,0.25,1e-07,0.0015,1,0.9612345678901234,4\r\n"
+            b"0.2,4,nan,nan,nan,0,0.0,0\r\n")
+        write_summary_csv(summarize(rows), tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"axis_value,n_seeds,median_rre_deg,median_rte_m,median_toe_s,success_rate\r\n"
+            b"0.1,1,0.25,1e-07,0.0015,1.0\r\n"
+            b"0.2,1,nan,nan,nan,0.0\r\n")
+
     def test_failed_cell_recorded_not_raised(self):
         # zero vehicles cannot calibrate; the sweep must keep going
         rows = run_sweep(

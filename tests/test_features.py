@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajcal.errors import DegenerateTimestep, EmptyTrajectory
+from trajcal.errors import EmptyTrajectory
 from trajcal.features import extract_features, segment_velocities
-from trajcal.model import Trajectory, transform_database
+from trajcal.model import transform_database
 
 from conftest import (
     DegenerateSegment,
     arc_trajectory,
     curvature,
     make_database,
-    make_position,
     make_trajectory,
     random_transform,
     straight_trajectory,
@@ -44,14 +43,6 @@ class TestSegmentVelocities:
     def test_too_short(self):
         with pytest.raises(EmptyTrajectory):
             segment_velocities(make_trajectory([[0, 0, 0]]))
-
-    def test_degenerate_timestep(self):
-        p0 = make_position(0, 0, 0, 0.0, frame=0)
-        p1 = make_position(1, 0, 0, 0.1, frame=1)
-        traj = Trajectory("t0", (p0, p1))
-        object.__setattr__(traj, "times", np.array([0.0, 0.0]))  # corrupt past validation
-        with pytest.raises(DegenerateTimestep):
-            segment_velocities(traj)
 
 
 class TestVelocityStats:

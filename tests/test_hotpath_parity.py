@@ -505,9 +505,9 @@ class TestScanBlocks:
         sizes = []
         block = pl._ScanBlock
 
-        def spy(tracks, p_cols, at, idx, s, n_off):
+        def spy(tracks, at, idx, s, n_off):
             sizes.append(n_off)
-            return block(tracks, p_cols, at, idx, s, n_off)
+            return block(tracks, at, idx, s, n_off)
 
         monkeypatch.setattr(pl, "_ScanBlock", spy)
         return sizes
@@ -710,7 +710,7 @@ class TestEdgeCases:
         idx = tracks.interpolate(d)[0]
         assert np.count_nonzero(tracks.p_pair[idx] == 4) == 1
         at, idx, s = tracks.overlap([d])
-        block = pl._ScanBlock(tracks, np.ascontiguousarray(tracks.p_xyz.T), at, idx, s, 1)
+        block = pl._ScanBlock(tracks, at, idx, s, 1)
         old = OracleGeometry(oracle_pair_interp_arrays(matched, d))
         np.testing.assert_array_equal(block.counts, old.counts)
         offsets = [0.0, 0.537, d]

@@ -191,7 +191,7 @@ class TestTransformAndSessionJson:
     def test_transform_round_trip(self, tmp_path, rng):
         tf = random_transform(rng)
         path = tmp_path / "tf.json"
-        io.write_transform_json(tf, path)
+        io.write_json(tf, path)
         assert io.read_transform_json(path).approx_equal(tf, tol=1e-15)
         keys = set(json.loads(path.read_text()))
         assert keys == {"qw", "qx", "qy", "qz", "tx", "ty", "tz", "dt"}
@@ -226,9 +226,11 @@ class TestTransformAndSessionJson:
     @pytest.mark.parametrize("field, raw", [
         ("n_pp", "Infinity"), ("n_po", "-Infinity"), ("score", "1" * 400), ("tx", "1" * 400),
         ("n_pp", "-5"), ("n_po", "2.7"), ("n_pp", "true"), ("n_po", '"12"'),
-        ("iterations_used", "-1"),
+        ("iterations_used", "-1"), ("score", "true"), ("score", '"0.5"'), ("created_at", "true"),
+        ("tx", '"1.5"'),
     ], ids=["n_pp-inf", "n_po-minus-inf", "score-400-digits", "tx-400-digits",
-            "n_pp-negative", "n_po-fraction", "n_pp-true", "n_po-string", "iterations_used-negative"])
+            "n_pp-negative", "n_po-fraction", "n_pp-true", "n_po-string", "iterations_used-negative",
+            "score-true", "score-string", "created_at-true", "tx-string"])
     def test_session_file_with_a_number_out_of_range_names_it(self, tmp_path, rng, field, raw):
         record = CalibrationSession(random_transform(rng), 0.5, 10, 20, 3, True, 1.0).to_dict()
         (record["transform"] if field == "tx" else record)[field] = "@"
@@ -262,6 +264,54 @@ class TestTransformAndSessionJson:
         path.write_text("{not json")
         with pytest.raises(io.FileFormatError):
             io.read_transform_json(path)
+
+
+def _with_raw(record: dict, key: str, raw: str) -> str:
+    """``record`` as a JSON line whose ``key`` holds the literal JSON ``raw``."""
+    return json.dumps(dict(record, **{key: "@"})).replace('"@"', raw)
+
+
+class TestValuesReadByType:
+    """A stored value is read by its JSON type, never converted: ``true`` is
+    not 1, ``"0.1"`` is not 0.1 and the track id ``7`` is not ``"7"``."""
+
+    @pytest.mark.parametrize("line_no, key, raw", [
+        (1, "frame_period", "true"), (1, "sensing_range", '"50"'), (1, "sensor_id", "5"),
+        (3, "x", "true"), (3, "t", '"0.1"'), (4, "l", "true"), (4, "w", '"1.5"'),
+        (5, "track_id", "7"), (6, "sensor_id", '"other"'), (6, "sensor_id", "null"),
+    ], ids=["header-frame_period-true", "header-sensing_range-string", "header-sensor_id-int",
+            "x-true", "t-string", "l-true", "w-string", "track_id-int", "sensor_id-other",
+            "sensor_id-null"])
+    def test_database_names_line_and_field(self, sample_db, tmp_path, line_no, key, raw):
+        path = tmp_path / "db.jsonl"
+        io.write_database_jsonl(sample_db, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[line_no - 1])
+        if line_no == 1:
+            lines[0] = json.dumps({"meta": json.loads(_with_raw(record["meta"], key, raw))})
+        else:
+            lines[line_no - 1] = _with_raw(record, key, raw)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(io.FileFormatError, match=f"{path}:{line_no}: .*{key}: must be"):
+            io.read_database_jsonl(path)
+
+    @pytest.mark.parametrize("key, raw", [("tx", '"1.5"'), ("dt", "false"), ("qw", "true")],
+                             ids=["tx-string", "dt-false", "qw-true"])
+    def test_transform_file_names_the_field(self, tmp_path, rng, key, raw):
+        path = tmp_path / "tf.json"
+        path.write_text(_with_raw(random_transform(rng).to_dict(), key, raw))
+        with pytest.raises(io.FileFormatError,
+                           match=f"invalid transform file: {key}: must be a number"):
+            io.read_transform_json(path)
+
+    @pytest.mark.parametrize("first", ["", "   "])
+    def test_blank_first_line_is_a_missing_header(self, sample_db, tmp_path, first):
+        path = tmp_path / "db.jsonl"
+        io.write_database_jsonl(sample_db, path)
+        path.write_text(first + "\n" + path.read_text())
+        with pytest.raises(io.FileFormatError,
+                           match=f"{path}:1: first line must carry a 'meta' header"):
+            io.read_database_jsonl(path)
 
 
 class TestConfigFiles:

@@ -587,9 +587,11 @@ class TestSessionStore:
     @pytest.mark.parametrize("field, raw", [
         ("n_pp", "Infinity"), ("score", "1" * 400), ("tx", "1" * 400),
         ("n_pp", "-5"), ("n_po", "2.7"), ("n_pp", "true"), ("n_po", '"12"'),
-        ("iterations_used", "-1"),
+        ("iterations_used", "-1"), ("score", "true"), ("score", '"0.5"'), ("created_at", "true"),
+        ("tx", '"1.5"'),
     ], ids=["n_pp-inf", "score-400-digits", "tx-400-digits",
-            "n_pp-negative", "n_po-fraction", "n_pp-true", "n_po-string", "iterations_used-negative"])
+            "n_pp-negative", "n_po-fraction", "n_pp-true", "n_po-string", "iterations_used-negative",
+            "score-true", "score-string", "created_at-true", "tx-string"])
     def test_line_with_a_number_out_of_range_is_skipped(self, tmp_path, rng, field, raw):
         from conftest import random_transform
 

@@ -339,3 +339,12 @@ class TestRandomDatabases:
         pairs = [pairs[k] for k in np.random.default_rng(seed).permutation(len(pairs))]
         tf = Transform4D.from_yaw_deg(30.0, (0.5, 0.0, 0.0), offset)
         assert_same_association(db_p, db_q, pairs, tf, gate, time_gate)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(db_p=databases("P"), db_q=databases("Q"),
+           radius=st.sampled_from([0.0, 1.5, 3.0, 100.0]), tol=st.integers(0, 3))
+    def test_count_filter_is_the_history_filter_over_the_matched_frame(self, db_p, db_q,
+                                                                       radius, tol):
+        matches = all_matches(db_p, db_q)
+        assert filter_neighbor_count(matches, db_p, db_q, radius, tol) == \
+            filter_neighborhood_distribution(matches, db_p, db_q, radius, 0, tol)
