@@ -9,12 +9,11 @@ observations at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyTrajectory
-from .model import Trajectory, TrajectoryDatabase
+from .model import Rows, Trajectory, TrajectoryDatabase
 
 DEFAULT_WINDOW = 3
 
@@ -22,55 +21,29 @@ _SEGMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryFeatures:
-    """Feature arrays aligned index-for-index with one trajectory.
+class FeatureDatabase:
+    """Features for every position of one sensor, one entry per row of its
+    database's ``stack()``, as read-only columns.
 
     ``curvature`` is the cosine of the angle between the segments leading
     into and out of a position (smooth motion approaches -1), and the
     velocity statistics are taken over a window of segment speeds around it.
     """
 
+    sensor_id: str
+    window: int
+    rows: Rows
     curvature: np.ndarray
     velocity_mean: np.ndarray
     velocity_variance: np.ndarray
     valid: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.valid)
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureDatabase:
-    """Features for every position of every trajectory of one sensor."""
-
-    sensor_id: str
-    window: int
-    per_trajectory: tuple[TrajectoryFeatures, ...]
-
-    @cached_property
-    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(traj_idx, pos_idx, features) over valid positions only.
-
-        Feature columns are (curvature, velocity mean, velocity std); the
-        standard deviation, not the stored variance, is what the match
-        distance uses.
-        """
-        traj_idx, pos_idx, rows = [], [], []
-        for ti, tf in enumerate(self.per_trajectory):
-            (vi,) = np.nonzero(tf.valid)
-            if vi.size == 0:
-                continue
-            traj_idx.append(np.full(vi.size, ti, dtype=np.int64))
-            pos_idx.append(vi.astype(np.int64))
-            rows.append(
-                np.column_stack(
-                    [tf.curvature[vi], tf.velocity_mean[vi], np.sqrt(tf.velocity_variance[vi])]
-                )
-            )
-        if not rows:
-            empty = np.empty((0,), dtype=np.int64)
-            return empty, empty, np.empty((0, 3))
-        return np.concatenate(traj_idx), np.concatenate(pos_idx), np.vstack(rows)
+    def points(self, rows: np.ndarray) -> np.ndarray:
+        """The given rows' (curvature, velocity mean, velocity std) points;
+        the standard deviation, not the stored variance, is what the match
+        distance uses."""
+        return np.column_stack([self.curvature[rows], self.velocity_mean[rows],
+                                np.sqrt(self.velocity_variance[rows])])
 
 
 def segment_velocities(traj: Trajectory) -> np.ndarray:
@@ -84,12 +57,9 @@ def segment_velocities(traj: Trajectory) -> np.ndarray:
     return dist / np.diff(traj.times)
 
 
-def _trajectory_features(traj: Trajectory, window: int) -> TrajectoryFeatures:
+def _trajectory_features(traj: Trajectory, window: int, curv, vmean, vvar, valid) -> None:
+    """Fill the trajectory's slices of the four feature columns."""
     n = len(traj)
-    curv = np.zeros(n)
-    vmean = np.zeros(n)
-    vvar = np.zeros(n)
-    valid = np.zeros(n, dtype=bool)
     if n >= 3:
         v = segment_velocities(traj)
         # windowed mean/variance via prefix sums; window is [i-m, i+m-1] clipped
@@ -113,22 +83,23 @@ def _trajectory_features(traj: Trajectory, window: int) -> TrajectoryFeatures:
         cosv = np.clip(np.sum(back * fwd, axis=1) / denom, -1.0, 1.0)
         curv[1 : n - 1] = np.where(ok, cosv, 0.0)
         valid[1 : n - 1] = ok
-    for a in (curv, vmean, vvar, valid):
-        a.setflags(write=False)
-    return TrajectoryFeatures(curv, vmean, vvar, valid)
 
 
 def extract_features(db: TrajectoryDatabase, window: int = DEFAULT_WINDOW) -> FeatureDatabase:
     """Compute motion features for every position in the database.
 
-    Index alignment with the source trajectories is preserved; positions that
-    cannot carry a full feature (trajectory ends, stationary segments, tracks
-    shorter than three positions) are flagged invalid rather than dropped.
+    The columns are aligned with the database's rows, and each trajectory's
+    are computed on its own. Positions that cannot carry a full feature
+    (trajectory ends, stationary segments, tracks shorter than three
+    positions) are flagged invalid rather than dropped.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    return FeatureDatabase(
-        sensor_id=db.sensor_id,
-        window=window,
-        per_trajectory=tuple(_trajectory_features(t, window) for t in db.trajectories),
-    )
+    rows = db.stack()
+    n = len(rows.times)
+    columns = (np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
+    for traj, a, b in zip(db.trajectories, rows.starts[:-1], rows.starts[1:]):
+        _trajectory_features(traj, window, *(column[a:b] for column in columns))
+    for column in columns:
+        column.setflags(write=False)
+    return FeatureDatabase(db.sensor_id, window, rows, *columns)

@@ -226,16 +226,16 @@ def scenario_from_mapping(mapping: Mapping) -> ScenarioConfig:
 
 
 def write_features_csv(db: TrajectoryDatabase, fdb: FeatureDatabase, path) -> None:
+    track_ids = [t.track_id for t in db.trajectories]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sensor_id", "track_id", "frame", "c", "alpha", "sigma2", "valid"])
-        for traj, feats in zip(db.trajectories, fdb.per_trajectory):
-            for frame, c, alpha, sigma2, valid in zip(
-                traj.frames.tolist(), feats.curvature.tolist(), feats.velocity_mean.tolist(),
-                feats.velocity_variance.tolist(), feats.valid.tolist(),
-            ):
-                writer.writerow([db.sensor_id, traj.track_id, frame, repr(c), repr(alpha),
-                                 repr(sigma2), int(valid)])
+        for track, frame, c, alpha, sigma2, valid in zip(
+            db.stack().track.tolist(), db.stack().frames.tolist(), fdb.curvature.tolist(),
+            fdb.velocity_mean.tolist(), fdb.velocity_variance.tolist(), fdb.valid.tolist(),
+        ):
+            writer.writerow([db.sensor_id, track_ids[track], frame, repr(c), repr(alpha),
+                             repr(sigma2), int(valid)])
 
 
 def write_matches_csv(

@@ -18,7 +18,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .features import FeatureDatabase
-from .join import window_join
 from .model import TrajectoryDatabase
 
 # the cascade's tolerances, the ones calibrate() runs it with
@@ -77,18 +76,19 @@ def motion_match(
     """For every valid position in P, keep its nearest-feature position in Q
     when their distance is below the threshold."""
     w = w or MatchWeights()
-    p_traj, p_pos, p_feats = fp.flat
-    q_traj, q_pos, q_feats = fq.flat
-    if p_feats.shape[0] == 0 or q_feats.shape[0] == 0:
+    (p_rows,) = np.nonzero(fp.valid)
+    (q_rows,) = np.nonzero(fq.valid)
+    if len(p_rows) == 0 or len(q_rows) == 0:
         return []
-    tree = cKDTree(_scaled(q_feats, w))
-    dist, idx = tree.query(_scaled(p_feats, w), k=1, p=1)
+    tree = cKDTree(_scaled(fq.points(q_rows), w))
+    dist, idx = tree.query(_scaled(fp.points(p_rows), w), k=1, p=1)
     keep = dist < w.d_th
-    j = idx[keep]
+    p_traj, p_pos = fp.rows.locate(p_rows[keep])
+    q_traj, q_pos = fq.rows.locate(q_rows[idx[keep]])
     return [
         PositionMatch((ti, pi), (tj, pj), d)
-        for ti, pi, tj, pj, d in zip(p_traj[keep].tolist(), p_pos[keep].tolist(),
-                                     q_traj[j].tolist(), q_pos[j].tolist(), dist[keep].tolist())
+        for ti, pi, tj, pj, d in zip(p_traj.tolist(), p_pos.tolist(), q_traj.tolist(),
+                                     q_pos.tolist(), dist[keep].tolist())
     ]
 
 
@@ -109,24 +109,13 @@ def filter_mutual_nn(
 ) -> list[PositionMatch]:
     """Keep (p, q) only when q is p's nearest neighbor and p is q's."""
     w = w or MatchWeights()
-    if not matches:
+    (p_valid,) = np.nonzero(fp.valid)
+    if not matches or len(p_valid) == 0:
         return []
-
-    def flat_row(fdb: FeatureDatabase, traj: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        # each position's row in ``fdb.flat`` (-1 where it has no valid feature)
-        lengths = [len(tf) for tf in fdb.per_trajectory]
-        starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        flat_traj, flat_pos, _ = fdb.flat
-        row = np.full(starts[-1], -1, dtype=np.int64)
-        row[starts[flat_traj] + flat_pos] = np.arange(len(flat_traj))
-        return row[starts[traj] + pos]
-
     rows = _match_rows(matches)
-    tree_p = cKDTree(_scaled(fp.flat[2], w))
-    _, nn_of_q = tree_p.query(_scaled(fq.flat[2], w), k=1, p=1)
-    p_row = flat_row(fp, rows[:, 0], rows[:, 1])
-    q_row = flat_row(fq, rows[:, 2], rows[:, 3])
-    return _kept(matches, nn_of_q[q_row] == p_row)
+    q_row = fq.rows.at(rows[:, 2], rows[:, 3])
+    _, nn = cKDTree(_scaled(fp.points(p_valid), w)).query(_scaled(fq.points(q_row), w), k=1, p=1)
+    return _kept(matches, (p_valid[nn] == fp.rows.at(rows[:, 0], rows[:, 1])) & fq.valid[q_row])
 
 
 def filter_bbox(
@@ -139,44 +128,13 @@ def filter_bbox(
     length/width/height) and whose class labels are identical."""
     if not matches:
         return []
-
-    def box_and_label(db: TrajectoryDatabase, traj: np.ndarray, pos: np.ndarray):
-        starts = np.cumsum([0] + [len(t) for t in db.trajectories])
-        boxes = np.concatenate([t.bbox for t in db.trajectories])
-        return boxes[starts[traj] + pos], np.array([t.class_label for t in db.trajectories])[traj]
-
     rows = _match_rows(matches)
-    box_p, label_p = box_and_label(db_p, rows[:, 0], rows[:, 1])
-    box_q, label_q = box_and_label(db_q, rows[:, 2], rows[:, 3])
-    size_gap = np.abs(box_p - box_q).sum(axis=1)
+    p, q = db_p.stack(), db_q.stack()
+    size_gap = np.abs(p.bbox[p.at(rows[:, 0], rows[:, 1])]
+                      - q.bbox[q.at(rows[:, 2], rows[:, 3])]).sum(axis=1)
+    label_p = np.array([t.class_label for t in db_p.trajectories])[rows[:, 0]]
+    label_q = np.array([t.class_label for t in db_q.trajectories])[rows[:, 2]]
     return _kept(matches, (size_gap <= box_tolerance) & (label_p == label_q))
-
-
-def _neighbor_counts(db: TrajectoryDatabase, radius: float):
-    """``neighbor_count_table`` flat, with the layout it is read through:
-    ``(counts, starts, frames)`` as ``TrajectoryDatabase.stack``."""
-    starts, xyz, _, frames = db.stack()
-    track = np.repeat(np.arange(len(db.trajectories)), np.diff(starts))
-    order = np.argsort(frames, kind="stable")
-    by_frame = frames[order]
-    ranked = np.zeros(len(frames), dtype=np.int64)  # counts in frame order
-    r2 = radius * radius
-    # every pair of positions sharing a frame (a zero-width join); each
-    # position is its own pair, so a block's owners are a full run of rows
-    for i, j in window_join(by_frame, by_frame, 0):
-        a, b = order[i], order[j]
-        near = (track[a] != track[b]) & (np.sum((xyz[a] - xyz[b]) ** 2, axis=-1) <= r2)
-        ranked[i[0]:i[-1] + 1] = np.bincount(i[near] - i[0], minlength=i[-1] - i[0] + 1)
-    counts = np.empty_like(ranked)
-    counts[order] = ranked
-    return counts, starts, frames
-
-
-def neighbor_count_table(db: TrajectoryDatabase, radius: float) -> list[np.ndarray]:
-    """Per position: how many positions of *other* tracks share its frame
-    within ``radius``. Aligned with db trajectories/positions."""
-    counts, starts, _ = _neighbor_counts(db, radius)
-    return [counts[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 def filter_neighbor_count(
@@ -198,12 +156,12 @@ def _count_histories(db: TrajectoryDatabase, radius: float, traj, pos, k_frames:
     the given positions (0 where its track has no observation), one row per
     position. A track's frames strictly increase, so frame ``f0 + d`` can
     only sit within ``|d|`` rows of ``f0``'s."""
-    counts, starts, frames = _neighbor_counts(db, radius)
-    at = starts[traj] + pos
+    rows, counts = db.stack(), db.neighbor_counts(radius)
+    at = rows.at(traj, pos)
     near = at[:, None] + np.arange(-k_frames, k_frames + 1)
-    inside = (near >= starts[traj][:, None]) & (near < starts[traj + 1][:, None])
+    inside = (near >= rows.starts[traj][:, None]) & (near < rows.starts[traj + 1][:, None])
     near = np.where(inside, near, at[:, None])
-    slot = frames[near] - frames[at][:, None] + k_frames
+    slot = rows.frames[near] - rows.frames[at][:, None] + k_frames
     inside &= (slot >= 0) & (slot <= 2 * k_frames)
     hist = np.zeros(near.shape, dtype=np.int64)
     (m, _) = np.nonzero(inside)

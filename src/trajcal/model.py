@@ -2,7 +2,9 @@
 
 A trajectory is read-only columns (positions, times, frames and boxes) plus
 its track id and class; ``Position`` is the record type for building one by
-hand. Trajectories and trajectory databases are immutable value objects.
+hand. Trajectories and trajectory databases are immutable value objects, so
+a database stacks its positions into rows (``stack``) and counts each
+radius's neighbours once, and keeps both.
 The 4D transform stores its rotation as a canonical unit quaternion
 (non-negative scalar part) and its clock shift as a plain scalar offset:
 time never rotates, so the temporal part of the transform is exactly one
@@ -17,6 +19,8 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .join import window_join
 
 CLASS_LABELS = ("car", "truck", "pedestrian", "bicycle", "other")
 
@@ -210,6 +214,29 @@ class Trajectory:
         return len(self.times)
 
 
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A database's positions stacked trajectory by trajectory, as columns:
+    trajectory ``ti`` holds rows ``starts[ti]:starts[ti + 1]``, and row ``r``
+    is a position of trajectory ``track[r]``."""
+
+    starts: np.ndarray
+    track: np.ndarray
+    xyz: np.ndarray
+    times: np.ndarray
+    frames: np.ndarray
+    bbox: np.ndarray
+
+    def at(self, traj, pos) -> np.ndarray:
+        """The row of position ``pos`` of trajectory ``traj``."""
+        return self.starts[traj] + pos
+
+    def locate(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """``(traj, pos)`` of each row, the inverse of ``at``."""
+        traj = self.track[rows]
+        return traj, rows - self.starts[traj]
+
+
 @dataclass(frozen=True)
 class TrajectoryDatabase:
     """All trajectories one sensor produced over a recording window."""
@@ -228,6 +255,7 @@ class TrajectoryDatabase:
         ids = [t.track_id for t in self.trajectories]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate track ids in database {self.sensor_id!r}")
+        object.__setattr__(self, "_neighbor_tables", {})  # radius -> neighbor_counts
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -239,19 +267,47 @@ class TrajectoryDatabase:
     def n_positions(self) -> int:
         return sum(len(t) for t in self.trajectories)
 
-    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, xyz, times, frames)`` of every position, trajectory by
-        trajectory: trajectory ``ti``'s rows are ``starts[ti]:starts[ti + 1]``."""
-        lengths = [len(t) for t in self.trajectories]
-        starts = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        if not lengths:
-            return starts, np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.int64)
-        return (
-            starts,
-            np.vstack([t.xyz for t in self.trajectories]),
-            np.concatenate([t.times for t in self.trajectories]),
-            np.concatenate([t.frames for t in self.trajectories]),
-        )
+    def stack(self) -> Rows:
+        """Every position as one row of read-only columns, built once."""
+        return self._rows
+
+    @cached_property
+    def _rows(self) -> Rows:
+        trajs = self.trajectories
+        starts = np.concatenate(([0], np.cumsum([len(t) for t in trajs], dtype=np.int64)))
+        if trajs:
+            columns = [np.concatenate([getattr(t, name) for t in trajs])
+                       for name in ("xyz", "times", "frames", "bbox")]
+        else:
+            columns = [np.empty((0, 3)), np.empty(0), np.empty(0, np.int64), np.empty((0, 3))]
+        rows = Rows(starts, np.repeat(np.arange(len(trajs)), np.diff(starts)), *columns)
+        for column in vars(rows).values():
+            column.setflags(write=False)
+        return rows
+
+    def neighbor_counts(self, radius: float) -> np.ndarray:
+        """Per row of ``stack()``: how many positions of *other* trajectories
+        share its frame within ``radius``. Each radius's table is computed
+        once and kept, read-only."""
+        if radius in self._neighbor_tables:
+            return self._neighbor_tables[radius]
+        rows = self.stack()
+        order = np.argsort(rows.frames, kind="stable")
+        by_frame = rows.frames[order]
+        ranked = np.zeros(len(order), dtype=np.int64)  # counts in frame order
+        r2 = radius * radius
+        # every pair of positions sharing a frame (a zero-width join); each
+        # position is its own pair, so a block's owners are a full run of rows
+        for i, j in window_join(by_frame, by_frame, 0):
+            a, b = order[i], order[j]
+            near = (rows.track[a] != rows.track[b]) & (
+                np.sum((rows.xyz[a] - rows.xyz[b]) ** 2, axis=-1) <= r2)
+            ranked[i[0]:i[-1] + 1] = np.bincount(i[near] - i[0], minlength=i[-1] - i[0] + 1)
+        counts = np.empty_like(ranked)
+        counts[order] = ranked
+        counts.setflags(write=False)
+        self._neighbor_tables[radius] = counts
+        return counts
 
 
 @dataclass(frozen=True, eq=False)

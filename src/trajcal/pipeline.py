@@ -527,29 +527,26 @@ def _reassociate(db_p, db_q, traj_pairs, tf: Transform4D, gate: float, time_gate
     holds each track's nearest sample whenever that one passes the time
     gate, and the exact tests run on what it holds."""
     traj_pairs = np.asarray(traj_pairs, dtype=np.int64).reshape(-1, 2)
-    p_starts, p_xyz, p_t, _ = db_p.stack()
-    q_starts, q_xyz, q_t, _ = db_q.stack()
+    p, q = db_p.stack(), db_q.stack()
     pair_of = np.full((len(db_p.trajectories), len(db_q.trajectories)), -1)
     pair_of[traj_pairs[:, 0], traj_pairs[:, 1]] = np.arange(len(traj_pairs))
-    p_track = np.repeat(np.arange(len(db_p.trajectories)), np.diff(p_starts))
-    q_track = np.repeat(np.arange(len(db_q.trajectories)), np.diff(q_starts))
-    (p_rows,) = np.nonzero((pair_of >= 0).any(axis=1)[p_track])
-    (q_rows,) = np.nonzero((pair_of >= 0).any(axis=0)[q_track])
-    tq = q_t[q_rows] + tf.time_offset
+    (p_rows,) = np.nonzero((pair_of >= 0).any(axis=1)[p.track])
+    (q_rows,) = np.nonzero((pair_of >= 0).any(axis=0)[q.track])
+    tq = q.times[q_rows] + tf.time_offset
     by_time = np.argsort(tq, kind="stable")
     q_rows, tq = q_rows[by_time], tq[by_time]
-    scale = max(np.abs(tq).max(initial=0.0), np.abs(p_t).max(initial=0.0))
+    scale = max(np.abs(tq).max(initial=0.0), np.abs(p.times).max(initial=0.0))
     reach = time_gate + 4.0 * np.spacing(scale)
     kept = [np.empty((3, 0), dtype=np.int64)]  # (pair, P row, Q row) of each position pair
-    for i, j in window_join(p_t[p_rows], tq, reach):
-        pid = pair_of[p_track[p_rows[i]], q_track[q_rows[j]]]
+    for i, j in window_join(p.times[p_rows], tq, reach):
+        pid = pair_of[p.track[p_rows[i]], q.track[q_rows[j]]]
         i, j, pid = i[pid >= 0], j[pid >= 0], pid[pid >= 0]
         if not len(i):
             continue
         # one group per (P position, paired Q track), its samples in time order
         group = np.argsort(i * len(traj_pairs) + pid, kind="stable")
         i, j, pid = i[group], j[group], pid[group]
-        delta = tq[j] - p_t[p_rows[i]]
+        delta = tq[j] - p.times[p_rows[i]]
         starts = np.flatnonzero(np.append(True, (i[1:] != i[:-1]) | (pid[1:] != pid[:-1])))
         ends = np.append(starts[1:], len(i))
         # as a searchsorted on the one track: its first sample at or after the
@@ -561,15 +558,14 @@ def _reassociate(db_p, db_q, traj_pairs, tf: Transform4D, gate: float, time_gate
         near = np.where(gap[hi] < gap[lo], hi, lo)
         near = near[gap[near] <= time_gate]
         p_row, q_row = p_rows[i[near]], q_rows[j[near]]
-        res = np.linalg.norm(p_xyz[p_row] - tf.apply_points(q_xyz[q_row]), axis=1)
+        res = np.linalg.norm(p.xyz[p_row] - tf.apply_points(q.xyz[q_row]), axis=1)
         ok = res <= gate
         kept.append(np.stack([pid[near][ok], p_row[ok], q_row[ok]]))
     pid, p_row, q_row = np.concatenate(kept, axis=1)
     order = np.lexsort((p_row, pid))
     pid, p_row, q_row = pid[order], p_row[order], q_row[order]
-    rows = np.column_stack([traj_pairs[pid, 0], p_row - p_starts[p_track[p_row]],
-                            traj_pairs[pid, 1], q_row - q_starts[q_track[q_row]]])
-    corr = estimator.CorrespondenceSet(p_xyz[p_row], q_xyz[q_row], p_t[p_row], q_t[q_row])
+    rows = np.column_stack([*p.locate(p_row), *q.locate(q_row)])
+    corr = estimator.CorrespondenceSet(p.xyz[p_row], q.xyz[q_row], p.times[p_row], q.times[q_row])
     return corr, rows
 
 
@@ -709,10 +705,9 @@ def calibrate(
                 kept = relaxed
                 rows, candidates = _loose_vote(kept)
         if candidates:
-            p_starts, _, p_t, _ = db_p.stack()
-            q_starts, _, q_t, _ = db_q.stack()
-            raw_gaps = (p_t[p_starts[rows[:, 0]] + rows[:, 1]]
-                        - q_t[q_starts[rows[:, 2]] + rows[:, 3]])
+            p, q = db_p.stack(), db_q.stack()
+            raw_gaps = (p.times[p.at(rows[:, 0], rows[:, 1])]
+                        - q.times[q.at(rows[:, 2], rows[:, 3])])
             tracks = estimator.PairedTracks(_matched_objects(db_p, db_q, candidates))
             yield from _offset_hypotheses(tracks, raw_gaps, db_p.frame_period)
 
@@ -765,8 +760,8 @@ def score_session(
     r_p, r_q = db_p.sensing_range, db_q.sensing_range
     q_origin_in_p = transform.translation
 
-    _, p_xyz, p_t, _ = db_p.stack()
-    _, q_xyz, q_t, _ = db_q.stack()
+    p_xyz, p_t = db_p.stack().xyz, db_p.stack().times
+    q_xyz, q_t = db_q.stack().xyz, db_q.stack().times
     q_in_p = transform.apply_points(q_xyz)
     q_t_in_p = q_t + transform.time_offset
 

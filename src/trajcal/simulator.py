@@ -176,6 +176,8 @@ class ScenarioConfig:
                 f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def sensor_pose(position, yaw_deg: float = 0.0, clock_offset: float = 0.0) -> Transform4D:

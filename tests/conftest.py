@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,37 @@ def feature_distance(a, b, w) -> float:
 # neighbour filters and the nearest-in-time association
 
 
+def neighbor_count_table(db, radius):
+    """``db.neighbor_counts(radius)`` cut into one array per trajectory."""
+    counts, starts = db.neighbor_counts(radius), db.stack().starts
+    return [counts[a:b] for a, b in zip(starts[:-1], starts[1:])]
+
+
+def per_trajectory(fdb):
+    """Each trajectory's slice of the feature columns, as one namespace of
+    ``curvature``, ``velocity_mean``, ``velocity_variance`` and ``valid``."""
+    starts = fdb.rows.starts
+    names = ("curvature", "velocity_mean", "velocity_variance", "valid")
+    return [SimpleNamespace(**{name: getattr(fdb, name)[a:b] for name in names})
+            for a, b in zip(starts[:-1], starts[1:])]
+
+
+def flat_features(fdb):
+    """``(traj_idx, pos_idx, features)`` of the valid positions, trajectory by
+    trajectory; the features are (curvature, velocity mean, velocity std)."""
+    traj_idx, pos_idx, rows = [], [], []
+    for ti, tf in enumerate(per_trajectory(fdb)):
+        (vi,) = np.nonzero(tf.valid)
+        traj_idx.append(np.full(vi.size, ti, dtype=np.int64))
+        pos_idx.append(vi.astype(np.int64))
+        rows.append(np.column_stack(
+            [tf.curvature[vi], tf.velocity_mean[vi], np.sqrt(tf.velocity_variance[vi])]))
+    if not rows:
+        empty = np.empty((0,), dtype=np.int64)
+        return empty, empty, np.empty((0, 3))
+    return np.concatenate(traj_idx), np.concatenate(pos_idx), np.vstack(rows)
+
+
 def oracle_neighbor_count_table(db, radius):
     counts = [np.zeros(len(t), dtype=np.int64) for t in db.trajectories]
     by_frame = {}
@@ -180,8 +213,8 @@ def oracle_motion_match(fp, fq, w):
 
     from trajcal.matching import PositionMatch
 
-    p_traj, p_pos, p_feats = fp.flat
-    q_traj, q_pos, q_feats = fq.flat
+    p_traj, p_pos, p_feats = flat_features(fp)
+    q_traj, q_pos, q_feats = flat_features(fq)
     if p_feats.shape[0] == 0 or q_feats.shape[0] == 0:
         return []
     dist, idx = cKDTree(q_feats * w.scale).query(p_feats * w.scale, k=1, p=1)
@@ -208,8 +241,8 @@ def oracle_filter_bbox(matches, db_p, db_q, box_tolerance):
 def oracle_filter_mutual_nn(matches, fp, fq, w):
     from scipy.spatial import cKDTree
 
-    p_traj, p_pos, p_feats = fp.flat
-    q_traj, q_pos, q_feats = fq.flat
+    p_traj, p_pos, p_feats = flat_features(fp)
+    q_traj, q_pos, q_feats = flat_features(fq)
     if not matches:
         return []
     p_index = {(int(t), int(i)): k for k, (t, i) in enumerate(zip(p_traj, p_pos))}

@@ -19,7 +19,7 @@ from trajcal.matching import apply_semantic_filters, motion_match
 from trajcal.pipeline import PipelineConfig, derive_position_pairs, fuse_sessions
 from trajcal.simulator import default_scenario, make_nonoverlapping_pair, make_pair
 
-from conftest import make_database, make_trajectory, random_transform
+from conftest import make_database, make_trajectory, per_trajectory, random_transform
 
 # reference regime: 4-way intersection, paper-level noise, half-second offset
 REGIME = dict(n_vehicles=25, duration=45.0, noise_sigma=0.2, time_offset=0.5)
@@ -275,7 +275,7 @@ class TestCriterion8FeatureInvariance:
             tf = random_transform(rng)
             base = extract_features(db, 3)
             moved = extract_features(tc.transform_database(tf, db), 3)
-            for fa, fb in zip(base.per_trajectory, moved.per_trajectory):
+            for fa, fb in zip(per_trajectory(base), per_trajectory(moved)):
                 assert np.array_equal(fa.valid, fb.valid)
                 for name in ("curvature", "velocity_mean", "velocity_variance"):
                     gap = float(np.max(np.abs(getattr(fa, name) - getattr(fb, name)), initial=0.0))

@@ -60,6 +60,18 @@ class TestSimulate:
         assert "must be finite" in result.output
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_one(self, runner, tmp_path, source):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text("n_vehicles = 5\nseed = -2\n")
+        extra = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+        result = runner.invoke(main, ["simulate", "--out", str(tmp_path / "s"), *extra])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        seed = -1 if source == "flag" else -2
+        assert result.output == f"error: seed must be non-negative, got {seed}\n"
+        assert not (tmp_path / "s").exists()
+
     def test_bad_config_exits_one(self, runner, tmp_path):
         cfg = tmp_path / "scene.cfg"
         cfg.write_text("unknown_thing = 1\n")
@@ -551,6 +563,16 @@ class TestSweep:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "error: passes must be positive integers" in result.output
+        assert not out.exists()
+
+    def test_negative_seed_exits_one(self, runner, tmp_path):
+        out = tmp_path / "x"
+        result = runner.invoke(
+            main, ["sweep", "--axis", "noise", "--values", "0.2", "--seed", "-3",
+                   "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "error: seed must be non-negative, got -3\n"
         assert not out.exists()
 
     def test_bad_values_exit_one(self, runner, tmp_path):

@@ -14,8 +14,10 @@ from conftest import (
     DegenerateSegment,
     arc_trajectory,
     curvature,
+    flat_features,
     make_database,
     make_trajectory,
+    per_trajectory,
     random_transform,
     straight_trajectory,
     world_samples,
@@ -116,7 +118,7 @@ class TestExtractFeatures:
         for _ in range(5):
             tf = random_transform(rng)
             moved = extract_features(transform_database(tf, db), 3)
-            for f0, f1 in zip(base.per_trajectory, moved.per_trajectory):
+            for f0, f1 in zip(per_trajectory(base), per_trajectory(moved)):
                 np.testing.assert_array_equal(f0.valid, f1.valid)
                 np.testing.assert_allclose(f0.curvature, f1.curvature, atol=1e-9)
                 np.testing.assert_allclose(f0.velocity_mean, f1.velocity_mean, atol=1e-9)
@@ -125,19 +127,19 @@ class TestExtractFeatures:
     def test_single_position_trajectories_all_invalid(self):
         db = make_database([make_trajectory([[1, 2, 0]], track="solo")])
         fdb = extract_features(db, 3)
-        assert not fdb.per_trajectory[0].valid.any()
-        assert len(fdb.flat[0]) == 0
+        assert not per_trajectory(fdb)[0].valid.any()
+        assert len(flat_features(fdb)[0]) == 0
 
     def test_endpoints_invalid(self):
         fdb = extract_features(make_database([straight_trajectory(n=10)]), 3)
-        valid = fdb.per_trajectory[0].valid
+        valid = per_trajectory(fdb)[0].valid
         assert not valid[0] and not valid[-1]
         assert valid[1:-1].all()
 
     def test_stationary_positions_flagged_not_fatal(self):
         pts = [[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]]
         fdb = extract_features(make_database([make_trajectory(pts)]), 2)
-        valid = fdb.per_trajectory[0].valid
+        valid = per_trajectory(fdb)[0].valid
         assert not valid[1] and not valid[2]  # segments around the stall
         assert valid[3]
 
@@ -150,7 +152,7 @@ class TestExtractFeatures:
         m = 3
         fdb = extract_features(db, m)
         # independent per-position recomputation, scalar ops only
-        for traj, feats in zip(db.trajectories, fdb.per_trajectory):
+        for traj, feats in zip(db.trajectories, per_trajectory(fdb)):
             n = len(traj)
             xyz = traj.xyz
             times = traj.times
@@ -180,10 +182,10 @@ class TestExtractFeatures:
         f_ab = extract_features(make_database([t1, t2]), 3)
         f_ba = extract_features(make_database([t2, t1]), 3)
         np.testing.assert_allclose(
-            f_ab.per_trajectory[0].velocity_mean, f_ba.per_trajectory[1].velocity_mean
+            per_trajectory(f_ab)[0].velocity_mean, per_trajectory(f_ba)[1].velocity_mean
         )
         np.testing.assert_allclose(
-            f_ab.per_trajectory[1].curvature, f_ba.per_trajectory[0].curvature
+            per_trajectory(f_ab)[1].curvature, per_trajectory(f_ba)[0].curvature
         )
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -195,7 +197,7 @@ class TestExtractFeatures:
         tf = random_transform(rng)
         a = extract_features(db, 3)
         b = extract_features(transform_database(tf, db), 3)
-        for fa, fb in zip(a.per_trajectory, b.per_trajectory):
+        for fa, fb in zip(per_trajectory(a), per_trajectory(b)):
             np.testing.assert_array_equal(fa.valid, fb.valid)
             np.testing.assert_allclose(fa.curvature, fb.curvature, atol=1e-9)
             np.testing.assert_allclose(fa.velocity_mean, fb.velocity_mean, atol=1e-9)
@@ -205,7 +207,7 @@ class TestExtractFeatures:
             r = np.random.default_rng(seed)
             pts = np.cumsum(r.normal(0, 0.5, size=(40, 3)), axis=0)
             fdb = extract_features(make_database([make_trajectory(pts, track="w")]), 3)
-            feats = fdb.per_trajectory[0]
+            feats = per_trajectory(fdb)[0]
             assert np.all(feats.curvature >= -1.0) and np.all(feats.curvature <= 1.0)
             assert np.all(feats.velocity_mean >= 0.0)
             assert np.all(feats.velocity_variance >= 0.0)

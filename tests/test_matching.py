@@ -15,7 +15,6 @@ from trajcal.matching import (
     filter_neighbor_count,
     filter_neighborhood_distribution,
     motion_match,
-    neighbor_count_table,
 )
 from trajcal.model import transform_database
 
@@ -25,6 +24,7 @@ from conftest import (
     feature_distance,
     make_database,
     make_trajectory,
+    neighbor_count_table,
     random_transform,
     straight_trajectory,
 )
@@ -86,7 +86,7 @@ class TestMotionMatch:
         fp = extract_features(db_p, 3)
         fq = extract_features(db_q, 3)
         matches = motion_match(fp, fq, MatchWeights())
-        assert len(matches) == len(fp.flat[0])
+        assert len(matches) == np.count_nonzero(fp.valid)
         for m in matches:
             assert m.feature_distance == pytest.approx(0.0, abs=1e-12)
             assert m.ref[0] == m.cand[0]  # same speed bucket
@@ -149,20 +149,20 @@ class TestMutualNN:
         feats_q = np.column_stack(
             [rng.uniform(-1, 1, n), rng.uniform(0, 20, n), rng.uniform(0, 3, n)]
         )
-        # build single-position-database stand-ins by monkeypatching flat
-        from trajcal.features import FeatureDatabase, TrajectoryFeatures
+        # stand-ins: one 3-position trajectory per feature row, valid only
+        # at its middle position, which carries the row
+        from trajcal.features import FeatureDatabase
+
+        db = make_database([straight_trajectory(n=3, track=f"t{k}") for k in range(n)])
 
         def fake_db(feats):
-            per = tuple(
-                TrajectoryFeatures(
-                    curvature=np.array([0.0, c, 0.0]),
-                    velocity_mean=np.array([0.0, a, 0.0]),
-                    velocity_variance=np.array([0.0, s * s, 0.0]),
-                    valid=np.array([False, True, False]),
-                )
-                for c, a, s in feats
-            )
-            return FeatureDatabase(sensor_id="X", window=3, per_trajectory=per)
+            def column(middle):
+                out = np.zeros((n, 3))
+                out[:, 1] = middle
+                return out.ravel()
+
+            return FeatureDatabase("X", 3, db.stack(), column(feats[:, 0]), column(feats[:, 1]),
+                                   column(feats[:, 2] * feats[:, 2]), column(1.0).astype(bool))
 
         fp, fq = fake_db(feats_p), fake_db(feats_q)
         w = MatchWeights(lambda_c=1.0, lambda_alpha=1.0, lambda_sigma=0.5, d_th=1e9)
@@ -355,3 +355,70 @@ class TestCascadeProperties:
         kept = apply_semantic_filters(matches, fp, fq, db_p, db_q)
         assert kept == [m for m in matches if all(m in out for out in solo)]
         assert 0 < len(kept) < len(matches)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The size of each neighbour-count table computed from here on: each
+    one is a zero-width join of a database's frames."""
+    from trajcal import model
+
+    builds, join = [], model.window_join
+
+    def spy(keys, sorted_keys, reach):
+        builds.append(len(keys))
+        return join(keys, sorted_keys, reach)
+
+    monkeypatch.setattr(model, "window_join", spy)
+    return builds
+
+
+def reference_pair():
+    from trajcal import simulator
+
+    cfg = simulator.default_scenario(n_vehicles=25, duration=45.0, noise_sigma=0.2,
+                                     time_offset=0.5, seed=1001)
+    return simulator.make_pair(cfg)[:2]
+
+
+class TestOneTablePerDatabase:
+    def test_cold_session(self, table_builds):
+        from trajcal.pipeline import calibrate
+
+        db_p, db_q = reference_pair()
+        calibrate(db_p, db_q)
+        assert table_builds == [db_p.n_positions, db_q.n_positions]
+
+    def test_relaxed_retry(self, table_builds, monkeypatch):
+        # criterion 6's first pass on seed 10: the loose vote finds too few
+        # candidates, so the cascade runs again with relaxed tolerances
+        from trajcal import pipeline, simulator
+
+        cascades, cascade = [], pipeline.apply_semantic_filters
+
+        def spy(*args, **kwargs):
+            cascades.append(kwargs)
+            return cascade(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "apply_semantic_filters", spy)
+        cfg = simulator.default_scenario(n_vehicles=8, duration=15.0, noise_sigma=0.25,
+                                         time_offset=0.5, seed=10 * 1000 + 77)
+        db_p, db_q, _ = simulator.make_pair(cfg)
+        pipeline.calibrate(db_p, db_q)
+        assert len(cascades) == 2 and "count_tolerance" in cascades[1]
+        assert table_builds == [db_p.n_positions, db_q.n_positions]
+
+    def test_cli_dump_matches_then_session(self, table_builds, tmp_path):
+        from click.testing import CliRunner
+
+        from trajcal import io
+        from trajcal.cli import main
+
+        db_p, db_q = reference_pair()
+        io.write_database_jsonl(db_p, tmp_path / "dbP.jsonl")
+        io.write_database_jsonl(db_q, tmp_path / "dbQ.jsonl")
+        result = CliRunner().invoke(main, [
+            "calibrate", "--input-p", str(tmp_path / "dbP.jsonl"),
+            "--input-q", str(tmp_path / "dbQ.jsonl"), "--dump-matches", str(tmp_path / "m.csv")])
+        assert result.exit_code == 0, result.output
+        assert table_builds == [db_p.n_positions, db_q.n_positions]

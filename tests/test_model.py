@@ -1,6 +1,7 @@
 """Core types and 4D transform algebra."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,15 @@ from trajcal.model import (
     quat_multiply,
     transform_database,
 )
+from trajcal.simulator import default_scenario, make_pair
 
-from conftest import make_position, make_trajectory, random_position, random_transform
+from conftest import (
+    make_position,
+    make_trajectory,
+    oracle_neighbor_count_table,
+    random_position,
+    random_transform,
+)
 
 
 def apply(tf, p):
@@ -352,6 +360,55 @@ class TestColumns:
                     assert after.times[i] == t + tf.time_offset
                 np.testing.assert_array_equal(after.frames, before.frames)
                 np.testing.assert_array_equal(after.bbox, before.bbox)
+
+
+class TestRowView:
+    @pytest.fixture(scope="class")
+    def db(self):
+        return make_pair(default_scenario(n_vehicles=10, duration=20.0, noise_sigma=0.2,
+                                          seed=5))[0]
+
+    def test_rows_stack_the_trajectories(self, db):
+        rows = db.stack()
+        assert rows is db.stack()
+        for name in ("xyz", "times", "frames", "bbox"):
+            np.testing.assert_array_equal(
+                getattr(rows, name), np.concatenate([getattr(t, name) for t in db.trajectories]))
+        for ti, traj in enumerate(db.trajectories):
+            at = rows.at(ti, np.arange(len(traj)))
+            assert at.tolist() == list(range(rows.starts[ti], rows.starts[ti + 1]))
+            assert (rows.track[at] == ti).all()
+            traj_idx, pos = rows.locate(at)
+            assert (traj_idx == ti).all() and pos.tolist() == list(range(len(traj)))
+        empty = TrajectoryDatabase("E", (), 0.1, 50.0).stack()
+        assert empty.starts.tolist() == [0] and empty.xyz.shape == (0, 3)
+        assert empty.track.dtype == empty.frames.dtype == np.int64
+
+    def test_rows_and_table_are_read_only(self, db):
+        counts = db.neighbor_counts(15.0)
+        assert db.neighbor_counts(15.0) is counts
+        rows = db.stack()
+        for column in (rows.starts, rows.track, rows.xyz, rows.times, rows.frames, rows.bbox,
+                       counts):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 7
+
+    def test_derived_databases_count_their_own_neighbours(self, db, rng):
+        # each table is kept on the instance it was computed for; a mapped
+        # or replaced database is a new instance and computes its own
+        original = db.neighbor_counts(15.0)
+        derived = [transform_database(random_transform(rng), db),
+                   replace(db, trajectories=db.trajectories[::2]),
+                   replace(db, trajectories=db.trajectories[::-1]),
+                   replace(db, sensor_id="other")]
+        for other in derived:
+            counts = other.neighbor_counts(15.0)
+            assert counts is not original and other.stack() is not db.stack()
+            np.testing.assert_array_equal(
+                counts, np.concatenate(oracle_neighbor_count_table(other, 15.0)))
+        assert db.neighbor_counts(15.0) is original
+        np.testing.assert_array_equal(
+            original, np.concatenate(oracle_neighbor_count_table(db, 15.0)))
 
 
 class TestSerialization:

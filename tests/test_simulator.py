@@ -272,6 +272,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             default_scenario(dropout_rate=1.0)
 
+    @pytest.mark.parametrize("seed", [-1, -2**40])
+    def test_negative_seed_rejected(self, seed):
+        # numpy's seeding would reject it later, without naming the seed
+        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+            default_scenario(seed=seed)
+
     @pytest.mark.parametrize("field", ["duration", "frame_period", "sensing_range_p",
                                        "sensing_range_q", "noise_sigma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
