@@ -3,8 +3,9 @@
 A trajectory is read-only columns (positions, times, frames and boxes) plus
 its track id and class; ``Position`` is the record type for building one by
 hand. Trajectories and trajectory databases are immutable value objects, so
-a database stacks its positions into rows (``stack``) and counts each
-radius's neighbours once, and keeps both.
+a database holds its positions once, as rows (``stack``) of which its
+trajectories are read-only views, and counts each radius's neighbours once
+and keeps the table.
 The 4D transform stores its rotation as a canonical unit quaternion
 (non-negative scalar part) and its clock shift as a plain scalar offset:
 time never rotates, so the temporal part of the transform is exactly one
@@ -188,19 +189,20 @@ class Trajectory:
         if any(p.track_id != track_id or p.class_label != label for p in positions):
             raise ValueError(f"positions differ in track_id or class label from trajectory "
                              f"{track_id!r}")
-        self._fill(track_id, label, [(p.x, p.y, p.z) for p in positions],
-                   [p.t for p in positions], [p.frame_index for p in positions],
-                   [p.bbox for p in positions])
+        self._fill(track_id, label, *_checked_columns(
+            track_id, label, [(p.x, p.y, p.z) for p in positions], [p.t for p in positions],
+            [p.frame_index for p in positions], [p.bbox for p in positions]))
 
     @classmethod
     def from_columns(cls, track_id, class_label, xyz, times, frames, bbox) -> "Trajectory":
         """The trajectory of copies of the given columns."""
         traj = object.__new__(cls)
-        traj._fill(track_id, class_label, xyz, times, frames, bbox)
+        traj._fill(track_id, class_label,
+                   *_checked_columns(track_id, class_label, xyz, times, frames, bbox))
         return traj
 
-    def _fill(self, track_id, class_label, *columns) -> None:
-        values = (track_id, class_label, *_checked_columns(track_id, class_label, *columns))
+    def _fill(self, *values) -> None:
+        """Hold ``values``, in field order, as they are."""
         for field, value in zip(fields(self), values):
             object.__setattr__(self, field.name, value)
 
@@ -239,7 +241,8 @@ class Rows:
 
 @dataclass(frozen=True)
 class TrajectoryDatabase:
-    """All trajectories one sensor produced over a recording window."""
+    """All trajectories one sensor produced over a recording window, each
+    position held once: ``trajectories`` are read-only views into ``stack()``."""
 
     sensor_id: str
     trajectories: tuple[Trajectory, ...]
@@ -247,14 +250,32 @@ class TrajectoryDatabase:
     sensing_range: float
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        trajs = tuple(self.trajectories)
         for name in ("frame_period", "sensing_range"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        ids = [t.track_id for t in self.trajectories]
+        ids = [t.track_id for t in trajs]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate track ids in database {self.sensor_id!r}")
+        # each position is held once, in the rows; every trajectory becomes
+        # a read-only view of its own rows, so the columns it was built from
+        # are freed unless the caller keeps them
+        starts = np.concatenate(([0], np.cumsum([len(t) for t in trajs], dtype=np.int64)))
+        if trajs:
+            columns = [np.concatenate([getattr(t, name) for t in trajs])
+                       for name in ("xyz", "times", "frames", "bbox")]
+        else:
+            columns = [np.empty((0, 3)), np.empty(0), np.empty(0, np.int64), np.empty((0, 3))]
+        rows = Rows(starts, np.repeat(np.arange(len(trajs)), np.diff(starts)), *columns)
+        for column in vars(rows).values():
+            column.setflags(write=False)
+        views = [object.__new__(Trajectory) for _ in trajs]
+        bounds = starts.tolist()
+        for view, t, lo, hi in zip(views, trajs, bounds, bounds[1:]):
+            view._fill(t.track_id, t.class_label, *(c[lo:hi] for c in columns))
+        object.__setattr__(self, "trajectories", tuple(views))
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_neighbor_tables", {})  # radius -> neighbor_counts
 
     def __len__(self) -> int:
@@ -268,22 +289,9 @@ class TrajectoryDatabase:
         return sum(len(t) for t in self.trajectories)
 
     def stack(self) -> Rows:
-        """Every position as one row of read-only columns, built once."""
+        """Every position as one row of read-only columns: the one copy the
+        database holds, of which its trajectories are views."""
         return self._rows
-
-    @cached_property
-    def _rows(self) -> Rows:
-        trajs = self.trajectories
-        starts = np.concatenate(([0], np.cumsum([len(t) for t in trajs], dtype=np.int64)))
-        if trajs:
-            columns = [np.concatenate([getattr(t, name) for t in trajs])
-                       for name in ("xyz", "times", "frames", "bbox")]
-        else:
-            columns = [np.empty((0, 3)), np.empty(0), np.empty(0, np.int64), np.empty((0, 3))]
-        rows = Rows(starts, np.repeat(np.arange(len(trajs)), np.diff(starts)), *columns)
-        for column in vars(rows).values():
-            column.setflags(write=False)
-        return rows
 
     def neighbor_counts(self, radius: float) -> np.ndarray:
         """Per row of ``stack()``: how many positions of *other* trajectories

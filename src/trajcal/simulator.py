@@ -176,8 +176,13 @@ class ScenarioConfig:
                 f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    """Name a negative seed, which numpy's seeding rejects without a name."""
+    if not isinstance(seed, np.random.SeedSequence) and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def sensor_pose(position, yaw_deg: float = 0.0, clock_offset: float = 0.0) -> Transform4D:
@@ -351,6 +356,7 @@ def observe(
     ``end_time``, as ``WorldTrack``. The sensor samples on its own clock
     grid, so its world sampling phase shifts with the pose's clock offset.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     clock = pose.time_offset
     k_min = math.ceil(clock / frame_period - 1e-9)

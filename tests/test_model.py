@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajcal.io import read_database_jsonl, write_database_jsonl
 from trajcal.model import (
     Trajectory,
     TrajectoryDatabase,
@@ -380,6 +381,8 @@ class TestRowView:
             assert (rows.track[at] == ti).all()
             traj_idx, pos = rows.locate(at)
             assert (traj_idx == ti).all() and pos.tolist() == list(range(len(traj)))
+
+    def test_empty_database_stacks(self):
         empty = TrajectoryDatabase("E", (), 0.1, 50.0).stack()
         assert empty.starts.tolist() == [0] and empty.xyz.shape == (0, 3)
         assert empty.track.dtype == empty.frames.dtype == np.int64
@@ -409,6 +412,64 @@ class TestRowView:
         assert db.neighbor_counts(15.0) is original
         np.testing.assert_array_equal(
             original, np.concatenate(oracle_neighbor_count_table(db, 15.0)))
+
+
+_COLUMNS = ("xyz", "times", "frames", "bbox")
+
+
+class TestSingleCopy:
+    """A database holds each position once: its trajectories' columns are
+    read-only views into the rows ``stack()`` returns."""
+
+    @pytest.fixture(scope="class", params=["simulated", "jsonl"])
+    def db(self, request, tmp_path_factory):
+        db = make_pair(default_scenario(n_vehicles=8, duration=20.0, noise_sigma=0.2,
+                                        seed=7))[0]
+        if request.param == "jsonl":
+            path = tmp_path_factory.mktemp("single-copy") / "db.jsonl"
+            write_database_jsonl(db, path)
+            db = read_database_jsonl(path)
+        return db
+
+    def test_trajectories_are_views_of_the_rows(self, db):
+        rows = db.stack()
+        for ti, traj in enumerate(db.trajectories):
+            lo, hi = rows.starts[ti], rows.starts[ti + 1]
+            for name in _COLUMNS:
+                column = getattr(traj, name)
+                assert np.shares_memory(column, getattr(rows, name))
+                assert column.base is not None and not column.flags.owndata
+                assert not column.flags.writeable
+                np.testing.assert_array_equal(column, getattr(rows, name)[lo:hi])
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 7
+
+    def test_derived_databases_hold_their_own_rows(self, db, rng):
+        rows = db.stack()
+        before = {name: getattr(rows, name).copy() for name in _COLUMNS}
+        derived = [replace(db, sensor_id="other"),
+                   replace(db, trajectories=db.trajectories[::-1]),
+                   transform_database(random_transform(rng), db)]
+        for other in derived:
+            for name in _COLUMNS:
+                assert not np.shares_memory(getattr(other.stack(), name), getattr(rows, name))
+                for traj in other.trajectories:
+                    assert np.shares_memory(getattr(traj, name), getattr(other.stack(), name))
+        assert db.stack() is rows
+        for name in _COLUMNS:
+            np.testing.assert_array_equal(getattr(rows, name), before[name])
+
+    def test_a_kept_trajectory_is_unchanged(self, rng):
+        trajs = [make_trajectory(rng.uniform(-40, 40, size=(12, 3)), track=f"t{k}")
+                 for k in range(3)]
+        kept = [{name: getattr(t, name).copy() for name in _COLUMNS} for t in trajs]
+        db = TrajectoryDatabase("S", trajs, 0.1, 50.0)
+        for traj, columns, view in zip(trajs, kept, db.trajectories):
+            assert view is not traj and view == traj
+            assert (view.track_id, view.class_label) == (traj.track_id, traj.class_label)
+            for name in _COLUMNS:
+                np.testing.assert_array_equal(getattr(traj, name), columns[name])
+                assert not np.shares_memory(getattr(traj, name), getattr(db.stack(), name))
 
 
 class TestSerialization:

@@ -277,6 +277,10 @@ class TestScenarioConfig:
         # numpy's seeding would reject it later, without naming the seed
         with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
             default_scenario(seed=seed)
+        # observe takes the same check, where numpy's message named nothing
+        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+            observe([], Transform4D.identity(), 50.0, frame_period=0.1, duration=10.0,
+                    seed=seed)
 
     @pytest.mark.parametrize("field", ["duration", "frame_period", "sensing_range_p",
                                        "sensing_range_q", "noise_sigma"])
