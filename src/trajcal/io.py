@@ -18,7 +18,7 @@ import numpy as np
 from .features import FeatureDatabase
 from .matching import PositionMatch
 from .model import Trajectory, TrajectoryDatabase, Transform4D, _record_int, _record_number
-from .pipeline import CalibrationSession, _write_in_place
+from .pipeline import CalibrationSession
 from .simulator import LAYOUTS, ScenarioConfig, default_scenario
 
 
@@ -140,8 +140,10 @@ def read_database_jsonl(path) -> TrajectoryDatabase:
 
 def write_json(obj, path) -> None:
     """``obj.to_dict()`` as indented JSON: a transform, a session or a
-    metric report, rewritten in place over an existing file."""
-    _write_in_place(path, (json.dumps(obj.to_dict(), indent=2) + "\n").encode())
+    metric report."""
+    with open(path, "w") as fh:
+        json.dump(obj.to_dict(), fh, indent=2)
+        fh.write("\n")
 
 
 def _read_record(kind, path, what: str):

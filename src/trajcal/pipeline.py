@@ -850,16 +850,6 @@ def _restore(record: dict) -> CalibrationSession:
     return CalibrationSession(**dict(record, transform=tf))
 
 
-def _write_in_place(path, data: bytes) -> None:
-    """``path`` holding exactly ``data``, written over its old bytes from
-    offset 0 and then cut to length: ext4 flushes a file replaced by rename
-    or truncated to zero (auto_da_alloc), at up to tens of ms a write. Only
-    for a single JSON value, which a torn rewrite leaves unparseable."""
-    with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b") as fh:
-        fh.write(data)
-        fh.truncate()
-
-
 class SessionStore:
     """Append-only session log; the fused estimate is the fold of that log
     (``fuse_sessions``), so the log is the store's only source of truth.
@@ -923,8 +913,12 @@ class SessionStore:
             return 0, 0, (), []
 
     def _save(self, checkpoint: dict) -> None:
+        # rewritten in place: ext4 flushes a file replaced by rename or
+        # truncated to zero (auto_da_alloc), at up to tens of ms a pass;
         # a torn write fails the JSON parse or the digest
-        _write_in_place(self._checkpoint_path, json.dumps(checkpoint).encode())
+        with open(os.open(self._checkpoint_path, os.O_RDWR | os.O_CREAT, 0o644), "r+b") as fh:
+            fh.write(json.dumps(checkpoint).encode())
+            fh.truncate()
 
     def _fold(self) -> CalibrationSession | None:
         log = self._log()

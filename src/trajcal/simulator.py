@@ -10,6 +10,7 @@ own clock phase and the returned ground-truth transform is exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -180,8 +181,9 @@ class ScenarioConfig:
 
 
 def _check_seed(seed) -> None:
-    """Name a negative seed, which numpy's seeding rejects without a name."""
-    if not isinstance(seed, np.random.SeedSequence) and seed < 0:
+    """Name a negative number, which numpy's seeding rejects without a name;
+    any other seed (None, a generator, a SeedSequence) goes to numpy as is."""
+    if isinstance(seed, numbers.Real) and seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 

@@ -132,6 +132,16 @@ class TestCalibrate:
         session = json.loads(session_path.read_text())
         assert session["score"] > 0.8
 
+    def test_out_may_be_a_character_device(self, runner, tmp_path):
+        # the session goes to any writable path, not only a regular file
+        scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
+        result = runner.invoke(
+            main,
+            ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+             "--input-q", str(scene / "dbQ.jsonl"), "--out", "/dev/null"],
+        )
+        assert result.exit_code == 0, result.output
+
     def test_truncated_input_exits_one_with_line(self, runner, tmp_path):
         scene = simulate(runner, tmp_path / "scene")
         db_path = scene / "dbP.jsonl"

@@ -213,18 +213,6 @@ class TestTransformAndSessionJson:
         assert again.score == session.score
         assert again.converged is True
 
-    def test_session_rewrites_a_longer_file_in_place(self, tmp_path, rng):
-        # written over the old bytes and cut to length, not truncated to
-        # zero first: the file keeps its inode and holds only the new bytes
-        session = CalibrationSession(random_transform(rng), 0.5, 10, 20, 3, True, 1.0)
-        path = tmp_path / "session.json"
-        path.write_text(json.dumps({"padding": "x" * 5000}, indent=2) + "\n")
-        inode = path.stat().st_ino
-        io.write_session_json(session, path)
-        assert path.read_bytes() == (json.dumps(session.to_dict(), indent=2) + "\n").encode()
-        assert path.stat().st_ino == inode
-        assert io.read_session_json(path).score == 0.5
-
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1e308, 1.5, -0.1])
     def test_session_file_with_a_score_outside_unit_interval(self, tmp_path, rng, score):
         session = CalibrationSession(random_transform(rng), 0.5, 10, 20, 3, True, 1.0)

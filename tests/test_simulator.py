@@ -281,6 +281,22 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
             observe([], Transform4D.identity(), 50.0, frame_period=0.1, duration=10.0,
                     seed=seed)
+        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+            observe([], Transform4D.identity(), 50.0, frame_period=0.1, duration=10.0,
+                    seed=np.int64(seed))
+
+    def test_observe_passes_other_seeds_to_numpy(self):
+        # only a negative number is checked; None, a generator and a
+        # SeedSequence seed numpy as they always did
+        world = generate_world_tracks(default_scenario(n_vehicles=4, duration=10.0, seed=3))
+
+        def record(seed):
+            return observe(world, Transform4D.identity(), 50.0, frame_period=0.1,
+                           duration=10.0, noise_sigma=0.1, dropout_rate=0.2, seed=seed)
+
+        assert record(None).n_positions > 0
+        for same in (np.random.default_rng(5), np.random.SeedSequence(5)):
+            np.testing.assert_array_equal(record(same).stack().xyz, record(5).stack().xyz)
 
     @pytest.mark.parametrize("field", ["duration", "frame_period", "sensing_range_p",
                                        "sensing_range_q", "noise_sigma"])
