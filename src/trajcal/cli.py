@@ -85,7 +85,7 @@ def simulate(config_path, out_dir, layout, vehicles, duration, noise, offset, ro
                 seed=seed,
             )
         )
-        cfg = io.scenario_from_mapping(settings)
+        cfg = simulator.default_scenario(**settings)
     except (io.FileFormatError, ValueError, TypeError) as exc:
         _fail(str(exc))
     if cfg.n_vehicles == 0:

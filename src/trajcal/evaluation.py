@@ -127,7 +127,6 @@ class SweepSummary:
 
 def _scenario_for(axis: str, value, seed: int, scenario_kwargs: dict) -> simulator.ScenarioConfig:
     kwargs = dict(scenario_kwargs)
-    layout = kwargs.pop("layout", "four_way")
     if axis == "noise":
         kwargs["noise_sigma"] = float(value)
     elif axis == "n_vehicles":
@@ -137,7 +136,7 @@ def _scenario_for(axis: str, value, seed: int, scenario_kwargs: dict) -> simulat
     elif axis == "time_offset":
         kwargs["time_offset"] = float(value)
     kwargs["seed"] = seed
-    return simulator.default_scenario(layout, **kwargs)
+    return simulator.default_scenario(**kwargs)
 
 
 def _run_cell(axis: str, value, seed: int, scenario_kwargs: dict) -> SweepRow:
@@ -175,15 +174,16 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Grid of scenarios (one axis varied) x seeds: simulate, calibrate,
     score against ground truth. A failed cell records success=False and NaN
-    metrics instead of aborting the sweep. An unknown axis, or a ``passes``
-    value that is not a positive integer, raises ValueError before any cell
-    runs."""
+    metrics instead of aborting the sweep. An unknown axis, a ``passes``
+    value that is not a positive integer, or an ``n_vehicles`` value that is
+    not a non-negative one, raises ValueError before any cell runs."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    if axis == "passes":
+    if axis in ("passes", "n_vehicles"):
+        low, kind = (1, "positive") if axis == "passes" else (0, "non-negative")
         for value in values:
-            if not (float(value).is_integer() and value >= 1):
-                raise ValueError(f"passes must be positive integers, got {value!r}")
+            if not (float(value).is_integer() and value >= low):
+                raise ValueError(f"{axis} must be {kind} integers, got {value!r}")
     scenario_kwargs = scenario_kwargs or {}
     rows = []
     for value in values:

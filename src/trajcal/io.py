@@ -9,6 +9,7 @@ position: {sensor_id, track_id, frame, t, x, y, z, l, w, h, class}.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -19,7 +20,7 @@ from .features import FeatureDatabase
 from .matching import PositionMatch
 from .model import Trajectory, TrajectoryDatabase, Transform4D, _record_int, _record_number
 from .pipeline import CalibrationSession
-from .simulator import LAYOUTS, ScenarioConfig, default_scenario
+from .simulator import LAYOUTS, default_scenario
 
 
 class FileFormatError(ValueError):
@@ -169,25 +170,14 @@ def read_session_json(path) -> CalibrationSession:
 # ---------------------------------------------------------------------------
 # scenario config files (key = value lines)
 
-_SCENARIO_KEYS = {
-    "layout": str,
-    "n_vehicles": int,
-    "duration": float,
-    "frame_period": float,
-    "noise_sigma": float,
-    "dropout_rate": float,
-    "seed": int,
-    "rotation_deg": float,
-    "time_offset": float,
-    "sensor_distance": float,
-    "sensing_range": float,
-    "sensor_height": float,
-}
+_SCENARIO_KEYS = {name: type(param.default)
+                  for name, param in inspect.signature(default_scenario).parameters.items()}
 
 
 def parse_config_file(path) -> dict:
-    """Parse ``key = value`` lines ('#' starts a comment). Keys and value
-    types are validated against the scenario schema; unknown keys fail."""
+    """Parse ``key = value`` lines ('#' starts a comment). The keys are
+    ``default_scenario``'s keywords, each value read as the type of its
+    default; unknown keys fail."""
     path = Path(path)
     out: dict = {}
     with open(path) as fh:
@@ -213,12 +203,6 @@ def parse_config_file(path) -> dict:
     if "layout" in out and out["layout"] not in LAYOUTS:
         raise FileFormatError(f"{path}: layout must be one of {LAYOUTS}")
     return out
-
-
-def scenario_from_mapping(mapping: Mapping) -> ScenarioConfig:
-    kwargs = dict(mapping)
-    layout = kwargs.pop("layout", "four_way")
-    return default_scenario(layout, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -420,7 +420,14 @@ class Transform4D:
             dt = _record_number(d, "dt")
         except KeyError as exc:
             raise ValueError(f"transform record missing key {exc}") from exc
-        return cls(np.array(q), np.array(t), dt)
+        q = np.array(q)
+        tf = cls(q, np.array(t), dt)
+        # a stored canonical unit quaternion reads back as written, bit for
+        # bit: normalising it again can move it by an ulp
+        if np.max(np.abs(tf.rotation - q)) <= 1e-12:
+            q.setflags(write=False)
+            object.__setattr__(tf, "rotation", q)
+        return tf
 
 
 def _record_number(record: dict, key: str) -> float:

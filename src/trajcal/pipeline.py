@@ -795,18 +795,13 @@ def fuse_sessions(
     """Fold sessions oldest-first into one estimate. Sessions scoring below
     ``min_score`` never update an existing fused state (a poor pass must not
     drag a good calibration); they can only seed it when nothing better
-    exists yet."""
+    exists yet. A zero-score session never changes an existing one."""
     fused = None
     for session in sessions:
         if fused is None:
             fused = session
-            continue
-        if session.score < min_score and fused.score >= session.score:
-            continue
-        try:
+        elif session.score > 0 and (session.score >= min_score or session.score > fused.score):
             fused = update_continuous(fused, session)
-        except BothZeroScore:
-            continue
     return fused
 
 
@@ -838,26 +833,15 @@ def update_continuous(
 # session persistence
 
 
-def _restore(record: dict) -> CalibrationSession:
-    """A fold the store saved, bit for bit: normalising its unit quaternion
-    again, as ``Transform4D.from_dict`` does, can move it by an ulp."""
-    tf = Transform4D.from_dict(record["transform"])
-    q = np.array([float(record["transform"][k]) for k in ("qw", "qx", "qy", "qz")])
-    if not np.max(np.abs(tf.rotation - q)) <= 1e-12:
-        raise ValueError("the saved fold's quaternion is not a canonical unit quaternion")
-    q.setflags(write=False)
-    object.__setattr__(tf, "rotation", q)
-    return CalibrationSession(**dict(record, transform=tf))
-
-
 class SessionStore:
     """Append-only session log; the fused estimate is the fold of that log
     (``fuse_sessions``), so the log is the store's only source of truth.
     Sessions scoring under ``min_fuse_score`` are logged but do not update
     the fused state. Each fold saves where it stopped beside the log
-    (``.fold``: offset, line count, SHA-256 of the log up to the offset,
-    the fold and the damaged lines so far); the next fold, in any process,
-    resumes there unless those bytes of the log changed."""
+    (``.fold``: offset, SHA-256 of the log up to the offset, the fold and
+    the damaged lines so far); the next fold, in any process, resumes there
+    unless those bytes of the log changed or a field does not read back as
+    saved."""
 
     min_fuse_score = 0.5
 
@@ -882,16 +866,18 @@ class SessionStore:
         except FileNotFoundError:
             return b""
 
-    def _parse(self, lines, line_no: int):
-        """The sessions on ``lines``, numbered on from ``line_no``, and each
+    def _parse(self, lines, log: bytes = b"", offset: int = 0):
+        """The sessions on ``lines``, which start at ``log[offset:]``, and each
         damaged line's ``(number, reason)``."""
         out, damaged = [], []
-        for line_no, line in enumerate(lines, start=line_no + 1):
+        for k, line in enumerate(lines, start=1):
             try:
                 if line.strip():
                     out.append(CalibrationSession.from_dict(json.loads(line)))
             except (KeyError, TypeError, ValueError) as exc:
-                damaged.append((line_no, str(exc)))
+                # counted only for a line it names: the count costs about
+                # as much as the digest
+                damaged.append((log.count(b"\n", 0, offset) + k, str(exc)))
         return out, damaged
 
     def _warn(self, damaged):
@@ -900,17 +886,25 @@ class SessionStore:
                 f"{self.sessions_path}:{line_no}: skipped damaged session record ({reason})")
 
     def _resume(self, log: bytes):
-        """The checkpoint's ``(offset, line_no, fold, damaged)``, the fold as
-        a tuple of at most one session, if ``log`` still starts with the
-        bytes it covers; else the log's start."""
+        """The checkpoint's ``(offset, fold, damaged)``, the fold as a tuple
+        of at most one session, if ``log`` still starts with the bytes it
+        covers and each field reads back as saved; else the log's start."""
         try:
             cp = json.loads(self._checkpoint_path.read_bytes())
-            if hashlib.sha256(log[:cp["offset"]]).hexdigest() != cp["sha256"]:
+            offset, damaged = cp["offset"], [tuple(d) for d in cp["damaged"]]
+            if type(offset) is not int or not 0 <= offset <= len(log) or any(
+                    tuple(map(type, d)) != (int, str) for d in damaged):
+                raise ValueError("a checkpoint field has the wrong type")
+            if offset and log[offset - 1:offset] != b"\n":
+                raise ValueError("the checkpoint's offset does not end a line")
+            if hashlib.sha256(log[:offset]).hexdigest() != cp["sha256"]:
                 raise ValueError("the log changed under the checkpoint")
-            fold = () if cp["fold"] is None else (_restore(cp["fold"]),)
-            return cp["offset"], cp["line_no"], fold, [tuple(d) for d in cp["damaged"]]
+            fold = () if cp["fold"] is None else (CalibrationSession.from_dict(cp["fold"]),)
+            if fold and fold[0].to_dict() != cp["fold"]:
+                raise ValueError("the checkpoint's fold does not read back as saved")
+            return offset, fold, damaged
         except (OSError, KeyError, TypeError, ValueError):
-            return 0, 0, (), []
+            return 0, (), []
 
     def _save(self, checkpoint: dict) -> None:
         # rewritten in place: ext4 flushes a file replaced by rename or
@@ -922,19 +916,18 @@ class SessionStore:
 
     def _fold(self) -> CalibrationSession | None:
         log = self._log()
-        offset, line_no, resumed, damaged = self._resume(log)
+        offset, resumed, damaged = self._resume(log)
         *lines, torn = log[offset:].split(b"\n")
-        complete, new_damage = self._parse(lines, line_no)
+        end = len(log) - len(torn)
+        complete, new_damage = self._parse(lines, log, offset)
         fold = fuse_sessions([*resumed, *complete], self.min_fuse_score)
         damaged += new_damage
         if lines:
-            end = len(log) - len(torn)
-            self._save({"offset": end, "line_no": line_no + len(lines),
-                        "sha256": hashlib.sha256(log[:end]).hexdigest(),
+            self._save({"offset": end, "sha256": hashlib.sha256(log[:end]).hexdigest(),
                         "fold": None if fold is None else fold.to_dict(), "damaged": damaged})
         self._warn([d for d in damaged if d not in self._named])
         self._named.update(damaged)
-        torn, torn_damage = self._parse([torn], line_no + len(lines))
+        torn, torn_damage = self._parse([torn], log, end)
         self._warn(torn_damage)  # at every read while the tail is torn
         return fuse_sessions([*(() if fold is None else (fold,)), *torn], self.min_fuse_score)
 
@@ -942,7 +935,7 @@ class SessionStore:
         """Every complete session in the log, oldest first; a damaged line
         is skipped with a warning naming it."""
         with self._locked():
-            out, damaged = self._parse(self._log().split(b"\n"), 0)
+            out, damaged = self._parse(self._log().split(b"\n"))
         self._warn(damaged)
         return out
 

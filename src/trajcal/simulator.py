@@ -212,6 +212,9 @@ def default_scenario(
     """Two-sensor deployment with the sensors facing the scene from opposite
     sides; ``rotation_deg``/``time_offset`` become the ground-truth relative
     yaw and clock offset of the Q->P transform."""
+    for name, value in (("rotation_deg", rotation_deg), ("time_offset", time_offset)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     half = sensor_distance / 2.0
     if layout == "sidewalk":
         pos_p = (0.0, -half, sensor_height)

@@ -99,6 +99,14 @@ def record_stacks(monkeypatch) -> list:
     return built
 
 
+def count_parsed_lines(monkeypatch) -> list:
+    """The non-blank log lines every ``SessionStore`` parses from now on."""
+    parsed, parse = [], pl.SessionStore._parse
+    monkeypatch.setattr(pl.SessionStore, "_parse", lambda self, lines, *at: parsed.extend(
+        line for line in lines if line.strip()) or parse(self, lines, *at))
+    return parsed
+
+
 # ---------------------------------------------------------------------------
 # scalar reference implementations of the vectorized feature and match code
 

@@ -60,6 +60,15 @@ class TestSimulate:
         assert "must be finite" in result.output
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("flag, name", [("--rotation", "rotation_deg"),
+                                            ("--offset", "time_offset")])
+    def test_infinite_pose_setting_exits_one_naming_it(self, runner, tmp_path, flag, name):
+        result = runner.invoke(main, ["simulate", "--out", str(tmp_path / "s"), flag, "inf"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {name} must be finite, got inf\n"
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_exits_one(self, runner, tmp_path, source):
         cfg = tmp_path / "scene.cfg"
@@ -329,11 +338,46 @@ class TestCalibrate:
         assert result.exit_code == 0, result.output
         assert result.exception is None
 
+    def test_continuous_without_a_store_exits_one(self, runner, tmp_path, monkeypatch):
+        monkeypatch.delenv("TRAJCAL_STORE_DIR", raising=False)
+        scene = simulate(runner, tmp_path / "scene")
+        result = runner.invoke(main, ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+                                      "--input-q", str(scene / "dbQ.jsonl"), "--continuous"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: --continuous needs --store-dir or $TRAJCAL_STORE_DIR" in result.output
+
+    def test_continuous_verbose_with_truth_reports_the_fused_state(self, runner, tmp_path):
+        scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
+        result = runner.invoke(
+            main, ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+                   "--input-q", str(scene / "dbQ.jsonl"),
+                   "--truth", str(scene / "ground_truth.json"),
+                   "--continuous", "--store-dir", str(tmp_path / "store"), "--verbose"])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        fused = lines.index(next(line for line in lines if line.startswith("fused: score")))
+        # session line, its transform, its report; then the fused state's
+        assert lines[fused + 4].startswith("  RRE ") and lines[fused + 4].endswith("-> success")
+        reports = [line for line in lines if line.startswith("  RRE ")]
+        assert reports == [lines[4], lines[fused + 4]]
+        assert lines[-1].startswith("databases: P ") and " positions / " in lines[-1]
+
+    def test_store_log_that_is_a_directory_exits_one(self, runner, tmp_path):
+        scene = simulate(runner, tmp_path / "scene")
+        (tmp_path / "store" / "sessions.jsonl").mkdir(parents=True)
+        result = runner.invoke(main, ["calibrate", "--input-p", str(scene / "dbP.jsonl"),
+                                      "--input-q", str(scene / "dbQ.jsonl"), "--continuous",
+                                      "--store-dir", str(tmp_path / "store")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: session store {tmp_path / 'store'}: Is a directory" in result.output
+
     def test_continuous_pass_parses_each_stored_session_once(self, runner, tmp_path,
                                                               monkeypatch):
         # load_fused resumes from the first pass's checkpoint, and record
         # parses only the line it appends
-        from trajcal.pipeline import CalibrationSession
+        from conftest import count_parsed_lines
 
         scene = simulate(runner, tmp_path / "scene", "--noise", "0.1")
         store = tmp_path / "store"
@@ -342,10 +386,7 @@ class TestCalibrate:
         assert runner.invoke(main, args).exit_code == 0
         log = store / "sessions.jsonl"
         log.write_text(log.read_text() * 4)
-        parsed = []
-        from_dict = CalibrationSession.from_dict
-        monkeypatch.setattr(CalibrationSession, "from_dict",
-                            staticmethod(lambda d: parsed.append(d) or from_dict(d)))
+        parsed = count_parsed_lines(monkeypatch)
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert len(log.read_text().splitlines()) == 5
@@ -591,6 +632,28 @@ class TestSweep:
         )
         assert result.exit_code == 1
 
+    def test_empty_values_exit_one(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["sweep", "--axis", "noise", "--values", ",", "--out", str(tmp_path / "x")]
+        )
+        assert result.exit_code == 1
+        assert result.output == "error: --values is empty\n"
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("n_vehicles", "6.7", "n_vehicles must be non-negative integers, got 6.7"),
+        ("n_vehicles", "4,-2", "n_vehicles must be non-negative integers, got -2.0"),
+        ("rotation", "inf", "rotation_deg must be finite, got inf"),
+    ])
+    def test_bad_scenario_value_exits_one_naming_it(self, runner, tmp_path, axis, values,
+                                                    message):
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sweep", "--axis", axis, "--values", values,
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFuseSessions:
     def test_fuses_ignoring_zero_score(self, runner, tmp_path):
@@ -635,3 +698,22 @@ class TestFuseSessions:
         (tmp_path / "store").mkdir()
         result = runner.invoke(main, ["fuse-sessions", "--store-dir", str(tmp_path / "store")])
         assert result.exit_code == 1
+
+    def test_no_store_exits_one(self, runner, monkeypatch):
+        monkeypatch.delenv("TRAJCAL_STORE_DIR", raising=False)
+        result = runner.invoke(main, ["fuse-sessions"])
+        assert result.exit_code == 1
+        assert result.output == "error: need --store-dir or $TRAJCAL_STORE_DIR\n"
+
+    def test_store_of_zero_scores_exits_two(self, runner, tmp_path):
+        from trajcal.model import Transform4D
+        from trajcal.pipeline import CalibrationSession, SessionStore
+
+        store = SessionStore(tmp_path / "store")
+        for k in range(3):
+            store.record(CalibrationSession(Transform4D.from_yaw_deg(30.0 * k), 0.0, 0, 240, 20,
+                                            False, created_at=float(k)))
+        result = runner.invoke(main, ["fuse-sessions", "--store-dir", str(store.directory)])
+        assert result.exit_code == 2
+        assert "fusion failed: every stored session scored zero" in result.output
+        assert not (store.directory / "fused.json").exists()

@@ -259,6 +259,20 @@ class TestSweep:
         with pytest.raises(ValueError, match="passes must be positive integers"):
             run_sweep("passes", values, [0])
 
+    @pytest.mark.parametrize("values", [[6.7], [6, -1], [float("nan")], [float("inf")]])
+    def test_n_vehicles_must_be_non_negative_integers(self, values, monkeypatch):
+        # int() would run 6 vehicles and record 6.7 as the axis value
+        def no_cell(*a, **k):
+            raise AssertionError("a cell ran before the values were checked")
+
+        monkeypatch.setattr(evaluation, "_run_cell", no_cell)
+        with pytest.raises(ValueError, match="n_vehicles must be non-negative integers"):
+            run_sweep("n_vehicles", values, [0])
+
+    def test_non_finite_rotation_is_named(self):
+        with pytest.raises(ValueError, match="^rotation_deg must be finite, got inf$"):
+            run_sweep("rotation", [float("inf")], [0])
+
     def test_passes_axis_runs(self):
         rows = run_sweep(
             "passes", [1, 2], [3],

@@ -2,7 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trajcal import io
 from trajcal.pipeline import CalibrationSession
@@ -213,6 +215,19 @@ class TestTransformAndSessionJson:
         assert again.score == session.score
         assert again.converged is True
 
+    @given(st.integers(0, 2**31 - 1), st.floats(0.0, 1.0), st.lists(st.integers(0, 10**9),
+           min_size=3, max_size=3), st.booleans(), st.floats(-1e12, 1e12))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_session_file_round_trip_is_bitwise(self, tmp_path, seed, score, counts,
+                                                converged, created_at):
+        session = CalibrationSession(random_transform(np.random.default_rng(seed)), score,
+                                     *counts, converged, created_at)
+        path = tmp_path / "session.json"
+        io.write_session_json(session, path)
+        again = io.read_session_json(path)
+        assert json.dumps(again.to_dict()) == json.dumps(session.to_dict())
+
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1e308, 1.5, -0.1])
     def test_session_file_with_a_score_outside_unit_interval(self, tmp_path, rng, score):
         session = CalibrationSession(random_transform(rng), 0.5, 10, 20, 3, True, 1.0)
@@ -327,7 +342,7 @@ class TestConfigFiles:
             "seed = 9\n"
         )
         mapping = io.parse_config_file(path)
-        cfg = io.scenario_from_mapping(mapping)
+        cfg = default_scenario(**mapping)
         assert cfg.layout == "three_way"
         assert cfg.n_vehicles == 12
         assert cfg.noise_sigma == 0.2

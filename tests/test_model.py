@@ -1,5 +1,6 @@
 """Core types and 4D transform algebra."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -477,6 +478,25 @@ class TestSerialization:
         tf = random_transform(rng)
         again = Transform4D.from_dict(tf.to_dict())
         assert again.approx_equal(tf, tol=1e-15)
+
+    @given(transforms_st)
+    @settings(max_examples=100, deadline=None)
+    def test_json_round_trip_is_bitwise(self, tf):
+        again = Transform4D.from_dict(json.loads(json.dumps(tf.to_dict())))
+        assert json.dumps(again.to_dict()) == json.dumps(tf.to_dict())
+
+    def test_from_dict_keeps_a_canonical_quaternion_within_1e_12_of_unit(self):
+        record = dict(Transform4D.identity().to_dict(), qw=1.0 + 4e-13)
+        tf = Transform4D.from_dict(record)
+        assert tf.rotation.tolist() == [1.0 + 4e-13, 0.0, 0.0, 0.0]
+        assert not tf.rotation.flags.writeable
+
+    @pytest.mark.parametrize("q", [(1.0 + 2e-12, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0),
+                                   (-1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0),
+                                   (0.0, -1.0, 0.0, 0.0)])
+    def test_from_dict_normalises_any_other_quaternion(self, q):
+        record = dict(Transform4D.identity().to_dict(), **dict(zip(("qw", "qx", "qy", "qz"), q)))
+        np.testing.assert_array_equal(Transform4D.from_dict(record).rotation, quat_canonical(q))
 
     def test_from_dict_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):

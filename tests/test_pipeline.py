@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajcal.errors import BothZeroScore, NoCandidateMatches, NoViableHypothesis
 from trajcal.estimator import PairedTracks
@@ -30,6 +31,7 @@ from trajcal.simulator import default_scenario, make_nonoverlapping_pair, make_p
 
 from conftest import (
     assert_same_transforms,
+    count_parsed_lines,
     make_database,
     oracle_offset_hypotheses,
     record_stacks,
@@ -496,6 +498,33 @@ class TestFuseSessions:
     def test_empty_returns_none(self):
         assert fuse_sessions([]) is None
 
+    @given(st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.5, 0.7, 1.0]), max_size=8),
+           st.integers(0, 2**31 - 1), st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_zero_score_sessions_fold_as_before(self, scores, seed, min_score):
+        # the fold as it was written when a zero-score pair raised BothZeroScore
+        def caught_fold(sessions):
+            fused = None
+            for session in sessions:
+                if fused is None:
+                    fused = session
+                    continue
+                if session.score < min_score and fused.score >= session.score:
+                    continue
+                try:
+                    fused = update_continuous(fused, session)
+                except BothZeroScore:
+                    continue
+            return fused
+
+        from conftest import random_transform
+
+        rng = np.random.default_rng(seed)
+        sessions = [session_with(score, random_transform(rng)) for score in scores]
+        got, want = fuse_sessions(sessions, min_score), caught_fold(sessions)
+        assert (got is None) == (want is None)
+        assert got is None or json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
 
 class TestSessionStore:
     def test_round_trip(self, tmp_path, rng):
@@ -710,10 +739,7 @@ class TestResumedFold:
 
     def test_each_pass_parses_only_the_new_lines(self, tmp_path, rng, monkeypatch):
         store = SessionStore(self.filled(tmp_path, rng).directory)
-        parsed = []
-        from_dict = CalibrationSession.from_dict
-        monkeypatch.setattr(CalibrationSession, "from_dict",
-                            staticmethod(lambda d: parsed.append(d) or from_dict(d)))
+        parsed = count_parsed_lines(monkeypatch)
         # a fresh instance resumes from the checkpoint the writes left
         loaded = store.load_fused()
         assert len(parsed) == 0
@@ -790,14 +816,59 @@ class TestResumedFold:
         fresh = SessionStore(store.directory)
         assert_fold_of_the_log(fresh, fresh.load_fused())
         assert_fold_of_the_log(fresh, fresh.record(self.new(rng)))
-        assert json.loads(checkpoint.read_bytes())["line_no"] == 4
+        assert json.loads(checkpoint.read_bytes())["offset"] == len(
+            fresh.sessions_path.read_bytes())
+
+    @pytest.mark.parametrize("field, value", [
+        ("score", 7.0), ("score", True), ("n_pp", -3), ("converged", "yes"),
+        ("offset", "1"), ("offset", 1.5), ("offset", 1), ("offset", "past the end")])
+    def test_checkpoint_field_that_does_not_read_back_is_ignored(self, tmp_path, rng, field,
+                                                                 value):
+        store = self.filled(tmp_path, rng)
+        checkpoint = store.directory / ".fold"
+        cp = json.loads(checkpoint.read_bytes())
+        log = store.sessions_path.read_bytes()
+        # each checkpoint's digest holds, and its fold is not the log's; an
+        # offset of 1 is inside line 1
+        cp["fold"]["score"] = 0.5
+        if field != "offset":
+            cp["fold"][field] = value
+        elif value == "past the end":
+            cp["offset"] = len(log) + 9
+        else:
+            cp.update(offset=value, sha256=hashlib.sha256(log[:1]).hexdigest())
+        checkpoint.write_text(json.dumps(cp))
+        fresh = SessionStore(store.directory)
+        assert_fold_of_the_log(fresh, fresh.load_fused())
+        assert_fold_of_the_log(fresh, fresh.record(self.new(rng)))
+
+    @pytest.mark.parametrize("line_no", [3, "1"])
+    def test_checkpoint_with_a_line_count_still_resumes(self, tmp_path, rng, monkeypatch,
+                                                        line_no):
+        # a checkpoint saved before the line count was dropped holds "line_no",
+        # which is not read
+        store = self.filled(tmp_path, rng)
+        checkpoint = store.directory / ".fold"
+        cp = json.loads(checkpoint.read_bytes())
+        checkpoint.write_text(json.dumps({"offset": cp["offset"], "line_no": line_no,
+                                          **{k: cp[k] for k in ("sha256", "fold", "damaged")}}))
+        parsed = count_parsed_lines(monkeypatch)
+        fresh = SessionStore(store.directory)
+        loaded = fresh.load_fused()
+        assert parsed == []
+        assert_fold_of_the_log(fresh, loaded)
+        parsed.clear()
+        recorded = fresh.record(self.new(rng))
+        assert len(parsed) == 1
+        assert_fold_of_the_log(fresh, recorded)
 
     def test_checkpoint_is_rewritten_in_place(self, tmp_path, rng):
         store = self.filled(tmp_path, rng)
         inode = os.stat(store.directory / ".fold").st_ino
         SessionStore(store.directory).record(self.new(rng))
         assert os.stat(store.directory / ".fold").st_ino == inode
-        assert json.loads((store.directory / ".fold").read_bytes())["line_no"] == 4
+        assert json.loads((store.directory / ".fold").read_bytes())["offset"] == len(
+            store.sessions_path.read_bytes())
 
     def test_torn_line_is_parsed_again_once_completed(self, tmp_path, rng):
         from conftest import random_transform

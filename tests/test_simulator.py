@@ -306,6 +306,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             replace(default_scenario(), **{field: value})
 
+    @pytest.mark.parametrize("field", ["rotation_deg", "time_offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pose_setting_is_named(self, field, value):
+        # math.cos(inf) would fail with only "math domain error"
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            default_scenario(**{field: value})
+
     def test_all_layouts_generate(self):
         for layout in LAYOUTS:
             cfg = default_scenario(layout, n_vehicles=5, duration=20.0, seed=1)
