@@ -4,10 +4,8 @@ trajectories of objects both observe: no initial guess, no shared clock."""
 from types import ModuleType as _ModuleType
 
 from .errors import (
-    BothZeroScore,
     CalibrationError,
     DegenerateGeometry,
-    EmptyTrajectory,
     InsufficientOverlap,
     NoCandidateMatches,
     NoViableHypothesis,
@@ -35,7 +33,6 @@ from .evaluation import (
 from .features import (
     FeatureDatabase,
     extract_features,
-    segment_velocities,
 )
 from .matching import (
     MatchWeights,
@@ -64,7 +61,6 @@ from .pipeline import (
     derive_position_pairs,
     fuse_sessions,
     score_session,
-    update_continuous,
 )
 from .simulator import (
     LAYOUTS,

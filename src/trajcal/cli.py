@@ -1,7 +1,8 @@
 """Command-line entry point wiring the simulator, pipeline and metrics.
 
 Exit codes: 0 success, 1 usage/IO error, 2 calibration-quality failure
-(non-convergence or too few candidate matches).
+(too few candidate matches, no viable hypothesis, or non-convergence:
+``NoCandidateMatches``, ``NoViableHypothesis`` or ``converged`` false).
 """
 
 from __future__ import annotations

@@ -5,10 +5,6 @@ class CalibrationError(Exception):
     """Base class for calibration-specific failures."""
 
 
-class EmptyTrajectory(CalibrationError):
-    """Trajectory has too few positions for the requested computation."""
-
-
 class TooFewPairs(CalibrationError):
     """Not enough correspondences for the requested solve."""
 
@@ -51,7 +47,3 @@ class NoViableHypothesis(CalibrationError):
             f"{cause}; {filtered_count} matches survived filtering "
             f"({raw_count} raw candidates)"
         )
-
-
-class BothZeroScore(CalibrationError):
-    """Continuous update called with two zero-score sessions."""

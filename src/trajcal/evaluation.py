@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -139,23 +139,22 @@ def _scenario_for(axis: str, value, seed: int, scenario_kwargs: dict) -> simulat
     return simulator.default_scenario(**kwargs)
 
 
-def _run_cell(axis: str, value, seed: int, scenario_kwargs: dict) -> SweepRow:
+def _run_cell(axis: str, value, scen: simulator.ScenarioConfig) -> SweepRow:
     if axis == "passes":
         # continuous calibration: every pass sees fresh traffic, is
         # warm-started from the fused state so far, and folds back into it
         estimate = None
         for k in range(int(value)):
-            scen = _scenario_for(axis, value, seed + 100_003 * k, scenario_kwargs)
-            db_p, db_q, truth = simulator.make_pair(scen)
+            db_p, db_q, truth = simulator.make_pair(replace(scen, seed=scen.seed + 100_003 * k))
             session = pipeline.calibrate(db_p, db_q, prior=estimate)
             estimate = pipeline.fuse_sessions([s for s in (estimate, session) if s is not None])
     else:
-        db_p, db_q, truth = simulator.make_pair(_scenario_for(axis, value, seed, scenario_kwargs))
+        db_p, db_q, truth = simulator.make_pair(scen)
         session = estimate = pipeline.calibrate(db_p, db_q)
     report = make_report(estimate.transform, truth)
     return SweepRow(
         axis_value=float(value),
-        seed=seed,
+        seed=scen.seed,
         rre_deg=report.rre_deg,
         rte_m=report.rte_m,
         toe_s=report.toe_s,
@@ -175,8 +174,9 @@ def run_sweep(
     """Grid of scenarios (one axis varied) x seeds: simulate, calibrate,
     score against ground truth. A failed cell records success=False and NaN
     metrics instead of aborting the sweep. An unknown axis, a ``passes``
-    value that is not a positive integer, or an ``n_vehicles`` value that is
-    not a non-negative one, raises ValueError before any cell runs."""
+    value that is not a positive integer, an ``n_vehicles`` value that is
+    not a non-negative one, or any value or seed ``default_scenario``
+    rejects, raises ValueError before any cell runs."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if axis in ("passes", "n_vehicles"):
@@ -184,25 +184,17 @@ def run_sweep(
         for value in values:
             if not (float(value).is_integer() and value >= low):
                 raise ValueError(f"{axis} must be {kind} integers, got {value!r}")
-    scenario_kwargs = scenario_kwargs or {}
+    # every cell's scenario is built, and so checked, before any cell runs
+    cells = [(value, _scenario_for(axis, value, seed, scenario_kwargs or {}))
+             for value in values for seed in seeds]
     rows = []
-    for value in values:
-        for seed in seeds:
-            try:
-                rows.append(_run_cell(axis, value, seed, scenario_kwargs))
-            except CalibrationError:
-                rows.append(
-                    SweepRow(
-                        axis_value=float(value),
-                        seed=seed,
-                        rre_deg=math.nan,
-                        rte_m=math.nan,
-                        toe_s=math.nan,
-                        success=False,
-                        score=0.0,
-                        iterations=0,
-                    )
-                )
+    for value, scen in cells:
+        try:
+            rows.append(_run_cell(axis, value, scen))
+        except CalibrationError:
+            rows.append(SweepRow(axis_value=float(value), seed=scen.seed, rre_deg=math.nan,
+                                 rte_m=math.nan, toe_s=math.nan, success=False, score=0.0,
+                                 iterations=0))
     return rows
 
 

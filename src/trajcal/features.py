@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrajectory
 from .model import Rows, Trajectory, TrajectoryDatabase
 
 DEFAULT_WINDOW = 3
@@ -46,22 +45,12 @@ class FeatureDatabase:
                                 np.sqrt(self.velocity_variance[rows])])
 
 
-def segment_velocities(traj: Trajectory) -> np.ndarray:
-    """Speed of each segment: distance over elapsed time, one value per
-    consecutive position pair (the velocity *leaving* each position)."""
-    if len(traj) < 2:
-        raise EmptyTrajectory(
-            f"trajectory {traj.track_id!r} has {len(traj)} positions; need at least 2"
-        )
-    dist = np.linalg.norm(np.diff(traj.xyz, axis=0), axis=1)
-    return dist / np.diff(traj.times)
-
-
 def _trajectory_features(traj: Trajectory, window: int, curv, vmean, vvar, valid) -> None:
     """Fill the trajectory's slices of the four feature columns."""
     n = len(traj)
     if n >= 3:
-        v = segment_velocities(traj)
+        # the speed leaving each position: segment length over elapsed time
+        v = np.linalg.norm(np.diff(traj.xyz, axis=0), axis=1) / np.diff(traj.times)
         # windowed mean/variance via prefix sums; window is [i-m, i+m-1] clipped
         idx = np.arange(n)
         lo = np.maximum(0, idx - window)

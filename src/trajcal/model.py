@@ -203,8 +203,7 @@ class Trajectory:
 
     def _fill(self, *values) -> None:
         """Hold ``values``, in field order, as they are."""
-        for field, value in zip(fields(self), values):
-            object.__setattr__(self, field.name, value)
+        vars(self).update(zip(self.__dataclass_fields__, values))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trajectory):

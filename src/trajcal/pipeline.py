@@ -35,7 +35,6 @@ import numpy as np
 
 from . import estimator
 from .errors import (
-    BothZeroScore,
     DegenerateGeometry,
     InsufficientOverlap,
     NoCandidateMatches,
@@ -789,44 +788,30 @@ def score_session(
     return score, n_pp, n_po
 
 
-def fuse_sessions(
-    sessions, min_score: float = 0.5
-) -> CalibrationSession | None:
+_MIN_FUSE_SCORE = 0.5
+
+
+def fuse_sessions(sessions, min_score: float = _MIN_FUSE_SCORE) -> CalibrationSession | None:
     """Fold sessions oldest-first into one estimate. Sessions scoring below
     ``min_score`` never update an existing fused state (a poor pass must not
     drag a good calibration); they can only seed it when nothing better
-    exists yet. A zero-score session never changes an existing one."""
+    exists yet. A zero-score session never changes an existing one, and the
+    first session scoring above zero replaces a zero-score state. Any other
+    update blends the two transforms weighted by score and keeps the better
+    session's metadata, the higher score and the later ``created_at``."""
     fused = None
-    for session in sessions:
-        if fused is None:
-            fused = session
-        elif session.score > 0 and (session.score >= min_score or session.score > fused.score):
-            fused = update_continuous(fused, session)
+    for new in sessions:
+        if fused is None or (fused.score == 0 and new.score > 0):
+            fused = new
+        elif new.score > 0 and (new.score >= min_score or new.score > fused.score):
+            s_prev, s_new = fused.score, new.score
+            transform = blend_transforms(
+                fused.transform, new.transform, s_prev / (s_prev + s_new), s_new / (s_prev + s_new)
+            )
+            fused = replace(fused if s_prev >= s_new else new, transform=transform,
+                            score=max(s_prev, s_new),
+                            created_at=max(fused.created_at, new.created_at))
     return fused
-
-
-def update_continuous(
-    prev: CalibrationSession, new: CalibrationSession
-) -> CalibrationSession:
-    """Score-weighted fusion of two sessions; a zero-score session
-    contributes nothing and the fused score keeps the best evidence."""
-    s_prev, s_new = prev.score, new.score
-    if s_prev + s_new <= 0:
-        raise BothZeroScore("cannot fuse two sessions that both scored zero")
-    if s_prev == 0:
-        return new
-    if s_new == 0:
-        return prev
-    fused_tf = blend_transforms(
-        prev.transform, new.transform, s_prev / (s_prev + s_new), s_new / (s_prev + s_new)
-    )
-    base = prev if s_prev >= s_new else new
-    return replace(
-        base,
-        transform=fused_tf,
-        score=max(s_prev, s_new),
-        created_at=max(prev.created_at, new.created_at),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +828,7 @@ class SessionStore:
     unless those bytes of the log changed or a field does not read back as
     saved."""
 
-    min_fuse_score = 0.5
+    min_fuse_score = _MIN_FUSE_SCORE
 
     def __init__(self, directory):
         self.directory = Path(directory)

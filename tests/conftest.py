@@ -119,6 +119,13 @@ class InvalidFeature(CalibrationError):
     """A feature flagged invalid was used where a valid one is required."""
 
 
+def segment_velocities(traj: Trajectory) -> np.ndarray:
+    """Speed of each segment: distance over elapsed time, one value per
+    consecutive position pair (the velocity *leaving* each position)."""
+    dist = np.linalg.norm(np.diff(traj.xyz, axis=0), axis=1)
+    return dist / np.diff(traj.times)
+
+
 def velocity_stats(velocities: np.ndarray, i: int, m: int) -> tuple[float, float]:
     """Mean and population variance of the speeds in window [i-m, i+m-1],
     clipped to the available indices."""

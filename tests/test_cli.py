@@ -69,6 +69,18 @@ class TestSimulate:
         assert result.output == f"error: {name} must be finite, got inf\n"
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("key", ["sensor_distance", "sensor_height", "sensing_range"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_config_setting_exits_one_naming_it(self, runner, tmp_path, key, value):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "s")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {key} must be finite, got {value}\n"
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_exits_one(self, runner, tmp_path, source):
         cfg = tmp_path / "scene.cfg"
@@ -643,6 +655,7 @@ class TestSweep:
         ("n_vehicles", "6.7", "n_vehicles must be non-negative integers, got 6.7"),
         ("n_vehicles", "4,-2", "n_vehicles must be non-negative integers, got -2.0"),
         ("rotation", "inf", "rotation_deg must be finite, got inf"),
+        ("rotation", "0,inf", "rotation_deg must be finite, got inf"),
     ])
     def test_bad_scenario_value_exits_one_naming_it(self, runner, tmp_path, axis, values,
                                                     message):

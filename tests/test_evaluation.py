@@ -269,9 +269,28 @@ class TestSweep:
         with pytest.raises(ValueError, match="n_vehicles must be non-negative integers"):
             run_sweep("n_vehicles", values, [0])
 
-    def test_non_finite_rotation_is_named(self):
-        with pytest.raises(ValueError, match="^rotation_deg must be finite, got inf$"):
-            run_sweep("rotation", [float("inf")], [0])
+    @pytest.mark.parametrize("axis, values, message", [
+        ("rotation", [float("inf")], "rotation_deg must be finite, got inf"),
+        ("rotation", [0.0, float("inf")], "rotation_deg must be finite, got inf"),
+        ("time_offset", [0.5, float("nan")], "time_offset must be finite, got nan"),
+        ("noise", [0.2, -1.0], "noise_sigma"),
+    ])
+    def test_bad_value_is_named_before_any_cell_simulates(self, axis, values, message,
+                                                          monkeypatch):
+        def no_simulation(*a, **k):
+            raise AssertionError("a cell was simulated before every value was checked")
+
+        monkeypatch.setattr(evaluation.simulator, "make_pair", no_simulation)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(axis, values, [0, 1])
+
+    def test_bad_seed_is_named_before_any_cell_simulates(self, monkeypatch):
+        def no_simulation(*a, **k):
+            raise AssertionError("a cell was simulated before every seed was checked")
+
+        monkeypatch.setattr(evaluation.simulator, "make_pair", no_simulation)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run_sweep("noise", [0.2], [3, -1])
 
     def test_passes_axis_runs(self):
         rows = run_sweep(

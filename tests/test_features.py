@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajcal.errors import EmptyTrajectory
-from trajcal.features import extract_features, segment_velocities
+from trajcal.features import extract_features
 from trajcal.model import transform_database
 
 from conftest import (
@@ -19,6 +18,7 @@ from conftest import (
     make_trajectory,
     per_trajectory,
     random_transform,
+    segment_velocities,
     straight_trajectory,
     world_samples,
     velocity_stats,
@@ -42,9 +42,14 @@ class TestSegmentVelocities:
         v = segment_velocities(arc_trajectory(radius=r, angular_rate=w, n=40, dt=dt))
         np.testing.assert_allclose(v, chord / dt, rtol=1e-12)
 
-    def test_too_short(self):
-        with pytest.raises(EmptyTrajectory):
-            segment_velocities(make_trajectory([[0, 0, 0]]))
+    @pytest.mark.parametrize("traj", [straight_trajectory(speed=10.0, n=11),
+                                      arc_trajectory(radius=20.0, angular_rate=0.5, n=40)])
+    def test_extract_features_mean_follows_these_speeds(self, traj):
+        m = 3
+        v = segment_velocities(traj)
+        want = [velocity_stats(v, i, m)[0] for i in range(len(traj))]
+        got = per_trajectory(extract_features(make_database([traj]), m))[0].velocity_mean
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestVelocityStats:

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -341,6 +341,20 @@ class TestColumns:
         with pytest.raises(ValueError, match=message):
             Trajectory.from_columns("t0", rows["label"], rows["xyz"], rows["times"],
                                     rows["frames"], rows["bbox"])
+
+    def test_fields_are_held_as_given_and_frozen(self):
+        rows = _rows()
+        columns = Trajectory.from_columns("t0", "car", rows["xyz"], rows["times"],
+                                          rows["frames"], rows["bbox"])
+        view = TrajectoryDatabase("S", [columns], 0.1, 50.0).trajectories[0]
+        for traj in (make_trajectory(rows["xyz"]), columns, view):
+            assert list(vars(traj)) == [f.name for f in fields(Trajectory)]
+            for name in [f.name for f in fields(Trajectory)]:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(traj, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(traj, name)
+        assert (view.track_id, view.class_label) == ("t0", "car") and view == columns
 
     def test_columns_must_agree_in_length(self):
         rows = _rows()

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajcal.errors import BothZeroScore, NoCandidateMatches, NoViableHypothesis
+from trajcal.errors import NoCandidateMatches, NoViableHypothesis
 from trajcal.estimator import PairedTracks
 from trajcal.evaluation import make_report
-from trajcal.model import Transform4D, transform_database
+from trajcal.model import Transform4D, blend_transforms, transform_database
 from trajcal.pipeline import (
     CalibrationSession,
     PipelineConfig,
@@ -25,7 +25,6 @@ from trajcal.pipeline import (
     derive_position_pairs,
     fuse_sessions,
     score_session,
-    update_continuous,
 )
 from trajcal.simulator import default_scenario, make_nonoverlapping_pair, make_pair
 
@@ -434,18 +433,19 @@ class TestDerivePositionPairs:
         assert abs(estimate_time_offset_coarse(pairs) - truth.time_offset) <= 0.05
 
 
-class TestUpdateContinuous:
+class TestTwoSessionFold:
+    """``fuse_sessions``'s rule for one stored state and one new session."""
+
     def test_zero_score_contributes_nothing(self):
         prev = session_with(0.0, Transform4D.from_yaw_deg(45.0))
         new = session_with(0.8)
-        out = update_continuous(prev, new)
-        assert out is new
-        assert update_continuous(new, prev) is new
+        assert fuse_sessions([prev, new], min_score=0.0) is new
+        assert fuse_sessions([new, prev], min_score=0.0) is new
 
     def test_equal_scores_midpoint(self):
         a = session_with(0.5, Transform4D(np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0]), 0.0))
         b = session_with(0.5, Transform4D(np.array([1.0, 0, 0, 0]), np.array([3.0, 0, 0]), 1.0))
-        out = update_continuous(a, b)
+        out = fuse_sessions([a, b], min_score=0.0)
         np.testing.assert_allclose(out.transform.translation, [2.0, 0, 0], atol=1e-12)
         assert out.transform.time_offset == pytest.approx(0.5)
         assert out.score == 0.5
@@ -453,7 +453,7 @@ class TestUpdateContinuous:
     def test_weights_follow_eq_scores(self):
         a = session_with(0.9, Transform4D(np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 0]), 0.0))
         b = session_with(0.3, Transform4D(np.array([1.0, 0, 0, 0]), np.array([4.0, 0, 0]), 0.0))
-        out = update_continuous(a, b)
+        out = fuse_sessions([a, b], min_score=0.0)
         # weight of b is 0.3/1.2 = 0.25
         np.testing.assert_allclose(out.transform.translation, [1.0, 0, 0], atol=1e-12)
         assert out.score == pytest.approx(0.9)
@@ -464,16 +464,23 @@ class TestUpdateContinuous:
         tf = random_transform(rng)
         a = session_with(0.7, tf)
         b = session_with(0.9, tf)
-        out = update_continuous(a, b)
+        out = fuse_sessions([a, b], min_score=0.0)
         assert out.transform.approx_equal(tf, tol=1e-9)
 
-    def test_both_zero_raises(self):
-        with pytest.raises(BothZeroScore):
-            update_continuous(session_with(0.0), session_with(0.0))
+    def test_two_zero_score_sessions_fold_to_the_first(self):
+        first, second = session_with(0.0), session_with(0.0, Transform4D.from_yaw_deg(90.0))
+        assert fuse_sessions([first, second], min_score=0.0) is first
 
     def test_fused_score_is_max(self):
-        out = update_continuous(session_with(0.6), session_with(0.9))
+        out = fuse_sessions([session_with(0.6), session_with(0.9)], min_score=0.0)
         assert out.score == 0.9
+
+    def test_metadata_from_the_higher_scorer_and_the_later_time(self):
+        better = replace(session_with(0.9, n_pp=7, n_po=9), created_at=1.0)
+        later = replace(session_with(0.6, n_pp=3, n_po=4), created_at=2.0)
+        for pair in ([better, later], [later, better]):
+            out = fuse_sessions(pair, min_score=0.0)
+            assert (out.n_pp, out.n_po, out.score, out.created_at) == (7, 9, 0.9, 2.0)
 
 
 class TestFuseSessions:
@@ -503,6 +510,28 @@ class TestFuseSessions:
     @settings(max_examples=200, deadline=None)
     def test_zero_score_sessions_fold_as_before(self, scores, seed, min_score):
         # the fold as it was written when a zero-score pair raised BothZeroScore
+        class BothZeroScore(Exception):
+            pass
+
+        def update_continuous(prev, new):
+            s_prev, s_new = prev.score, new.score
+            if s_prev + s_new <= 0:
+                raise BothZeroScore("cannot fuse two sessions that both scored zero")
+            if s_prev == 0:
+                return new
+            if s_new == 0:
+                return prev
+            fused_tf = blend_transforms(
+                prev.transform, new.transform, s_prev / (s_prev + s_new), s_new / (s_prev + s_new)
+            )
+            base = prev if s_prev >= s_new else new
+            return replace(
+                base,
+                transform=fused_tf,
+                score=max(s_prev, s_new),
+                created_at=max(prev.created_at, new.created_at),
+            )
+
         def caught_fold(sessions):
             fused = None
             for session in sessions:

@@ -306,10 +306,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             replace(default_scenario(), **{field: value})
 
-    @pytest.mark.parametrize("field", ["rotation_deg", "time_offset"])
+    @pytest.mark.parametrize("field", ["rotation_deg", "time_offset", "sensor_distance",
+                                       "sensor_height", "sensing_range"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_pose_setting_is_named(self, field, value):
-        # math.cos(inf) would fail with only "math domain error"
+        # math.cos(inf) would fail with only "math domain error", a sensor
+        # position with Transform4D's unnamed "translation ... must be finite",
+        # and sensing_range as ScenarioConfig's sensing_range_p
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             default_scenario(**{field: value})
 
